@@ -16,18 +16,11 @@
 //               stays uninstrumented.
 //   --epoch N   timeline epoch length in accesses (default 1024; only
 //               meaningful with --timeline).
-//   --chunk-accesses N
-//               replay through the block engine in N-access blocks instead
-//               of the one-access-at-a-time reference loop. Results are
-//               byte-identical for every N; 0 (default) keeps the
-//               historical path.
-//   --shards K  workers inside each single run (default 1). With
-//               --shard-mode exact (default), K stripes the decode stage
-//               and output stays byte-identical for any K; with
-//               --shard-mode partitioned, pages are hash-split across K
-//               policy instances with proportional budgets (deterministic
-//               per K, but an approximation of the global policy).
-//   --shard-mode exact|partitioned
+//   --partitions K
+//               hash-split each run's pages across K independent policy
+//               instances with proportional budgets, replayed in parallel
+//               (default 1 = the policy itself). Deterministic per K, but an
+//               approximation of the global policy.
 //
 // Unknown flags are rejected: every harness parses through util::cli and
 // errors out listing the full flag set, so a typo ("--job 4") fails loudly
@@ -59,9 +52,7 @@ struct BenchContext {
   unsigned jobs = 1;  ///< Sweep worker threads.
   std::string timeline;  ///< --timeline PATH; empty = sampling off.
   std::uint64_t timeline_epoch = 1024;  ///< --epoch N.
-  std::uint64_t chunk_accesses = 0;  ///< --chunk-accesses N; 0 = reference.
-  unsigned shards = 1;               ///< --shards K inside each run.
-  sim::ShardMode shard_mode = sim::ShardMode::kExact;
+  unsigned partitions = 1;              ///< --partitions K inside each run.
 };
 
 /// The flags every harness accepts, with one-line help.
@@ -74,10 +65,8 @@ common_flag_help() {
       {"csv", "also dump the table as CSV to stdout"},
       {"timeline", "write the spliced epoch time-series CSV to PATH"},
       {"epoch", "timeline epoch length in accesses (default 1024)"},
-      {"chunk-accesses",
-       "block-engine replay in N-access blocks (0 = reference loop)"},
-      {"shards", "workers inside each run (default 1)"},
-      {"shard-mode", "exact (byte-identical) or partitioned (approximate)"},
+      {"partitions",
+       "hash-partition each run across K policy instances (approximate)"},
   };
   return help;
 }
@@ -123,33 +112,12 @@ inline BenchContext parse_args(
       args.get_uint("jobs", runner::ThreadPool::default_threads()));
   ctx.timeline = args.get("timeline");
   ctx.timeline_epoch = args.get_uint("epoch", 1024);
-  ctx.chunk_accesses = args.get_uint("chunk-accesses", 0);
-  ctx.shards = static_cast<unsigned>(args.get_uint("shards", 1));
-  const std::string mode = args.get("shard-mode", "exact");
-  if (mode == "exact") {
-    ctx.shard_mode = sim::ShardMode::kExact;
-  } else if (mode == "partitioned") {
-    ctx.shard_mode = sim::ShardMode::kPartitioned;
-  } else {
-    std::cerr << args.program()
-              << ": --shard-mode must be 'exact' or 'partitioned', got '"
-              << mode << "'\n";
-    std::exit(2);
-  }
+  ctx.partitions = static_cast<unsigned>(args.get_uint("partitions", 1));
   return ctx;
 }
 
-/// Applies the context's engine knobs (block size, shards, mode) to one
-/// experiment config.
-inline void apply_engine(sim::ExperimentConfig& config,
-                         const BenchContext& ctx) {
-  config.chunk_accesses = ctx.chunk_accesses;
-  config.shards = ctx.shards;
-  config.shard_mode = ctx.shard_mode;
-}
-
 /// Turns on epoch sampling in every grid cell when the harness was run with
-/// --timeline, and threads the engine knobs through every variant.
+/// --timeline, and threads --partitions through every variant.
 /// Materializes the implicit default variant so the overrides have a config
 /// to land on.
 inline void apply_overrides(runner::SweepSpec& spec, const BenchContext& ctx) {
@@ -158,7 +126,7 @@ inline void apply_overrides(runner::SweepSpec& spec, const BenchContext& ctx) {
     if (!ctx.timeline.empty()) {
       variant.config.timeline_epoch = ctx.timeline_epoch;
     }
-    apply_engine(variant.config, ctx);
+    variant.config.partitions = ctx.partitions;
   }
 }
 
@@ -191,7 +159,7 @@ inline sim::RunResult run(const synth::WorkloadProfile& profile,
                           const std::string& policy, const BenchContext& ctx,
                           sim::ExperimentConfig config = {}) {
   config.policy = policy;
-  apply_engine(config, ctx);
+  config.partitions = ctx.partitions;
   return runner::run_workload_dispatch(profile, ctx.scale, config, ctx.seed);
 }
 

@@ -3,6 +3,7 @@
 // hierarchy, the trace generator and the end-to-end simulator.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <sstream>
 
 #include "cachesim/hierarchy.hpp"
@@ -138,24 +139,17 @@ ReplayFixture make_replay_fixture(const std::string& policy) {
   fx.config.policy = policy;
   trace::TraceCharacterizer characterizer(fx.config.page_size);
   characterizer.observe(fx.trace);
-  const sim::MemorySizing sizing =
-      sim::size_memory(characterizer.stats().distinct_pages, fx.config);
-  fx.vmm_config.dram_frames = sizing.dram_frames;
-  fx.vmm_config.nvm_frames = sizing.nvm_frames;
-  fx.vmm_config.page_size = fx.config.page_size;
-  fx.vmm_config.access_granularity = fx.config.access_granularity;
-  fx.vmm_config.dram = fx.config.dram;
-  fx.vmm_config.nvm = fx.config.nvm;
-  fx.vmm_config.disk = fx.config.disk;
-  fx.vmm_config.transfer_mode = fx.config.transfer_mode;
-  fx.vmm_config.wear_leveling = fx.config.wear_leveling;
+  fx.vmm_config = sim::vmm_config_for(
+      sim::size_memory(characterizer.stats().distinct_pages, fx.config),
+      fx.config);
   return fx;
 }
 
 // Replay throughput of the simulation core proper: the trace is generated
 // and characterized once outside the timing loop, so items/second is
-// on_access ops/sec of sim::run_trace (one warmup pass + the measured pass),
-// the number every figure and sweep cell is built from.
+// accesses/sec of sim::run_blocks (one warmup pass + the measured pass,
+// block decode included, as in every experiment run), the number every
+// figure and sweep cell is built from.
 //
 // `timeline_epoch` nonzero attaches an obs::EpochSampler with that epoch
 // length, so the `_timeline` captures measure the instrumentation-on cost
@@ -163,30 +157,24 @@ ReplayFixture make_replay_fixture(const std::string& policy) {
 void BM_RunTrace(benchmark::State& state, const std::string& policy,
                  std::uint64_t timeline_epoch = 0) {
   const ReplayFixture fx = make_replay_fixture(policy);
-  const trace::Trace& trace = fx.trace;
-  const auto& profile_roi = fx.roi_seconds;
-  const sim::ExperimentConfig& config = fx.config;
-  const os::VmmConfig& vmm_config = fx.vmm_config;
   std::uint64_t replayed = 0;
   for (auto _ : state) {
-    os::Vmm vmm(vmm_config);
-    const auto impl = sim::make_policy(policy, vmm, config.migration);
-    if (timeline_epoch == 0) {
-      const auto result = sim::run_trace(*impl, trace, profile_roi,
-                                         /*warmup_passes=*/1);
-      benchmark::DoNotOptimize(result.accesses);
-    } else {
-      const auto* scheme =
-          dynamic_cast<const core::TwoLruMigrationPolicy*>(impl.get());
-      obs::EpochSampler sampler(timeline_epoch, vmm, scheme,
-                                profile_roi);
-      const auto result = sim::run_trace(*impl, trace, profile_roi,
-                                         /*warmup_passes=*/1, &sampler);
-      benchmark::DoNotOptimize(result.accesses);
-      const obs::Timeline timeline = sampler.take_timeline();
-      benchmark::DoNotOptimize(timeline.epochs.size());
+    os::Vmm vmm(fx.vmm_config);
+    const auto impl = sim::make_policy(policy, vmm, fx.config.migration);
+    trace::TraceBlockSource source(fx.trace, fx.config.page_size);
+    std::optional<obs::EpochSampler> sampler;
+    if (timeline_epoch > 0) {
+      sampler.emplace(
+          timeline_epoch, vmm,
+          dynamic_cast<const core::TwoLruMigrationPolicy*>(impl.get()),
+          fx.roi_seconds);
     }
-    replayed += 2 * trace.size();
+    const auto result =
+        sim::run_blocks(*impl, source, &source, /*warmup_passes=*/1,
+                        fx.roi_seconds, sampler ? &*sampler : nullptr);
+    benchmark::DoNotOptimize(result.accesses);
+    benchmark::DoNotOptimize(result.timeline.epochs.size());
+    replayed += 2 * fx.trace.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(replayed));
 }
@@ -200,30 +188,6 @@ BENCHMARK(BM_CacheHierarchy);
 BENCHMARK(BM_TraceGenerator);
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, two_lru, "two-lru");
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, clock_dwf, "clock-dwf");
-// Streamed replay throughput: the same trace, memory shape and pass
-// structure as BM_RunTrace (one warmup pass + one measured pass), but
-// through the block engine — a TraceBlockSource decodes the trace once at
-// construction (outside the timing loop, like production multi-pass use)
-// and sim::run_blocks serves `chunk`-access blocks through the policy's
-// on_block fast path. Interleave this against BM_RunTrace/two_lru
-// (--benchmark_enable_random_interleaving) for the speedup ratio.
-void BM_RunTraceStreamed(benchmark::State& state, const std::string& policy,
-                         std::size_t chunk) {
-  const ReplayFixture fx = make_replay_fixture(policy);
-  trace::TraceBlockSource source(fx.trace, fx.config.page_size, chunk);
-  std::uint64_t replayed = 0;
-  for (auto _ : state) {
-    os::Vmm vmm(fx.vmm_config);
-    const auto impl = sim::make_policy(policy, vmm, fx.config.migration);
-    source.rewind();
-    const auto result =
-        sim::run_blocks(*impl, source, fx.roi_seconds, /*warmup_passes=*/1);
-    benchmark::DoNotOptimize(result.accesses);
-    replayed += 2 * fx.trace.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(replayed));
-}
-
 // Streamed replay from the chunked HYTS byte format: O(chunk) memory, with
 // the readahead producer decoding block N+1 while the policy replays block
 // N. Measures the full capture-to-replay path a too-big-to-materialize
@@ -245,8 +209,8 @@ void BM_RunTraceStreamedIo(benchmark::State& state, const std::string& policy,
     bytes.seekg(0);
     trace::StreamBlockSource source(bytes, fx.config.page_size, chunk,
                                     /*readahead=*/true);
-    const auto result =
-        sim::run_blocks(*impl, source, fx.roi_seconds, /*warmup_passes=*/1);
+    const auto result = sim::run_blocks(*impl, source, &source,
+                                        /*warmup_passes=*/1, fx.roi_seconds);
     benchmark::DoNotOptimize(result.accesses);
     replayed += 2 * fx.trace.size();
   }
@@ -254,7 +218,6 @@ void BM_RunTraceStreamedIo(benchmark::State& state, const std::string& policy,
 }
 
 BENCHMARK_CAPTURE(BM_RunTrace, two_lru, "two-lru");
-BENCHMARK_CAPTURE(BM_RunTraceStreamed, two_lru, "two-lru", 4096u);
 BENCHMARK_CAPTURE(BM_RunTraceStreamedIo, two_lru, "two-lru", 16384u);
 BENCHMARK_CAPTURE(BM_RunTrace, two_lru_adaptive, "two-lru-adaptive");
 BENCHMARK_CAPTURE(BM_RunTrace, clock_dwf, "clock-dwf");

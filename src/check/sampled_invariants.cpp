@@ -106,8 +106,7 @@ SampledFuzzOutcome replay(const FuzzCase& fc, const sample::SampleConfig& scfg,
   const std::span<const trace::MemAccess> accesses = fc.trace.accesses();
   SampledFuzzOutcome out;
   for (std::size_t i = 0; i < pages.size(); ++i) {
-    const Nanoseconds latency = policy.on_access(pages[i], accesses[i].type);
-    policy.tap().on_access(pages[i], accesses[i].type, latency);
+    policy.on_access(pages[i], accesses[i].type);
   }
   check_invariants(policy);
   out.accesses = pages.size();

@@ -1,12 +1,14 @@
 #include "check/stream_parity.hpp"
 
-#include <memory>
 #include <sstream>
 
 #include "core/migration_scheme.hpp"
+#include "obs/epoch.hpp"
+#include "obs/timeline_io.hpp"
 #include "os/vmm.hpp"
 #include "sim/engine.hpp"
 #include "sim/results_io.hpp"
+#include "trace/access.hpp"
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
 #include "util/check.hpp"
@@ -22,16 +24,48 @@ constexpr double kDurationS = 1.0;
 struct Stack {
   os::Vmm vmm;
   core::TwoLruMigrationPolicy policy;
+  obs::EpochSampler sampler;
 
-  explicit Stack(const FuzzCase& fc)
+  Stack(const FuzzCase& fc, std::uint64_t epoch_length)
       : vmm([&fc] {
           os::VmmConfig config;
           config.dram_frames = fc.dram_frames;
           config.nvm_frames = fc.nvm_frames;
           return config;
         }()),
-        policy(vmm, fc.migration) {}
+        policy(vmm, fc.migration),
+        sampler(epoch_length, vmm, &policy, kDurationS) {}
 };
+
+/// The reference: every access decoded and served on its own through
+/// on_access, each one recorded with the sampler as it completes.
+sim::RunResult reference_run(Stack& stack, const trace::Trace& trace) {
+  const std::uint64_t page_size = stack.vmm.config().page_size;
+  sim::RunResult result;
+  result.policy = std::string(stack.policy.name());
+  result.workload = trace.name();
+  result.duration_s = kDurationS;
+  for (const trace::MemAccess& access : trace.accesses()) {
+    const Nanoseconds latency = stack.policy.on_access(
+        trace::page_of(access.addr, page_size), access.type);
+    result.visible_latency_ns += latency;
+    stack.sampler.record(&access.type, &latency, 1);
+  }
+  stack.sampler.finish();
+  result.accesses = trace.size();
+  result.timeline = stack.sampler.take_timeline();
+  result.counts = model::EventCounts::from_vmm(stack.vmm, result.accesses);
+  result.params = model::ModelParams::from_vmm(stack.vmm);
+  return result;
+}
+
+/// Serialized result plus its timeline: the bytes every mode must match.
+std::string bytes_of(const sim::RunResult& result) {
+  std::ostringstream out;
+  out << sim::to_json(result) << '\n';
+  obs::write_timeline_csv(result.timeline, out);
+  return out.str();
+}
 
 /// The HYTS serialization of the case's trace (what a capture would ship).
 std::string encode_stream(const trace::Trace& trace,
@@ -46,26 +80,21 @@ std::string encode_stream(const trace::Trace& trace,
 }  // namespace
 
 StreamParityResult run_stream_parity(const FuzzCase& fc,
-                                     std::size_t block_accesses) {
+                                     std::size_t block_accesses,
+                                     std::uint64_t epoch_length) {
   HYMEM_CHECK_MSG(!fc.trace.empty(), "stream parity over an empty trace");
   HYMEM_CHECK_MSG(block_accesses > 0, "block size must be positive");
   StreamParityResult out;
   out.accesses = fc.trace.size();
 
-  const std::uint64_t page_size = [&fc] {
-    Stack probe(fc);
-    return probe.vmm.config().page_size;
-  }();
-
   std::string reference;
   {
-    Stack stack(fc);
-    reference =
-        sim::to_json(sim::run_trace(stack.policy, fc.trace, kDurationS));
+    Stack stack(fc, epoch_length);
+    reference = bytes_of(reference_run(stack, fc.trace));
   }
 
   const auto diff = [&](const char* mode, const sim::RunResult& result) {
-    const std::string got = sim::to_json(result);
+    const std::string got = bytes_of(result);
     if (got == reference) return true;
     // Name the first differing line so the report points at a field, not
     // just at the mode.
@@ -83,29 +112,23 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
   };
 
   {
-    Stack stack(fc);
-    trace::TraceBlockSource source(fc.trace, page_size, block_accesses);
-    if (!diff("blocks",
-              sim::run_blocks(stack.policy, source, kDurationS))) {
-      return out;
-    }
-  }
-  {
-    Stack stack(fc);
-    trace::TraceBlockSource source(fc.trace, page_size, block_accesses,
-                                   /*decode_workers=*/4);
-    if (!diff("blocks+striped-decode",
-              sim::run_blocks(stack.policy, source, kDurationS))) {
+    Stack stack(fc, epoch_length);
+    trace::TraceBlockSource source(fc.trace, stack.vmm.config().page_size,
+                                   block_accesses);
+    if (!diff("blocks", sim::run_blocks(stack.policy, source, nullptr, 0,
+                                        kDurationS, &stack.sampler))) {
       return out;
     }
   }
   const std::string bytes = encode_stream(fc.trace, block_accesses);
   for (const bool readahead : {false, true}) {
-    Stack stack(fc);
+    Stack stack(fc, epoch_length);
     std::istringstream in(bytes);
-    trace::StreamBlockSource source(in, page_size, block_accesses, readahead);
+    trace::StreamBlockSource source(in, stack.vmm.config().page_size,
+                                    block_accesses, readahead);
     if (!diff(readahead ? "stream+readahead" : "stream",
-              sim::run_blocks(stack.policy, source, kDurationS))) {
+              sim::run_blocks(stack.policy, source, nullptr, 0, kDurationS,
+                              &stack.sampler))) {
       return out;
     }
   }
@@ -115,13 +138,17 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
 StreamParityResult run_stream_parity_case(std::uint64_t seed,
                                           std::size_t accesses) {
   const FuzzCase fc = make_fuzz_case(seed, accesses);
-  // Block size from the seed's own stream: 1 (degenerate per-access blocks)
-  // up past the trace length (one whole-trace block).
+  // Block size and epoch length from the seed's own stream: blocks from 1
+  // (degenerate per-access blocks) up past the trace length (one
+  // whole-trace block), epochs from 1 to about a quarter of the trace, so
+  // boundaries land at every offset inside a block.
   std::uint64_t state = seed ^ 0x5741525354524dULL;
   const std::size_t block_accesses =
       1 + static_cast<std::size_t>(splitmix64(state) %
                                    (fc.trace.size() + 7));
-  return run_stream_parity(fc, block_accesses);
+  const std::uint64_t epoch_length =
+      1 + splitmix64(state) % (fc.trace.size() / 4 + 1);
+  return run_stream_parity(fc, block_accesses, epoch_length);
 }
 
 }  // namespace hymem::check

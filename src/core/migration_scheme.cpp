@@ -140,6 +140,9 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
   const double token_cap = static_cast<double>(config_.max_promotions_per_kacc);
   const double token_refill = token_cap / 1000.0;
   Nanoseconds total = 0;
+  // Per-access latencies only when the caller asked for them (an epoch
+  // sampler is attached); the hit paths then store their device latency.
+  Nanoseconds* const latencies = block.latencies;
   for (std::size_t i = 0; i < block.size; ++i) {
     const PageId page = block.pages[i];
     const std::uint64_t hash = block.hashes[i];
@@ -153,6 +156,7 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
         // Algorithm 1 lines 2-3 (DRAM read hit): one probe total.
         ++dram_reads;
         dram_.on_hit_node(*node);
+        if (latencies != nullptr) latencies[i] = lat_dram_read;
         continue;
       }
       if (CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash)) {
@@ -160,9 +164,12 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
         ++nvm_reads;
         const std::uint64_t counter =
             nvm_.record_hit_node(*node, AccessType::kRead);
+        Nanoseconds migration = 0;
         if (counter > read_threshold() && admit_promotion()) {
-          total += promote(page);
+          migration = promote(page);
+          total += migration;
         }
+        if (latencies != nullptr) latencies[i] = lat_nvm_read + migration;
         continue;
       }
     } else {
@@ -171,6 +178,7 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
         ++dram_writes;
         node->mark_dirty();
         dram_.on_hit_node(*node);
+        if (latencies != nullptr) latencies[i] = lat_dram_write;
         continue;
       }
       if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
@@ -184,9 +192,12 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
         HYMEM_CHECK_MSG(node != nullptr, "hit on untracked page");
         const std::uint64_t counter =
             nvm_.record_hit_node(*node, AccessType::kWrite);
+        Nanoseconds migration = 0;
         if (counter > write_threshold() && admit_promotion()) {
-          total += promote(page);
+          migration = promote(page);
+          total += migration;
         }
+        if (latencies != nullptr) latencies[i] = lat_nvm_write + migration;
         continue;
       }
     }
@@ -196,6 +207,7 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
     latency += vmm_.fault_in(page, Tier::kDram);
     dram_.insert(page, /*promoted=*/false);
     if (type == AccessType::kWrite) vmm_.touch_dirty(page);
+    if (latencies != nullptr) latencies[i] = latency;
     total += latency;
   }
   vmm_.record_demand_batch(Tier::kDram, dram_reads, dram_writes);

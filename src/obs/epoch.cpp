@@ -67,12 +67,19 @@ EpochSampler::EpochSampler(std::uint64_t epoch_length, const os::Vmm& vmm,
   }
 }
 
-void EpochSampler::on_access(PageId, AccessType type, Nanoseconds latency) {
-  (type == AccessType::kRead ? reads_ : writes_).inc();
-  latency_hist_.record(latency);
-  ++accesses_;
-  ++in_epoch_;
-  epoch_latency_ns_ += latency;
+void EpochSampler::record(const AccessType* types,
+                          const Nanoseconds* latencies, std::size_t n) {
+  HYMEM_CHECK_MSG(n <= until_boundary(), "block crosses an epoch boundary");
+  std::uint64_t reads = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    reads += types[i] == AccessType::kRead ? 1 : 0;
+    latency_hist_.record(latencies[i]);
+    epoch_latency_ns_ += latencies[i];
+  }
+  reads_.inc(reads);
+  writes_.inc(n - reads);
+  accesses_ += n;
+  in_epoch_ += n;
   if (in_epoch_ == epoch_length_) emit_epoch();
 }
 
@@ -130,7 +137,7 @@ void EpochSampler::emit_epoch() {
   record.mean_visible_latency_ns =
       in_epoch_ ? epoch_latency_ns_ / static_cast<double>(in_epoch_) : 0.0;
   // APPR needs the epoch's wall-time share, which is only known once the
-  // run's total access count is: on_run_end() back-fills appr_total_nj.
+  // run's total access count is: finish() back-fills appr_total_nj.
 
   timeline_.epochs.push_back(record);
   last_counts_ = cumulative;
@@ -138,7 +145,7 @@ void EpochSampler::emit_epoch() {
   epoch_latency_ns_ = 0.0;
 }
 
-void EpochSampler::on_run_end() {
+void EpochSampler::finish() {
   if (in_epoch_ > 0) emit_epoch();  // the remainder epoch
   if (accesses_ == 0) return;
   // Eq. 2 per epoch: static power prorated by the epoch's access share of

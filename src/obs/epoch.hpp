@@ -14,11 +14,14 @@
 //   * rolling AMAT/APPR evaluated over each epoch's delta counts — the
 //     paper's figures as time series, showing convergence and churn.
 //
-// One sampler instruments one run (no locks, no sharing); the resulting
-// Timeline travels inside RunResult so the sweep runner can splice
-// per-job timelines into one deterministic export.
+// One sampler instruments one run (no locks, no sharing); the engine feeds
+// it whole blocks of completed accesses, cut so that every epoch boundary
+// falls at the end of a block. The resulting Timeline travels inside
+// RunResult so the sweep runner can splice per-job timelines into one
+// deterministic export.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -27,7 +30,6 @@
 #include "model/model_params.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampled_stats.hpp"
-#include "obs/tap.hpp"
 #include "os/vmm.hpp"
 
 namespace hymem::obs {
@@ -80,10 +82,11 @@ struct Timeline {
   bool empty() const { return epochs.empty(); }
 };
 
-/// RunObserver that cuts the run into epochs of `epoch_length` accesses
-/// (the final epoch keeps the remainder). Reads the VMM — and, when the
-/// run uses the paper's scheme, the policy's queues — at every boundary.
-class EpochSampler final : public RunObserver {
+/// Cuts the measured pass into epochs of `epoch_length` accesses (the final
+/// epoch keeps the remainder). Reads the VMM — and, when the run uses the
+/// paper's scheme, the policy's queues — at every boundary. Observation is
+/// read-only: the sampler never mutates the policy or the VMM.
+class EpochSampler final {
  public:
   /// `policy` may be null (single-tier runs have no windows to sample);
   /// `duration_s` is the run's ROI wall time, prorated per epoch by access
@@ -95,8 +98,19 @@ class EpochSampler final : public RunObserver {
                const core::TwoLruMigrationPolicy* policy, double duration_s,
                const SampledStatsSource* sampled = nullptr);
 
-  void on_access(PageId page, AccessType type, Nanoseconds latency) override;
-  void on_run_end() override;
+  /// Accesses left in the open epoch. The engine never records past it, so
+  /// each boundary snapshot follows a completed block.
+  std::uint64_t until_boundary() const { return epoch_length_ - in_epoch_; }
+
+  /// Records `n` completed accesses (n <= until_boundary()) with the types
+  /// and visible latencies the policy served them with; emits the epoch when
+  /// they close it.
+  void record(const AccessType* types, const Nanoseconds* latencies,
+              std::size_t n);
+
+  /// The measured pass finished: emits the remainder epoch and back-fills
+  /// each epoch's APPR from its share of the run.
+  void finish();
 
   const Timeline& timeline() const { return timeline_; }
   Timeline take_timeline() { return std::move(timeline_); }

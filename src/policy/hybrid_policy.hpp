@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string_view>
 
 #include "os/vmm.hpp"
@@ -21,11 +22,14 @@ namespace hymem::policy {
 /// computes it once per access so the policy's map probes (page table, LRU
 /// indexes) never rerun the mixer; it may be null when the producer does not
 /// precompute (policies must treat it as an optional acceleration).
+/// `latencies`, when non-null, receives each access's visible latency (the
+/// engine asks for them only when an epoch sampler is attached).
 struct AccessBlock {
   const PageId* pages = nullptr;
   const AccessType* types = nullptr;
   const std::uint64_t* hashes = nullptr;
   std::size_t size = 0;
+  Nanoseconds* latencies = nullptr;
 };
 
 /// Base class of all hybrid-memory policies (and the single-module
@@ -63,10 +67,29 @@ class HybridPolicy {
       if (i + kPrefetchDistance < block.size) {
         prefetch(block.pages[i + kPrefetchDistance]);
       }
-      total += on_access(block.pages[i], block.types[i]);
+      const Nanoseconds latency = on_access(block.pages[i], block.types[i]);
+      if (block.latencies != nullptr) block.latencies[i] = latency;
+      total += latency;
     }
     return total;
   }
+
+  // Engine hooks for a policy with background work or run statistics of
+  // its own (sampled-lru); each is a no-op (or a plain call) otherwise.
+
+  /// Runs `fn` while background work is held off, so `fn` sees (or resets)
+  /// consistent VMM ledgers. The engine's epoch snapshots and its
+  /// warm-up-end ledger reset go through here.
+  virtual void quiesced(const std::function<void()>& fn) const { fn(); }
+
+  /// Stops background work for good. The engine calls it after the measured
+  /// pass, before its final ledger reads. Must be idempotent.
+  virtual void stop_background() {}
+
+  /// Called once at the end of warm-up, after the VMM ledgers are reset. A
+  /// policy that reports run statistics of its own (sampled-lru) zeroes
+  /// them here, keeping its learned state.
+  virtual void reset_stats() {}
 
   os::Vmm& vmm() { return vmm_; }
   const os::Vmm& vmm() const { return vmm_; }

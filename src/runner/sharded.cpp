@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <exception>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "core/migration_scheme.hpp"
-#include "obs/epoch.hpp"
 #include "runner/thread_pool.hpp"
-#include "sim/engine.hpp"
 #include "sim/policy_factory.hpp"
-#include "synth/generator.hpp"
-#include "trace/block_source.hpp"
-#include "trace/trace_stats.hpp"
 #include "util/budget.hpp"
-#include "util/check.hpp"
 #include "util/flat_page_map.hpp"
 
 namespace hymem::runner {
@@ -26,22 +18,6 @@ namespace {
 /// never depends on trace order or scheduling.
 unsigned shard_of(PageId page, unsigned shards) {
   return static_cast<unsigned>(util::hash_page_id(page) % shards);
-}
-
-os::VmmConfig shard_vmm_config(std::uint64_t dram_frames,
-                               std::uint64_t nvm_frames,
-                               const sim::ExperimentConfig& config) {
-  os::VmmConfig vmm_config;
-  vmm_config.dram_frames = dram_frames;
-  vmm_config.nvm_frames = nvm_frames;
-  vmm_config.page_size = config.page_size;
-  vmm_config.access_granularity = config.access_granularity;
-  vmm_config.dram = config.dram;
-  vmm_config.nvm = config.nvm;
-  vmm_config.disk = config.disk;
-  vmm_config.transfer_mode = config.transfer_mode;
-  vmm_config.wear_leveling = config.wear_leveling;
-  return vmm_config;
 }
 
 /// Merges shard results in shard-index order (the caller iterates 0..K-1):
@@ -76,11 +52,11 @@ sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
                                       const trace::Trace& measured,
                                       double duration_s,
                                       const sim::ExperimentConfig& config) {
-  const unsigned shards = config.shards;
+  const unsigned shards = config.partitions;
   if (shards < 2) {
     throw std::invalid_argument(
-        "partitioned sharding needs --shards >= 2 (use the serial or "
-        "exact-shard engine otherwise)");
+        "a partitioned run needs --partitions >= 2 (1 runs the policy "
+        "itself)");
   }
   if (!sim::is_shardable(config.policy)) {
     sim::throw_unshardable_policy("partitioned sharding", config.policy);
@@ -124,34 +100,11 @@ sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
   std::vector<std::exception_ptr> errors(shards);
   const auto run_shard = [&](unsigned s) {
     if (shard_measured[s].empty()) return;  // No pages map here.
-    os::Vmm vmm(shard_vmm_config(dram_split[s], nvm_split[s], config));
-    const auto policy =
-        sim::make_policy(config.policy, vmm, config.migration, config.sample);
-    const std::size_t chunk = static_cast<std::size_t>(config.chunk_accesses);
-    if (!shard_warmup[s].empty()) {
-      trace::TraceBlockSource warm(shard_warmup[s], config.page_size, chunk);
-      const unsigned passes = std::max(1u, config.warmup_passes);
-      for (unsigned pass = 0; pass < passes; ++pass) {
-        if (pass > 0) warm.rewind();
-        while (const trace::DecodedBlock* block = warm.next()) {
-          policy->on_block(
-              {block->pages, block->types, block->hashes, block->size});
-        }
-      }
-      vmm.reset_accounting();
-    }
-    trace::TraceBlockSource source(shard_measured[s], config.page_size, chunk);
-    if (config.timeline_epoch == 0) {
-      results[s] = sim::run_blocks(*policy, source, duration_s);
-    } else {
-      const auto* scheme =
-          dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get());
-      obs::EpochSampler sampler(config.timeline_epoch, vmm, scheme,
-                                duration_s);
-      results[s] = sim::run_blocks(*policy, source, duration_s,
-                                   /*warmup_passes=*/0, &sampler);
-      results[s].timeline = sampler.take_timeline();
-    }
+    const trace::Trace& warm = shard_warmup[s];
+    results[s] = sim::run_sized(
+        {dram_split[s] + nvm_split[s], dram_split[s], nvm_split[s]},
+        warm.empty() ? nullptr : &warm, std::max(1u, config.warmup_passes),
+        shard_measured[s], duration_s, config);
     ran[s] = 1;
   };
   {
@@ -200,24 +153,17 @@ sim::RunResult run_sharded_workload(const synth::WorkloadProfile& profile,
                                     std::uint64_t scale,
                                     const sim::ExperimentConfig& config,
                                     std::uint64_t seed) {
-  const synth::WorkloadProfile scaled = profile.scaled(scale);
-  synth::GeneratorOptions options;
-  options.page_size = config.page_size;
-  options.line_size = config.access_granularity;
-  options.seed = seed;
-  const trace::Trace warmup = synth::generate(scaled, options);
-  synth::GeneratorOptions body_options = options;
-  body_options.ensure_full_footprint = false;
-  body_options.seed = seed + 1;
-  const trace::Trace measured = synth::generate(scaled, body_options);
-  return run_sharded_experiment(warmup, measured, scaled.roi_seconds, config);
+  const sim::WorkloadTraces traces =
+      sim::generate_workload(profile, scale, config, seed);
+  return run_sharded_experiment(traces.warmup, traces.measured,
+                                traces.duration_s, config);
 }
 
 sim::RunResult run_workload_dispatch(const synth::WorkloadProfile& profile,
                                      std::uint64_t scale,
                                      const sim::ExperimentConfig& config,
                                      std::uint64_t seed) {
-  if (config.shards > 1 && config.shard_mode == sim::ShardMode::kPartitioned) {
+  if (config.partitions > 1) {
     return run_sharded_workload(profile, scale, config, seed);
   }
   return sim::run_workload(profile, scale, config, seed);

@@ -20,11 +20,6 @@ SampledLruPolicy::SampledLruPolicy(os::Vmm& vmm, const SampleConfig& config)
       dram_queue_(static_cast<std::size_t>(vmm.frames(Tier::kDram))),
       nvm_queue_(static_cast<std::size_t>(vmm.frames(Tier::kNvm))) {
   HYMEM_CHECK_MSG(config.drain_period > 0, "drain period must be positive");
-  // Join the migrator when the engine announces run end through the
-  // observer seam: the engine's final VMM reads (EventCounts::from_vmm)
-  // then happen-after the last background mutation. No-op in virtual-time
-  // mode (no thread to join).
-  tap_.set_run_end_hook([this] { stop_background(); });
   if (config_.threaded) {
     background_ = std::thread([this] { background_loop(); });
   }
@@ -56,6 +51,7 @@ Nanoseconds SampledLruPolicy::on_access(PageId page, AccessType type) {
     latency = serve(page, type);
     if (audit_hook_) audit_hook_(*this, page, type);
   }
+  tap_.on_access(page);
   return latency;
 }
 
@@ -234,6 +230,11 @@ obs::SampledStats SampledLruPolicy::sampled_stats() const {
   s.drains = drains_;
   s.backlog = hot_ring_.size() + cold_ring_.size();
   return s;
+}
+
+std::unique_ptr<policy::HybridPolicy> make_sampled_lru(
+    os::Vmm& vmm, const SampleConfig& config) {
+  return std::make_unique<SampledLruPolicy>(vmm, config);
 }
 
 }  // namespace hymem::sample

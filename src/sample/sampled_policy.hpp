@@ -7,10 +7,11 @@
 // evict the oldest NVM-resident page (FIFO fault order — the only ordering
 // a sampling OS gets for free, see tier_queue.hpp). No inline migration.
 //
-// Placement path (asynchronous): the SamplingTap samples every Nth access
-// into per-page hotness counters and emits promotion/demotion candidates
-// into SPSC rings; the migrator drains the rings and applies at most
-// `migration_budget` candidates per `drain_period` accesses. Two modes:
+// Placement path (asynchronous): after serving each access the policy feeds
+// its SamplingTap, which samples every Nth access into per-page hotness
+// counters and emits promotion/demotion candidates into SPSC rings; the
+// migrator drains the rings and applies at most `migration_budget`
+// candidates per `drain_period` accesses. Two modes:
 //
 //  * virtual time (default): drains run on the serving thread whenever the
 //    access count crosses a drain_period boundary — fully deterministic,
@@ -28,6 +29,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string_view>
 #include <thread>
@@ -51,25 +53,21 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   ~SampledLruPolicy() override;
 
   std::string_view name() const override { return "sampled-lru"; }
+  /// Serves the access, then feeds it to the sampling tap.
   Nanoseconds on_access(PageId page, AccessType type) override;
 
-  /// The observer the engine must carry for sampling to happen. Runs wire
-  /// it (alone or via obs::TeeObserver); a run without the tap degenerates
-  /// to demand-only placement with zero migrations.
-  obs::RunObserver& tap() { return tap_; }
-
   /// Stops the background migrator thread (threaded mode; no-op otherwise).
-  /// Idempotent; also called by the destructor and by the tap's run-end
-  /// hook when the engine finishes a measured pass. After it returns the
-  /// structures are safe to inspect without locking.
-  void stop_background();
+  /// Idempotent; also called by the destructor. The engine calls it when
+  /// the measured pass ends, so its final VMM reads happen-after the last
+  /// background mutation. After it returns the structures are safe to
+  /// inspect without locking.
+  void stop_background() override;
 
   /// Runs `fn` holding the serving mutex in threaded mode (a plain call in
-  /// virtual-time mode). The seam external VMM readers use — the epoch
-  /// sampler's boundary snapshots, the experiment's warmup-end accounting
-  /// reset — to stay consistent while the migrator is live. The mutex is
+  /// virtual-time mode), so the engine's epoch snapshots and warm-up-end
+  /// ledger reset stay consistent while the migrator is live. The mutex is
   /// recursive, so `fn` may safely call sampled_stats().
-  void quiesced(const std::function<void()>& fn) const {
+  void quiesced(const std::function<void()>& fn) const override {
     if (!config_.threaded) {
       fn();
       return;
@@ -81,10 +79,10 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   obs::SampledStats sampled_stats() const override;
 
   /// Zeroes every stat counter (tap + migrator) while keeping the learned
-  /// state — hotness counters, ring contents, residency queues. Called
-  /// between a warmup pass and the measured pass, mirroring
+  /// state — hotness counters, ring contents, residency queues. The engine
+  /// calls it between the warm-up passes and the measured pass, after
   /// Vmm::reset_accounting(). Serving-thread only.
-  void reset_stats();
+  void reset_stats() override;
 
   const SampleConfig& config() const { return config_; }
 
@@ -139,12 +137,16 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   // Threaded mode only. mu_ guards the VMM, the tier queues and the
   // migrator counters; the rings are the lock-free channel (producer: tap
   // on the serving thread, consumer: the background thread). Recursive so
-  // the quiesced() seam can nest over readers that lock on their own
+  // quiesced() can nest over readers that lock on their own
   // (sampled_stats(), the tap's residency checks).
   mutable std::recursive_mutex mu_;
   std::thread background_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> accesses_shared_{0};
 };
+
+/// The "sampled-lru" entry of the policy factory.
+std::unique_ptr<policy::HybridPolicy> make_sampled_lru(
+    os::Vmm& vmm, const SampleConfig& config);
 
 }  // namespace hymem::sample

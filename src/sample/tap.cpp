@@ -21,13 +21,6 @@ SamplingTap::SamplingTap(const SampleConfig& config, const os::Vmm& vmm,
   HYMEM_CHECK_MSG(config.cooling_period > 0, "cooling period must be positive");
 }
 
-void SamplingTap::on_access(PageId page, AccessType /*type*/,
-                            Nanoseconds /*latency*/) {
-  if (--countdown_ > 0) return;
-  countdown_ = config_.sample_period;
-  sample(page);
-}
-
 void SamplingTap::sample(PageId page) {
   ++samples_;
   const bool crossed_hot = board_.record(page);

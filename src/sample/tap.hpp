@@ -1,40 +1,35 @@
 // The sampling tap: the producer half of the sampled-hotness subsystem.
 //
-// Rides the obs::RunObserver seam (the engine's per-access event tap) and
-// models a PEBS-style sampler: of the access stream it sees, every Nth
-// access is "sampled" — counted on the HotnessBoard — and the rest are
-// invisible, exactly the information loss a real sampling OS pays. Upward
-// hot-threshold crossings of NVM-resident pages enter the hot ring;
-// cooling passes (every cooling_period samples) push DRAM-resident
-// downward crossings into the cold ring. Full rings drop the candidate and
-// count the drop — samples are droppable by design.
+// The policy feeds it every access it has just served, and it models a
+// PEBS-style sampler: of that stream, every Nth access is "sampled" —
+// counted on the HotnessBoard — and the rest are invisible, exactly the
+// information loss a real sampling OS pays. Upward hot-threshold crossings
+// of NVM-resident pages enter the hot ring; cooling passes (every
+// cooling_period samples) push DRAM-resident downward crossings into the
+// cold ring. Full rings drop the candidate and count the drop — samples are
+// droppable by design.
 //
-// This is the sanctioned RunObserver carve-out (see obs/tap.hpp): the tap
-// mutates only its own sampling state (board, rings, counters), never the
-// placement the policy is executing. In threaded mode it takes the
-// policy's mutex around VMM residency reads, because the background
-// migrator mutates placement concurrently.
+// The tap mutates only its own sampling state (board, rings, counters),
+// never placement. In threaded mode it takes the policy's mutex around VMM
+// residency reads, because the background migrator mutates placement
+// concurrently.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 
-#include "obs/sampled_stats.hpp"
-#include "obs/tap.hpp"
 #include "os/vmm.hpp"
 #include "sample/config.hpp"
 #include "sample/hotness.hpp"
 #include "util/spsc_ring.hpp"
 #include "util/types.hpp"
-#include "util/units.hpp"
 
 namespace hymem::sample {
 
 /// Per-run sampling tap. Single producer: lives on the thread replaying
 /// accesses (the engine thread), pushing candidates into rings it does not
 /// own — the policy owns them and is (or spawns) the consumer.
-class SamplingTap final : public obs::RunObserver {
+class SamplingTap {
  public:
   /// `mu` is the policy's serving mutex in threaded mode (taken around VMM
   /// reads so residency checks don't race the migrator); nullptr in
@@ -44,18 +39,11 @@ class SamplingTap final : public obs::RunObserver {
               util::SpscRing<PageId>& cold_ring,
               std::recursive_mutex* mu = nullptr);
 
-  void on_access(PageId page, AccessType type, Nanoseconds latency) override;
-
-  /// The engine announces the end of the measured pass here, before it
-  /// reads the VMM ledgers for the run's event counts. The policy hooks
-  /// this to join its background migrator, so those final reads (and the
-  /// epoch sampler's last flush, which the TeeObserver orders after the
-  /// tap) happen-after the last background mutation.
-  void on_run_end() override {
-    if (run_end_hook_) run_end_hook_();
-  }
-  void set_run_end_hook(std::function<void()> hook) {
-    run_end_hook_ = std::move(hook);
+  /// Sees one served access; samples it when the period comes round.
+  void on_access(PageId page) {
+    if (--countdown_ > 0) return;
+    countdown_ = config_.sample_period;
+    sample(page);
   }
 
   /// Tap-side counters (the migrator-side ones live in the policy).
@@ -83,7 +71,6 @@ class SamplingTap final : public obs::RunObserver {
   util::SpscRing<PageId>& hot_ring_;
   util::SpscRing<PageId>& cold_ring_;
   std::recursive_mutex* mu_;
-  std::function<void()> run_end_hook_;
   HotnessBoard board_;
 
   std::uint64_t countdown_;  // accesses until the next sample

@@ -1,149 +1,91 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "trace/access.hpp"
-#include "trace/interner.hpp"
-#include "util/check.hpp"
+#include <vector>
 
 namespace hymem::sim {
 
 namespace {
-/// How many accesses ahead the replay loop warms policy cache lines. The
-/// decoded page sequence makes the future known; ~8 accesses (a few hundred
-/// nanoseconds of policy work) is enough to cover a memory round-trip
-/// without evicting lines before they are used.
-constexpr std::size_t kReplayPrefetchDistance = 8;
+
+/// What one pass served: its accesses and their summed visible latency.
+struct PassTotals {
+  std::uint64_t accesses = 0;
+  Nanoseconds visible_latency_ns = 0;
+};
+
+/// One pass over `source`: serves every block through the policy. With a
+/// sampler, blocks are cut at epoch boundaries and each part is recorded
+/// once the policy has served it.
+PassTotals replay(policy::HybridPolicy& policy, trace::BlockSource& source,
+                  obs::EpochSampler* sampler) {
+  PassTotals totals;
+  std::vector<Nanoseconds> latencies;
+  while (const trace::DecodedBlock* block = source.next()) {
+    if (sampler != nullptr && latencies.size() < block->size) {
+      latencies.resize(block->size);
+    }
+    for (std::size_t done = 0; done < block->size;) {
+      policy::AccessBlock part{block->pages + done, block->types + done,
+                               block->hashes + done, block->size - done};
+      if (sampler != nullptr) {
+        part.size = static_cast<std::size_t>(std::min<std::uint64_t>(
+            part.size, sampler->until_boundary()));
+        part.latencies = latencies.data();
+      }
+      totals.visible_latency_ns += policy.on_block(part);
+      if (sampler != nullptr) {
+        policy.quiesced([&] {
+          sampler->record(part.types, part.latencies, part.size);
+        });
+      }
+      done += part.size;
+    }
+    totals.accesses += block->size;
+  }
+  return totals;
+}
+
 }  // namespace
 
-RunResult run_trace(policy::HybridPolicy& policy, const trace::Trace& trace,
-                    double duration_s, unsigned warmup_passes,
-                    obs::RunObserver* observer) {
-  // invalid_argument (bad input) rather than HYMEM_CHECK (logic error):
-  // the sweep runner converts it into a structured per-job failure instead
-  // of the whole process dying on one truncated capture.
-  if (trace.empty()) {
-    throw std::invalid_argument("empty trace: \"" + trace.name() +
+RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& measured,
+                     trace::BlockSource* warmup, unsigned warmup_passes,
+                     double duration_s, obs::EpochSampler* sampler) {
+  os::Vmm& vmm = policy.vmm();
+  if (warmup != nullptr && warmup_passes > 0) {
+    for (unsigned pass = 0; pass < warmup_passes; ++pass) {
+      if (pass > 0) warmup->rewind();
+      replay(policy, *warmup, nullptr);
+    }
+    policy.quiesced([&vmm] { vmm.reset_accounting(); });
+    policy.reset_stats();
+    if (warmup == &measured) measured.rewind();
+  }
+  RunResult result;
+  result.policy = std::string(policy.name());
+  result.workload = measured.name();
+  result.duration_s = duration_s;
+  const PassTotals totals = replay(policy, measured, sampler);
+  if (totals.accesses == 0) {
+    throw std::invalid_argument("empty trace: \"" + measured.name() +
                                 "\" has no accesses to replay");
   }
-  os::Vmm& vmm = policy.vmm();
-  // Decode addresses to pages once; every warmup pass and the measured pass
-  // replay the cached page sequence instead of re-dividing per access.
-  const trace::PageIdInterner interner(trace, vmm.config().page_size);
-  const std::span<const PageId> pages = interner.pages();
-  const std::span<const trace::MemAccess> accesses = trace.accesses();
-  for (unsigned pass = 0; pass < warmup_passes; ++pass) {
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (i + kReplayPrefetchDistance < pages.size()) {
-        policy.prefetch(pages[i + kReplayPrefetchDistance]);
-      }
-      policy.on_access(pages[i], accesses[i].type);
-    }
-    vmm.reset_accounting();
-  }
-  RunResult result;
-  result.policy = std::string(policy.name());
-  result.workload = trace.name();
-  result.duration_s = duration_s;
-  if (observer == nullptr) {
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (i + kReplayPrefetchDistance < pages.size()) {
-        policy.prefetch(pages[i + kReplayPrefetchDistance]);
-      }
-      result.visible_latency_ns += policy.on_access(pages[i], accesses[i].type);
-    }
-  } else {
-    // Separate instrumented loop so the uninstrumented replay path carries
-    // no per-access observer branch at all.
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (i + kReplayPrefetchDistance < pages.size()) {
-        policy.prefetch(pages[i + kReplayPrefetchDistance]);
-      }
-      const Nanoseconds latency =
-          policy.on_access(pages[i], accesses[i].type);
-      result.visible_latency_ns += latency;
-      observer->on_access(pages[i], accesses[i].type, latency);
-    }
-    observer->on_run_end();
-  }
-  result.accesses = pages.size();
-  result.counts = model::EventCounts::from_vmm(vmm, result.accesses);
-  result.params = model::ModelParams::from_vmm(vmm);
-  return result;
-}
-
-RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& source,
-                     double duration_s, unsigned warmup_passes,
-                     obs::RunObserver* observer) {
-  os::Vmm& vmm = policy.vmm();
-  for (unsigned pass = 0; pass < warmup_passes; ++pass) {
-    if (pass > 0) source.rewind();
-    while (const trace::DecodedBlock* block = source.next()) {
-      policy.on_block({block->pages, block->types, block->hashes, block->size});
-    }
-    vmm.reset_accounting();
-  }
-  if (warmup_passes > 0) source.rewind();
-  RunResult result;
-  result.policy = std::string(policy.name());
-  result.workload = source.name();
-  result.duration_s = duration_s;
-  if (observer == nullptr) {
-    while (const trace::DecodedBlock* block = source.next()) {
-      result.visible_latency_ns += policy.on_block(
-          {block->pages, block->types, block->hashes, block->size});
-      result.accesses += block->size;
-    }
-  } else {
-    // Instrumented measured pass: the observer contract is per-access, so
-    // serve through on_access (semantically what on_block batches) and keep
-    // the uninstrumented path branch-free, mirroring run_trace.
-    while (const trace::DecodedBlock* block = source.next()) {
-      for (std::size_t i = 0; i < block->size; ++i) {
-        if (i + kReplayPrefetchDistance < block->size) {
-          policy.prefetch(block->pages[i + kReplayPrefetchDistance]);
-        }
-        const Nanoseconds latency =
-            policy.on_access(block->pages[i], block->types[i]);
-        result.visible_latency_ns += latency;
-        observer->on_access(block->pages[i], block->types[i], latency);
-      }
-      result.accesses += block->size;
-    }
-    observer->on_run_end();
-  }
-  if (result.accesses == 0) {
-    throw std::invalid_argument("empty block source: \"" + source.name() +
-                                "\" has no accesses to replay");
+  result.accesses = totals.accesses;
+  result.visible_latency_ns = totals.visible_latency_ns;
+  // Threaded policies: the final ledger reads below (and the sampler's last
+  // flush) must happen-after the last background mutation.
+  policy.stop_background();
+  if (sampler != nullptr) {
+    sampler->finish();
+    result.timeline = sampler->take_timeline();
   }
   result.counts = model::EventCounts::from_vmm(vmm, result.accesses);
   result.params = model::ModelParams::from_vmm(vmm);
-  return result;
-}
-
-RunResult run_stream(policy::HybridPolicy& policy,
-                     trace::StreamTraceReader& reader, double duration_s,
-                     obs::RunObserver* observer) {
-  os::Vmm& vmm = policy.vmm();
-  const std::uint64_t page_size = vmm.config().page_size;
-  RunResult result;
-  result.policy = std::string(policy.name());
-  result.workload = reader.name();
-  result.duration_s = duration_s;
-  while (const auto access = reader.next()) {
-    const PageId page = trace::page_of(access->addr, page_size);
-    const Nanoseconds latency = policy.on_access(page, access->type);
-    result.visible_latency_ns += latency;
-    ++result.accesses;
-    if (observer != nullptr) observer->on_access(page, access->type, latency);
+  if (const auto* sampled =
+          dynamic_cast<const obs::SampledStatsSource*>(&policy)) {
+    result.sampled = sampled->sampled_stats();
+    result.has_sampled = true;
   }
-  if (observer != nullptr) observer->on_run_end();
-  if (result.accesses == 0) {
-    throw std::invalid_argument("empty stream: \"" + reader.name() +
-                                "\" yielded no accesses");
-  }
-  result.counts = model::EventCounts::from_vmm(vmm, result.accesses);
-  result.params = model::ModelParams::from_vmm(vmm);
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Simulation engine: replays a memory trace through a hybrid policy and
+// Simulation engine: replays decoded blocks through a hybrid policy and
 // packages the resulting event counts and model inputs.
 #pragma once
 
@@ -12,11 +12,8 @@
 #include "model/power_model.hpp"
 #include "obs/epoch.hpp"
 #include "obs/sampled_stats.hpp"
-#include "obs/tap.hpp"
 #include "policy/hybrid_policy.hpp"
 #include "trace/block_source.hpp"
-#include "trace/stream_io.hpp"
-#include "trace/trace.hpp"
 
 namespace hymem::sim {
 
@@ -48,46 +45,28 @@ struct RunResult {
   }
 };
 
-/// Replays `trace` (page-granular: addresses are mapped with the VMM's page
-/// size) through `policy`. `duration_s` is the workload's ROI wall time.
+/// The replay engine: every run goes through here.
 ///
-/// `warmup_passes` replays of the trace run first with accounting reset
-/// afterwards, so the measured pass reflects the steady state (the paper
-/// sizes inputs "to minimize the effect of starting from cold memory").
+/// When `warmup` is non-null and `warmup_passes` > 0, that many uncounted
+/// passes over `warmup` run first (it may be `measured` itself), then the
+/// VMM ledgers and the policy's own statistics are reset, so the measured
+/// pass reflects the steady state (the paper sizes inputs "to minimize the
+/// effect of starting from cold memory"). The measured pass then serves
+/// every block of `measured` through the policy's on_block.
 ///
-/// `observer` (optional) sees every *measured* access (never warmup) plus
-/// one on_run_end(); null costs a single predicted branch per access.
+/// `sampler` (optional) records the measured pass only. The engine cuts
+/// blocks at its epoch boundaries and takes each boundary snapshot after
+/// the block is served, under HybridPolicy::quiesced().
 ///
-/// Throws std::invalid_argument on an empty trace — bad input, not a logic
-/// error, so the sweep runner reports it as a per-job failure.
-RunResult run_trace(policy::HybridPolicy& policy, const trace::Trace& trace,
-                    double duration_s, unsigned warmup_passes = 0,
-                    obs::RunObserver* observer = nullptr);
-
-/// Block-replay engine: consumes decoded blocks from a BlockSource and
-/// serves each through the policy's on_block fast path (or, when an
-/// observer is attached, a per-access instrumented loop with identical
-/// semantics). This is the streaming engine proper — the source decides
-/// whether blocks come from a decode-once cache (TraceBlockSource) or a
-/// double-buffered O(chunk) stream (StreamBlockSource); results are
-/// byte-identical either way, and byte-identical to run_trace.
+/// Sources must be positioned at their start. Passes after the first over
+/// one source rewind it, so multi-pass replay needs a rewindable source; a
+/// single forward pass works on non-seekable streams too.
 ///
-/// The source must be positioned at its start. Each pass after the first
-/// (warmup passes plus the measured pass) rewinds the source, so multi-pass
-/// replay needs a rewindable source; `warmup_passes == 0` performs a single
-/// forward pass and works on non-seekable streams too.
-///
-/// Throws std::invalid_argument when the source yields no accesses.
-RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& source,
-                     double duration_s, unsigned warmup_passes = 0,
-                     obs::RunObserver* observer = nullptr);
-
-/// Streaming variant: pulls records from a chunked stream reader
-/// (constant memory — for captures too large to materialize). No warmup
-/// support: streams are single-pass. Throws std::invalid_argument when the
-/// stream yields no accesses.
-RunResult run_stream(policy::HybridPolicy& policy,
-                     trace::StreamTraceReader& reader, double duration_s,
-                     obs::RunObserver* observer = nullptr);
+/// Throws std::invalid_argument when `measured` yields no accesses — bad
+/// input, not a logic error, so the sweep runner reports it as a per-job
+/// failure.
+RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& measured,
+                     trace::BlockSource* warmup, unsigned warmup_passes,
+                     double duration_s, obs::EpochSampler* sampler = nullptr);
 
 }  // namespace hymem::sim

@@ -7,11 +7,9 @@
 
 #include "core/migration_scheme.hpp"
 #include "obs/epoch.hpp"
-#include "obs/tap.hpp"
-#include "sample/sampled_policy.hpp"
 #include "sim/policy_factory.hpp"
 #include "synth/generator.hpp"
-#include "trace/interner.hpp"
+#include "trace/block_source.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/check.hpp"
 
@@ -45,8 +43,6 @@ MemorySizing size_memory(std::uint64_t footprint_pages,
   return s;
 }
 
-namespace {
-
 os::VmmConfig vmm_config_for(const MemorySizing& sizing,
                              const ExperimentConfig& config) {
   os::VmmConfig vmm_config;
@@ -62,6 +58,8 @@ os::VmmConfig vmm_config_for(const MemorySizing& sizing,
   return vmm_config;
 }
 
+namespace {
+
 std::uint64_t footprint_of(const trace::Trace& trace,
                            const ExperimentConfig& config) {
   trace::TraceCharacterizer characterizer(config.page_size);
@@ -69,154 +67,49 @@ std::uint64_t footprint_of(const trace::Trace& trace,
   return characterizer.stats().distinct_pages;
 }
 
-// Serializes an observer's per-access VMM reads against a live background
-// migrator through the policy's quiesced() seam. Used around the epoch
-// sampler in threaded sampled runs — its boundary snapshots read VMM
-// ledgers the migrator mutates. on_run_end forwards unwrapped: the tee
-// delivers it to the tap first, whose run-end hook joins the migrator
-// before the sampler's final flush runs.
-class QuiescedObserver final : public obs::RunObserver {
- public:
-  QuiescedObserver(const sample::SampledLruPolicy& policy,
-                   obs::RunObserver& inner)
-      : policy_(policy), inner_(inner) {}
-
-  void on_access(PageId page, AccessType type, Nanoseconds latency) override {
-    policy_.quiesced([&] { inner_.on_access(page, type, latency); });
-  }
-  void on_run_end() override { inner_.on_run_end(); }
-
- private:
-  const sample::SampledLruPolicy& policy_;
-  obs::RunObserver& inner_;
-};
-
-// One engine invocation, routed by config: the historical run_trace
-// reference loop when neither chunking nor exact sharding is requested,
-// otherwise the block engine over a decode-once source (chunk_accesses per
-// block, decode striped across `shards` workers in exact mode). The routes
-// are byte-identical — test_stream_parity and the CI smokes gate it — so
-// the choice is purely a throughput/memory knob.
-RunResult engine_run(policy::HybridPolicy& policy, const trace::Trace& trace,
-                     double duration_s, unsigned warmup_passes,
-                     const ExperimentConfig& config,
-                     obs::RunObserver* observer) {
-  if (config.chunk_accesses == 0 && config.shards <= 1) {
-    return run_trace(policy, trace, duration_s, warmup_passes, observer);
-  }
-  trace::TraceBlockSource source(
-      trace, config.page_size,
-      static_cast<std::size_t>(config.chunk_accesses),
-      config.shard_mode == ShardMode::kExact ? config.shards : 1);
-  return run_blocks(policy, source, duration_s, warmup_passes, observer);
-}
-
-// Measured pass with the observers the run needs on the engine's single
-// seam: the sampling tap (always, for sampled policies — without it the
-// policy never migrates), plus an EpochSampler when the config asks for a
-// timeline, chained through a TeeObserver (tap first, so epoch-boundary
-// snapshots see the boundary access's sample).
-RunResult measured_run(policy::HybridPolicy& policy, const trace::Trace& trace,
-                       double duration_s, unsigned warmup_passes,
-                       const ExperimentConfig& config) {
-  auto* sampled = dynamic_cast<sample::SampledLruPolicy*>(&policy);
-  obs::RunObserver* tap = sampled != nullptr ? &sampled->tap() : nullptr;
-
-  const auto finish = [sampled](RunResult result) {
-    if (sampled != nullptr) {
-      // Threaded runs: quiesce the migrator so the stats are final and the
-      // structures are safe to read without locking.
-      sampled->stop_background();
-      result.sampled = sampled->sampled_stats();
-      result.has_sampled = true;
-    }
-    return result;
-  };
-
-  if (config.timeline_epoch == 0) {
-    return finish(
-        engine_run(policy, trace, duration_s, warmup_passes, config, tap));
-  }
-  // The sampler reads scheme internals (windows, thresholds) only when the
-  // policy actually is the two-LRU scheme; single-tier baselines still get
-  // the VMM-level columns.
-  const auto* scheme =
-      dynamic_cast<const core::TwoLruMigrationPolicy*>(&policy);
-  obs::EpochSampler sampler(config.timeline_epoch, policy.vmm(), scheme,
-                            duration_s, sampled);
-  std::optional<QuiescedObserver> locked_sampler;
-  obs::RunObserver* epoch_observer = &sampler;
-  if (sampled != nullptr && sampled->config().threaded) {
-    locked_sampler.emplace(*sampled, sampler);
-    epoch_observer = &*locked_sampler;
-  }
-  std::optional<obs::TeeObserver> tee;
-  obs::RunObserver* observer = epoch_observer;
-  if (tap != nullptr) {
-    tee.emplace(*tap, *epoch_observer);
-    observer = &*tee;
-  }
-  RunResult result =
-      engine_run(policy, trace, duration_s, warmup_passes, config, observer);
-  result.timeline = sampler.take_timeline();
-  return finish(result);
-}
-
 }  // namespace
 
-RunResult run_experiment(const trace::Trace& trace, double duration_s,
-                         const ExperimentConfig& config) {
-  const MemorySizing sizing = size_memory(footprint_of(trace, config), config);
+RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
+                    unsigned warmup_passes, const trace::Trace& measured,
+                    double duration_s, const ExperimentConfig& config) {
   os::Vmm vmm(vmm_config_for(sizing, config));
   const auto policy =
       make_policy(config.policy, vmm, config.migration, config.sample);
-  // Note: run_trace's internal warmup passes bypass the observer seam, so
-  // on this single-trace path a sampled policy warms up placement (demand
-  // faults) but not hotness. The two-trace variant below warms both.
-  return measured_run(*policy, trace, duration_s, config.warmup_passes, config);
+  trace::TraceBlockSource measured_source(measured, config.page_size);
+  std::optional<trace::TraceBlockSource> warmup_source;
+  trace::BlockSource* warmup_blocks = nullptr;
+  if (warmup == &measured) {
+    warmup_blocks = &measured_source;
+  } else if (warmup != nullptr) {
+    warmup_blocks = &warmup_source.emplace(*warmup, config.page_size);
+  }
+  std::optional<obs::EpochSampler> sampler;
+  if (config.timeline_epoch > 0) {
+    // The sampler reads scheme internals (windows, thresholds) only when
+    // the policy is the two-LRU scheme, and sampled-hotness counters only
+    // when the policy has them; every policy gets the VMM-level columns.
+    sampler.emplace(
+        config.timeline_epoch, vmm,
+        dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()),
+        duration_s,
+        dynamic_cast<const obs::SampledStatsSource*>(policy.get()));
+  }
+  return run_blocks(*policy, measured_source, warmup_blocks, warmup_passes,
+                    duration_s, sampler ? &*sampler : nullptr);
+}
+
+RunResult run_experiment(const trace::Trace& trace, double duration_s,
+                         const ExperimentConfig& config) {
+  return run_sized(size_memory(footprint_of(trace, config), config), &trace,
+                   config.warmup_passes, trace, duration_s, config);
 }
 
 RunResult run_experiment(const trace::Trace& warmup,
                          const trace::Trace& measured, double duration_s,
                          const ExperimentConfig& config) {
-  const MemorySizing sizing = size_memory(footprint_of(warmup, config), config);
-  os::Vmm vmm(vmm_config_for(sizing, config));
-  const auto policy =
-      make_policy(config.policy, vmm, config.migration, config.sample);
-  // Sampled policies learn hotness through their tap, which normally rides
-  // the engine's observer seam; this hand-rolled warmup loop feeds it
-  // directly so the measured pass starts from a warmed hotness board, not
-  // just warmed placement.
-  auto* sampled_policy = dynamic_cast<sample::SampledLruPolicy*>(policy.get());
-  obs::RunObserver* warm_tap =
-      sampled_policy != nullptr ? &sampled_policy->tap() : nullptr;
-  // Decode the warmup trace once and replay the cached page sequence for
-  // every pass (the measured trace is decoded inside run_trace).
-  const trace::PageIdInterner interner(warmup, config.page_size);
-  const std::span<const PageId> pages = interner.pages();
-  const std::span<const trace::MemAccess> accesses = warmup.accesses();
-  constexpr std::size_t kPrefetchDistance = 8;
-  for (unsigned pass = 0; pass < std::max(1u, config.warmup_passes); ++pass) {
-    for (std::size_t i = 0; i < pages.size(); ++i) {
-      if (i + kPrefetchDistance < pages.size()) {
-        policy->prefetch(pages[i + kPrefetchDistance]);
-      }
-      const Nanoseconds latency = policy->on_access(pages[i], accesses[i].type);
-      if (warm_tap != nullptr) {
-        warm_tap->on_access(pages[i], accesses[i].type, latency);
-      }
-    }
-  }
-  // The warmup loop above fed the tap, so a threaded migrator may be
-  // mid-migration right now: reset the ledgers under its serving mutex.
-  if (sampled_policy != nullptr) {
-    sampled_policy->quiesced([&vmm] { vmm.reset_accounting(); });
-    sampled_policy->reset_stats();
-  } else {
-    vmm.reset_accounting();
-  }
-  return measured_run(*policy, measured, duration_s, /*warmup_passes=*/0,
-                      config);
+  return run_sized(size_memory(footprint_of(warmup, config), config), &warmup,
+                   std::max(1u, config.warmup_passes), measured, duration_s,
+                   config);
 }
 
 bool analytic_supported(const ExperimentConfig& config) {
@@ -249,27 +142,17 @@ AnalyticWorkload characterize_workload(const synth::WorkloadProfile& profile,
                                        std::uint64_t scale,
                                        const ExperimentConfig& config,
                                        std::uint64_t seed) {
-  const synth::WorkloadProfile scaled = profile.scaled(scale);
-  synth::GeneratorOptions options;
-  options.page_size = config.page_size;
-  options.line_size = config.access_granularity;
-  options.seed = seed;
-  const trace::Trace warmup = synth::generate(scaled, options);
-  synth::GeneratorOptions body_options = options;
-  body_options.ensure_full_footprint = false;
-  body_options.seed = seed + 1;
-  const trace::Trace measured = synth::generate(scaled, body_options);
-
+  const WorkloadTraces traces = generate_workload(profile, scale, config, seed);
   trace::ReuseDistanceAnalyzer analyzer(config.page_size);
   // One warmup observation suffices for any warmup_passes: repeated passes
   // leave the same final LRU stack order.
-  analyzer.observe(warmup);
+  analyzer.observe(traces.warmup);
   AnalyticWorkload w;
   w.footprint_pages = analyzer.distinct_pages();
   analyzer.reset_stats();
-  analyzer.observe(measured);
+  analyzer.observe(traces.measured);
   w.profile = analyzer.profile();
-  w.duration_s = scaled.roi_seconds;
+  w.duration_s = traces.duration_s;
   return w;
 }
 
@@ -285,23 +168,30 @@ model::AnalyticEstimate analytic_estimate(const AnalyticWorkload& workload,
       analytic_config_for(config, sizing, workload.duration_s));
 }
 
-RunResult run_workload(const synth::WorkloadProfile& profile,
-                       std::uint64_t scale, const ExperimentConfig& config,
-                       std::uint64_t seed) {
+WorkloadTraces generate_workload(const synth::WorkloadProfile& profile,
+                                 std::uint64_t scale,
+                                 const ExperimentConfig& config,
+                                 std::uint64_t seed) {
   const synth::WorkloadProfile scaled = profile.scaled(scale);
   synth::GeneratorOptions options;
   options.page_size = config.page_size;
   options.line_size = config.access_granularity;
   options.seed = seed;
-  // The warmup trace covers the full Table III footprint (cold start);
-  // the measured trace draws from the same distribution without the forced
-  // one-time cold touches, so the counted window is steady-state.
-  const trace::Trace warmup = synth::generate(scaled, options);
-  synth::GeneratorOptions body_options = options;
-  body_options.ensure_full_footprint = false;
-  body_options.seed = seed + 1;
-  const trace::Trace measured = synth::generate(scaled, body_options);
-  return run_experiment(warmup, measured, scaled.roi_seconds, config);
+  WorkloadTraces traces;
+  traces.warmup = synth::generate(scaled, options);
+  options.ensure_full_footprint = false;
+  options.seed = seed + 1;
+  traces.measured = synth::generate(scaled, options);
+  traces.duration_s = scaled.roi_seconds;
+  return traces;
+}
+
+RunResult run_workload(const synth::WorkloadProfile& profile,
+                       std::uint64_t scale, const ExperimentConfig& config,
+                       std::uint64_t seed) {
+  const WorkloadTraces traces = generate_workload(profile, scale, config, seed);
+  return run_experiment(traces.warmup, traces.measured, traces.duration_s,
+                        config);
 }
 
 }  // namespace hymem::sim

@@ -12,29 +12,13 @@
 #include "core/migration_config.hpp"
 #include "mem/technology.hpp"
 #include "model/analytic.hpp"
+#include "os/vmm.hpp"
 #include "sample/config.hpp"
 #include "sim/engine.hpp"
 #include "synth/workload_profile.hpp"
 #include "trace/trace.hpp"
 
 namespace hymem::sim {
-
-/// How `ExperimentConfig::shards > 1` parallelizes one run.
-enum class ShardMode {
-  /// Shards stripe the *decode* stage (page shift + hash mixer) and replay
-  /// stays a single serial policy pass over the decoded blocks — results
-  /// are byte-identical to the serial engine for any shard count. The
-  /// default, and the mode the CI determinism smokes gate.
-  kExact,
-  /// Pages are hash-partitioned across `shards` independent policy
-  /// instances, each with a proportional slice of the DRAM/NVM budget, and
-  /// the per-shard results are merged deterministically (shard-index
-  /// order). Deterministic for a fixed shard count but an approximation of
-  /// the global policy: shard-local LRU cannot see cross-shard recency.
-  /// Executed by runner::run_sharded_experiment (the runner layer owns the
-  /// thread pool).
-  kPartitioned,
-};
 
 /// One experiment = one (policy, sizing, workload) run.
 struct ExperimentConfig {
@@ -48,29 +32,23 @@ struct ExperimentConfig {
   mem::DiskModel disk{};
   core::MigrationConfig migration{};
   /// Sampled-hotness tunables; consulted only when `policy` is a
-  /// "sampled-*" name. The tap is wired automatically for those runs
-  /// (warmup included on the two-trace path) and the end-of-run counters
-  /// land in RunResult::sampled.
+  /// "sampled-*" name. The end-of-run counters land in RunResult::sampled.
   sample::SampleConfig sample{};
   mem::TransferMode transfer_mode = mem::TransferMode::kDma;
   bool wear_leveling = false;
-  /// Uncounted replays of the trace before the measured pass (steady-state
-  /// measurement; see run_trace).
+  /// Uncounted replays of the warm-up trace before the measured pass
+  /// (steady-state measurement; see run_blocks).
   unsigned warmup_passes = 1;
   /// When nonzero, the measured pass samples an epoch time-series every
   /// `timeline_epoch` accesses into RunResult::timeline (obs::EpochSampler).
   /// Zero (the default) keeps the replay loop uninstrumented.
   std::uint64_t timeline_epoch = 0;
-  /// When nonzero, replay goes through the block engine (sim::run_blocks)
-  /// in blocks of this many accesses instead of the one-access-at-a-time
-  /// reference loop. Results are byte-identical for any value; 0 keeps the
-  /// historical run_trace path.
-  std::uint64_t chunk_accesses = 0;
-  /// Workers for one run (1 = serial). Interpretation depends on
-  /// `shard_mode`; byte-identity across shard counts holds only for
-  /// ShardMode::kExact.
-  unsigned shards = 1;
-  ShardMode shard_mode = ShardMode::kExact;
+  /// Above 1, pages are hash-partitioned across this many independent
+  /// policy instances, each with a proportional slice of the DRAM/NVM
+  /// budget (runner::run_sharded_experiment). Deterministic for a fixed
+  /// count, but an approximation of the global policy: partition-local LRU
+  /// cannot see cross-partition recency. 1 runs the policy itself.
+  unsigned partitions = 1;
 };
 
 /// Memory sizing derived from a trace's footprint.
@@ -84,19 +62,51 @@ struct MemorySizing {
 MemorySizing size_memory(std::uint64_t footprint_pages,
                          const ExperimentConfig& config);
 
-/// Runs one experiment over an existing memory trace. `duration_s` feeds the
-/// Eq. 3 static proration.
+/// The VMM one experiment runs on: `sizing`'s frame counts plus the
+/// config's page shape, device technologies and transfer/wear options.
+os::VmmConfig vmm_config_for(const MemorySizing& sizing,
+                             const ExperimentConfig& config);
+
+/// Builds the VMM and policy of one run on `sizing`, then replays `measured`
+/// through the engine: `warmup_passes` warm-up passes over `warmup` (null:
+/// none; it may be `measured` itself), with the epoch sampler that
+/// `config.timeline_epoch` asks for. Both run_experiment forms and every
+/// partition of a partitioned run end here.
+RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
+                    unsigned warmup_passes, const trace::Trace& measured,
+                    double duration_s, const ExperimentConfig& config);
+
+/// Runs one experiment over an existing memory trace, which is also its own
+/// warm-up (config.warmup_passes passes). `duration_s` feeds the Eq. 3
+/// static proration.
 RunResult run_experiment(const trace::Trace& trace, double duration_s,
                          const ExperimentConfig& config);
 
-/// Two-trace variant: memory is sized from (and warmed on) `warmup`, then
-/// `measured` is replayed with counting on. This is how run_workload
+/// Two-trace variant: memory is sized from (and warmed on, at least once)
+/// `warmup`, then `measured` is replayed with counting on. This is how
+/// run_workload
 /// realizes the paper's steady-state methodology: the warmup trace covers
 /// the full Table III footprint (cold start), while the measured trace has
 /// the same distribution without the one-time cold touches.
 RunResult run_experiment(const trace::Trace& warmup,
                          const trace::Trace& measured, double duration_s,
                          const ExperimentConfig& config);
+
+/// The steady-state trace pair of one workload: the warm-up trace covers the
+/// full Table III footprint (cold start, seed `seed`); the measured trace
+/// draws from the same distribution without the forced one-time cold
+/// touches (seed `seed + 1`), so the counted window is steady-state.
+struct WorkloadTraces {
+  trace::Trace warmup;
+  trace::Trace measured;
+  double duration_s = 0.0;  ///< Scaled ROI seconds.
+};
+
+/// Generates the trace pair for `profile` divided by `scale`.
+WorkloadTraces generate_workload(const synth::WorkloadProfile& profile,
+                                 std::uint64_t scale,
+                                 const ExperimentConfig& config,
+                                 std::uint64_t seed);
 
 /// Generates the synthetic traces for `profile` (divided by `scale`) and
 /// runs the steady-state experiment on them.

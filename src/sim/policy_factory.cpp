@@ -105,7 +105,7 @@ std::unique_ptr<policy::HybridPolicy> make_policy(
     return std::make_unique<policy::RankMqPolicy>(vmm);
   }
   if (name == "sampled-lru") {
-    return std::make_unique<sample::SampledLruPolicy>(vmm, sample);
+    return sample::make_sampled_lru(vmm, sample);
   }
   throw_unknown_policy(name);
 }

@@ -1,6 +1,8 @@
 #include "trace/block_source.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 
 #include "util/check.hpp"
 #include "util/flat_page_map.hpp"
@@ -8,59 +10,36 @@
 namespace hymem::trace {
 
 TraceBlockSource::TraceBlockSource(const Trace& trace, std::uint64_t page_size,
-                                   std::size_t block_accesses,
-                                   unsigned decode_workers)
-    : name_(trace.name()),
+                                   std::size_t block_accesses)
+    : trace_(trace),
       page_size_(page_size),
-      block_accesses_(block_accesses) {
+      shift_(std::has_single_bit(page_size) ? std::countr_zero(page_size)
+                                            : -1),
+      block_accesses_(block_accesses == 0 ? trace.size() : block_accesses) {
   HYMEM_CHECK_MSG(page_size > 0, "page size must be positive");
-  const std::span<const MemAccess> accesses = trace.accesses();
-  const std::size_t n = accesses.size();
-  if (n > 0) {
+  const std::size_t capacity = std::min(block_accesses_, trace.size());
+  if (capacity > 0) {
     // Guarded: GCC 12's -Wnull-dereference misfires on resize(0) at -O3.
-    pages_.resize(n);
-    types_.resize(n);
-    hashes_.resize(n);
+    pages_.resize(capacity);
+    types_.resize(capacity);
+    hashes_.resize(capacity);
   }
-  const auto decode_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const PageId page = page_of(accesses[i].addr, page_size_);
-      pages_[i] = page;
-      types_[i] = accesses[i].type;
-      hashes_[i] = util::hash_page_id(page);
-    }
-  };
-  const unsigned workers =
-      n == 0 ? 1
-             : static_cast<unsigned>(std::min<std::size_t>(
-                   std::max(1u, decode_workers), n));
-  if (workers <= 1) {
-    decode_range(0, n);
-    return;
-  }
-  // Contiguous stripes, one per worker: every element is written by exactly
-  // one thread and the result is independent of scheduling — decode
-  // parallelism can never perturb replay output.
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  const std::size_t stride = (n + workers - 1) / workers;
-  for (unsigned w = 0; w < workers; ++w) {
-    const std::size_t begin = std::min<std::size_t>(w * stride, n);
-    const std::size_t end = std::min<std::size_t>(begin + stride, n);
-    threads.emplace_back(decode_range, begin, end);
-  }
-  for (std::thread& t : threads) t.join();
 }
 
 const DecodedBlock* TraceBlockSource::next() {
-  if (cursor_ >= pages_.size()) return nullptr;
-  const std::size_t n =
-      block_accesses_ == 0
-          ? pages_.size() - cursor_
-          : std::min(block_accesses_, pages_.size() - cursor_);
-  view_ = {pages_.data() + cursor_, types_.data() + cursor_,
-           hashes_.data() + cursor_, n};
+  const std::span<const MemAccess> accesses = trace_.accesses();
+  if (cursor_ >= accesses.size()) return nullptr;
+  const std::size_t n = std::min(block_accesses_, accesses.size() - cursor_);
+  const MemAccess* in = accesses.data() + cursor_;
+  for (std::size_t i = 0; i < n; ++i) {
+    const PageId page = shift_ >= 0 ? in[i].addr >> shift_
+                                    : page_of(in[i].addr, page_size_);
+    pages_[i] = page;
+    types_[i] = in[i].type;
+    hashes_[i] = util::hash_page_id(page);
+  }
   cursor_ += n;
+  view_ = {pages_.data(), types_.data(), hashes_.data(), n};
   return &view_;
 }
 

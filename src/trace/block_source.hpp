@@ -4,17 +4,16 @@
 // The engine's unit of work is a DecodedBlock — parallel arrays of page IDs,
 // access types and memoized page-ID hashes. A BlockSource produces the run's
 // blocks in trace order and can rewind for warmup passes; the engine never
-// sees raw byte addresses, so decode cost (the page shift and the hash
-// mixer) is paid where the source can amortize or hide it:
+// sees raw byte addresses. Both sources decode one block at a time into
+// buffers they reuse, so run memory beyond the input is O(block):
 //
-//   * TraceBlockSource decodes a materialized trace exactly once, at
-//     construction (optionally striped across worker threads), and serves
-//     every pass from the cached arrays — the multi-pass replay loop does
-//     zero decode work.
+//   * TraceBlockSource decodes a window of a materialized trace on each
+//     next(), while the policy is about to touch it (the page shift and the
+//     hash mixer cost far less than keeping a decoded copy of the trace).
 //   * StreamBlockSource pulls the chunked stream_io format and holds only
 //     two blocks of memory: with readahead on, a producer thread decodes
-//     block N+1 while the consumer replays block N (double buffering), so
-//     run memory is O(chunk) for captures too large to materialize.
+//     block N+1 while the consumer replays block N (double buffering), for
+//     captures too large to materialize.
 //
 // Both sources emit identical block sequences for the same input, so every
 // consumer downstream of this seam is byte-identical across ingest modes —
@@ -22,6 +21,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <iosfwd>
@@ -35,6 +35,11 @@
 #include "util/types.hpp"
 
 namespace hymem::trace {
+
+/// Accesses per block when the caller does not choose (every experiment
+/// run). Results do not depend on it; it only trades per-block overhead
+/// against the cache footprint of the decoded arrays.
+inline constexpr std::size_t kBlockAccesses = std::size_t{1} << 12;
 
 /// One decoded block of replay work. Views into source-owned storage, valid
 /// until the next next()/rewind() on the producing source.
@@ -61,27 +66,25 @@ class BlockSource {
   virtual void rewind() = 0;
 };
 
-/// Decode-once source over a materialized trace. Construction decodes every
-/// access (page shift + hash mixer) into cached arrays — striped across
-/// `decode_workers` threads when > 1, with each worker writing a disjoint
-/// range, so the arrays are byte-identical for any worker count. next()
-/// serves successive `block_accesses`-sized windows of the cache.
+/// Source over a materialized trace: next() decodes the following
+/// `block_accesses` accesses (page shift for power-of-two page sizes, the
+/// page_of division otherwise, then the hash mixer) into reused buffers.
+/// `trace` must outlive the source.
 class TraceBlockSource final : public BlockSource {
  public:
   /// `block_accesses` 0 serves the whole trace as a single block.
   TraceBlockSource(const Trace& trace, std::uint64_t page_size,
-                   std::size_t block_accesses = 0, unsigned decode_workers = 1);
+                   std::size_t block_accesses = kBlockAccesses);
 
-  const std::string& name() const override { return name_; }
+  const std::string& name() const override { return trace_.name(); }
   std::uint64_t page_size() const override { return page_size_; }
   const DecodedBlock* next() override;
   void rewind() override { cursor_ = 0; }
 
-  std::size_t total_accesses() const { return pages_.size(); }
-
  private:
-  std::string name_;
+  const Trace& trace_;
   std::uint64_t page_size_;
+  int shift_;  ///< log2(page_size), or -1 when it is not a power of two.
   std::size_t block_accesses_;
   std::vector<PageId> pages_;
   std::vector<AccessType> types_;
@@ -95,13 +98,12 @@ class TraceBlockSource final : public BlockSource {
 /// With `readahead` on, a producer thread decodes the next block into the
 /// idle half of a double buffer while the consumer replays the other half;
 /// next() blocks only when the producer has not finished yet. With it off,
-/// next() decodes synchronously — same block sequence, no second thread
-/// (the serial reference mode the determinism smokes compare against).
+/// next() decodes synchronously — same block sequence, no second thread.
 class StreamBlockSource final : public BlockSource {
  public:
   /// `in` must outlive the source; rewind() requires it to be seekable.
   StreamBlockSource(std::istream& in, std::uint64_t page_size,
-                    std::size_t block_accesses = std::size_t{1} << 16,
+                    std::size_t block_accesses = kBlockAccesses,
                     bool readahead = true);
   ~StreamBlockSource() override;
 

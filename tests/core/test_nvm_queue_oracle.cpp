@@ -157,8 +157,11 @@ INSTANTIATE_TEST_SUITE_P(
                       WindowParams{0.0, 1.0}),
     [](const auto& param_info) {
       const auto& p = param_info.param;
-      return "r" + std::to_string(static_cast<int>(p.read_perc * 100)) + "_w" +
-             std::to_string(static_cast<int>(p.write_perc * 100));
+      std::string name = "r";
+      name += std::to_string(static_cast<int>(p.read_perc * 100));
+      name += "_w";
+      name += std::to_string(static_cast<int>(p.write_perc * 100));
+      return name;
     });
 
 }  // namespace

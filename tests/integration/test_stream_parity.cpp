@@ -1,13 +1,10 @@
-// End-to-end parity of the streaming/block/sharded replay engines against
-// the serial reference engine (the ISSUE.md acceptance gates):
+// End-to-end parity of the block engine against a per-access reference:
 //
-//   * every ingest mode (cached blocks, striped decode, HYTS stream with
-//     and without readahead) reproduces the reference RunResult bytes on
-//     hostile fuzz scenarios;
-//   * --chunk-accesses and exact-mode --shards leave the full sweep CSV and
-//     the epoch timeline CSV byte-identical for any value;
-//   * replaying a stream far larger than the chunk budget keeps peak RSS
-//     O(chunk), not O(trace).
+//   * every ingest mode (decoded trace windows, HYTS stream with and
+//     without readahead) reproduces the reference RunResult and timeline
+//     bytes on hostile fuzz scenarios, for any block size and epoch length;
+//   * replaying a stream far larger than the block budget keeps peak RSS
+//     O(block), not O(trace).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,9 +15,7 @@
 #include "check/stream_parity.hpp"
 #include "core/migration_scheme.hpp"
 #include "os/vmm.hpp"
-#include "runner/sweep.hpp"
 #include "sim/engine.hpp"
-#include "synth/workload_profile.hpp"
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
 
@@ -29,47 +24,13 @@ namespace {
 
 TEST(StreamParity, FuzzScenariosMatchAcrossEveryIngestMode) {
   // Same scenario family as the differential fuzzer: thrash loops, write
-  // bursts, capacity-1 modules. Block size derives from the seed, covering
-  // one-access blocks through whole-trace blocks.
+  // bursts, capacity-1 modules. Block size and epoch length derive from the
+  // seed, covering one-access blocks through whole-trace blocks.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto report = check::run_stream_parity_case(seed, 2000);
     EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.divergence;
     EXPECT_GT(report.accesses, 0u);
   }
-}
-
-/// One tiny sweep (workload × policies) serialized as results CSV plus
-/// timeline CSV — the exact bytes the CI determinism smokes diff.
-std::string sweep_bytes(std::uint64_t chunk_accesses, unsigned shards) {
-  runner::SweepSpec spec;
-  spec.workloads = {synth::parsec_profile("streamcluster")};
-  spec.policies = {"two-lru", "clock-dwf"};
-  spec.scale = 512;
-  runner::ConfigVariant variant;
-  variant.config.timeline_epoch = 512;
-  variant.config.chunk_accesses = chunk_accesses;
-  variant.config.shards = shards;
-  variant.config.shard_mode = sim::ShardMode::kExact;
-  spec.variants = {variant};
-  runner::SweepOptions options;
-  options.jobs = 1;
-  const auto sweep = runner::run_sweep(spec, options);
-  EXPECT_EQ(sweep.failures(), 0u);
-  std::ostringstream csv;
-  sweep.write_csv(csv);
-  const std::size_t rows = sweep.write_timeline_csv(csv);
-  EXPECT_GT(rows, 0u);
-  return csv.str();
-}
-
-TEST(StreamParity, ChunkAndExactShardsKeepSweepCsvByteIdentical) {
-  const std::string reference = sweep_bytes(/*chunk_accesses=*/0, /*shards=*/1);
-  EXPECT_EQ(sweep_bytes(1, 1), reference) << "one-access blocks";
-  EXPECT_EQ(sweep_bytes(777, 1), reference) << "odd block size";
-  EXPECT_EQ(sweep_bytes(1 << 20, 1), reference) << "whole-trace block";
-  EXPECT_EQ(sweep_bytes(4096, 2), reference) << "2 exact shards";
-  EXPECT_EQ(sweep_bytes(4096, 7), reference) << "7 exact shards";
-  EXPECT_EQ(sweep_bytes(0, 5), reference) << "shards without chunking";
 }
 
 /// VmHWM ("peak RSS") in bytes from /proc/self/status.
@@ -146,7 +107,7 @@ TEST(StreamParity, StreamedReplayPeakMemoryIsBoundedByChunkNotTrace) {
     ASSERT_TRUE(in);
     trace::StreamBlockSource source(in, config.page_size, kBlock,
                                     /*readahead=*/true);
-    const auto result = sim::run_blocks(policy, source, 1.0);
+    const auto result = sim::run_blocks(policy, source, nullptr, 0, 1.0);
     EXPECT_EQ(result.accesses, kAccesses);
   }
   const std::uint64_t after = peak_rss_bytes();

@@ -31,15 +31,22 @@ os::VmmConfig hybrid_config() {
   return c;
 }
 
+/// One engine run over `trace` (also its own warm-up) with `sampler`
+/// attached; the timeline lands in the result.
+sim::RunResult run(policy::HybridPolicy& policy, const trace::Trace& trace,
+                   unsigned warmup_passes, EpochSampler& sampler) {
+  trace::TraceBlockSource source(trace, policy.vmm().config().page_size);
+  return sim::run_blocks(policy, source, &source, warmup_passes, 1.0,
+                         &sampler);
+}
+
 sim::RunResult sampled_run(const trace::Trace& trace, std::uint64_t epoch) {
   os::Vmm vmm(hybrid_config());
   const auto policy = sim::make_policy("two-lru", vmm);
   EpochSampler sampler(
       epoch, vmm,
       dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
-  sim::RunResult result = sim::run_trace(*policy, trace, 1.0, 0, &sampler);
-  result.timeline = sampler.take_timeline();
-  return result;
+  return run(*policy, trace, 0, sampler);
 }
 
 TEST(EpochSampler, EvenBoundaryArithmetic) {
@@ -127,18 +134,17 @@ TEST(EpochSampler, DeltasSumToTotalsOnFuzzSmokeSeeds) {
 
 TEST(EpochSampler, ObserverSeesMeasuredPassOnly) {
   // With a warmup pass, the timeline must cover exactly the measured
-  // accesses — warmup replays are invisible to the observer.
+  // accesses — warmup replays are invisible to the sampler.
   os::Vmm vmm(hybrid_config());
   const auto policy = sim::make_policy("two-lru", vmm);
   const auto trace = tiny_trace();
   EpochSampler sampler(
       1000, vmm,
       dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
-  const auto result =
-      sim::run_trace(*policy, trace, 1.0, /*warmup_passes=*/1, &sampler);
-  ASSERT_FALSE(sampler.timeline().empty());
-  EXPECT_EQ(sampler.timeline().epochs.back().end_access, trace.size());
-  expect_deltas_sum_to_totals(sampler.timeline(), result.counts);
+  const auto result = run(*policy, trace, /*warmup_passes=*/1, sampler);
+  ASSERT_FALSE(result.timeline.empty());
+  EXPECT_EQ(result.timeline.epochs.back().end_access, trace.size());
+  expect_deltas_sum_to_totals(result.timeline, result.counts);
 }
 
 TEST(EpochSampler, RegistryTracksAccessMix) {
@@ -148,7 +154,7 @@ TEST(EpochSampler, RegistryTracksAccessMix) {
   EpochSampler sampler(
       500, vmm,
       dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
-  sim::run_trace(*policy, trace, 1.0, 0, &sampler);
+  run(*policy, trace, 0, sampler);
   MetricsRegistry& registry = sampler.registry();
   const std::uint64_t reads = registry.counter("accesses.read").value;
   const std::uint64_t writes = registry.counter("accesses.write").value;
@@ -182,9 +188,9 @@ TEST(EpochSampler, SingleTierPolicyStillSamplesVmmColumns) {
   const auto policy = sim::make_policy("dram-only", vmm);
   EpochSampler sampler(1000, vmm, nullptr, 1.0);
   const auto trace = tiny_trace();
-  const auto result = sim::run_trace(*policy, trace, 1.0, 0, &sampler);
-  ASSERT_EQ(sampler.timeline().epochs.size(), 4u);
-  for (const EpochRecord& r : sampler.timeline().epochs) {
+  const auto result = run(*policy, trace, 0, sampler);
+  ASSERT_EQ(result.timeline.epochs.size(), 4u);
+  for (const EpochRecord& r : result.timeline.epochs) {
     EXPECT_EQ(r.read_window.pages, 0u);
     EXPECT_EQ(r.write_window.pages, 0u);
     EXPECT_EQ(r.promotions, 0u);

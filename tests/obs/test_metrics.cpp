@@ -33,7 +33,9 @@ TEST(MetricsRegistry, ReferencesStayStableAcrossGrowth) {
   Counter& first = registry.counter("first");
   // Force many reallocations of the entry vector.
   for (int i = 0; i < 100; ++i) {
-    registry.counter("c" + std::to_string(i)).inc();
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.counter(name).inc();
   }
   first.inc(7);
   EXPECT_EQ(registry.counter("first").value, 7u);

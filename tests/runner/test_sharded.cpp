@@ -23,10 +23,9 @@ synth::WorkloadProfile tiny_profile() {
   return p;
 }
 
-sim::ExperimentConfig partitioned_config(unsigned shards) {
+sim::ExperimentConfig partitioned_config(unsigned partitions) {
   sim::ExperimentConfig config;
-  config.shards = shards;
-  config.shard_mode = sim::ShardMode::kPartitioned;
+  config.partitions = partitions;
   return config;
 }
 
@@ -87,18 +86,20 @@ TEST(Sharded, TimelineEpochsCoverEveryShard) {
 }
 
 TEST(Sharded, DispatchRoutesByModeAndCount) {
-  // Exact mode (any shard count) and a single shard both take the serial
-  // engine; the result must be byte-identical to the plain run_workload.
+  // One partition takes the plain engine, byte-identical to run_workload;
+  // more than one takes the partitioned path, byte-identical to
+  // run_sharded_workload.
   sim::ExperimentConfig serial_config;
   const auto serial = sim::run_workload(tiny_profile(), kScale, serial_config);
-  sim::ExperimentConfig exact;
-  exact.shards = 4;
-  exact.shard_mode = sim::ShardMode::kExact;
-  EXPECT_EQ(sim::to_json(run_workload_dispatch(tiny_profile(), kScale, exact)),
+  EXPECT_EQ(sim::to_json(run_workload_dispatch(tiny_profile(), kScale,
+                                               partitioned_config(1))),
             sim::to_json(serial));
   const auto partitioned = run_workload_dispatch(tiny_profile(), kScale,
                                                  partitioned_config(2));
   EXPECT_EQ(partitioned.accesses, serial.accesses);
+  EXPECT_EQ(sim::to_json(partitioned),
+            sim::to_json(run_sharded_workload(tiny_profile(), kScale,
+                                              partitioned_config(2))));
 }
 
 }  // namespace

@@ -177,7 +177,7 @@ TEST(Sweep, WorkerCountIsClampedToGridSize) {
 
 TEST(Sweep, EmptyTraceJobFailsItsCellOnly) {
   // Regression: an empty workload used to HYMEM_CHECK-abort the whole
-  // process from size_memory/run_trace. It must now surface as one failed
+  // process from size_memory/the engine. It must now surface as one failed
   // cell (std::invalid_argument, captured) with every other cell intact.
   auto spec = tiny_spec();
   synth::WorkloadProfile empty;

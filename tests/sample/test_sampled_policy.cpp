@@ -18,12 +18,10 @@ os::VmmConfig tiny_config(std::uint64_t dram, std::uint64_t nvm) {
   return c;
 }
 
-/// Replays one access the way the engine does: serve, then feed the tap.
+/// Serves one access (the policy feeds its own tap).
 Nanoseconds step(SampledLruPolicy& policy, PageId page,
                  AccessType type = AccessType::kRead) {
-  const Nanoseconds latency = policy.on_access(page, type);
-  policy.tap().on_access(page, type, latency);
-  return latency;
+  return policy.on_access(page, type);
 }
 
 TEST(SampledPolicy, DemandFillsDramFirstThenNvmThenEvictsOldestNvm) {
@@ -43,20 +41,6 @@ TEST(SampledPolicy, DemandFillsDramFirstThenNvmThenEvictsOldestNvm) {
   EXPECT_EQ(vmm.tier_of(0), Tier::kDram);  // DRAM is not raided for faults
   EXPECT_EQ(policy.queue(Tier::kDram).size(), vmm.resident(Tier::kDram));
   EXPECT_EQ(policy.queue(Tier::kNvm).size(), vmm.resident(Tier::kNvm));
-}
-
-TEST(SampledPolicy, WithoutTheTapPlacementIsDemandOnly) {
-  os::Vmm vmm(tiny_config(1, 2));
-  SampleConfig cfg;
-  cfg.sample_period = 1;
-  SampledLruPolicy policy(vmm, cfg);
-  for (int round = 0; round < 100; ++round) {
-    policy.on_access(1, AccessType::kRead);  // tap never fed
-  }
-  const auto stats = policy.sampled_stats();
-  EXPECT_EQ(stats.samples, 0u);
-  EXPECT_EQ(stats.promotions, 0u);
-  EXPECT_EQ(stats.demotions, 0u);
 }
 
 TEST(SampledPolicy, TapSamplesEveryNthAccess) {

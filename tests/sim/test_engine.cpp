@@ -6,9 +6,17 @@
 
 #include "sim/policy_factory.hpp"
 #include "synth/generator.hpp"
+#include "trace/access.hpp"
 
 namespace hymem::sim {
 namespace {
+
+/// One engine run over `trace`, which is also its own warm-up.
+RunResult replay(policy::HybridPolicy& policy, const trace::Trace& trace,
+                 double duration_s, unsigned warmup_passes = 0) {
+  trace::TraceBlockSource source(trace, policy.vmm().config().page_size);
+  return run_blocks(policy, source, &source, warmup_passes, duration_s);
+}
 
 trace::Trace tiny_trace() {
   synth::WorkloadProfile p;
@@ -32,7 +40,7 @@ TEST(Engine, CountsCoverEveryAccess) {
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
   const auto trace = tiny_trace();
-  const auto result = run_trace(*policy, trace, 1.0);
+  const auto result = replay(*policy, trace, 1.0);
   EXPECT_EQ(result.accesses, trace.size());
   EXPECT_EQ(result.counts.hits() + result.counts.page_faults, trace.size());
   EXPECT_EQ(result.workload, "tiny");
@@ -54,7 +62,7 @@ TEST(Engine, VisibleLatencyEqualsModelAmat) {
     }
     os::Vmm vmm(cfg);
     const auto policy = make_policy(name, vmm);
-    const auto result = run_trace(*policy, tiny_trace(), 1.0);
+    const auto result = replay(*policy, tiny_trace(), 1.0);
     const auto breakdown = result.amat();
     EXPECT_NEAR(result.visible_latency_ns,
                 breakdown.total() * static_cast<double>(result.accesses),
@@ -66,7 +74,7 @@ TEST(Engine, VisibleLatencyEqualsModelAmat) {
 TEST(Engine, DerivedMetricsAvailable) {
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
-  const auto result = run_trace(*policy, tiny_trace(), 0.5);
+  const auto result = replay(*policy, tiny_trace(), 0.5);
   EXPECT_GT(result.amat().total(), 0.0);
   EXPECT_GT(result.appr().total(), 0.0);
   EXPECT_GT(result.appr().static_nj, 0.0);
@@ -80,8 +88,10 @@ TEST(Engine, EmptyTraceRejected) {
   const auto policy = make_policy("two-lru", vmm);
   trace::Trace empty;
   // invalid_argument (bad input, catchable by the sweep runner), not the
-  // HYMEM_CHECK logic_error that used to kill the whole process.
-  EXPECT_THROW(run_trace(*policy, empty, 1.0), std::invalid_argument);
+  // HYMEM_CHECK logic_error that used to kill the whole process; warm-up
+  // passes over nothing do not hide it.
+  EXPECT_THROW(replay(*policy, empty, 1.0, /*warmup_passes=*/2),
+               std::invalid_argument);
 }
 
 
@@ -89,7 +99,7 @@ TEST(Engine, WarmupPassResetsAccountingButKeepsResidency) {
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
   const auto trace = tiny_trace();
-  const auto result = run_trace(*policy, trace, 1.0, /*warmup_passes=*/1);
+  const auto result = replay(*policy, trace, 1.0, /*warmup_passes=*/1);
   // Warmup faulted the cold pages; the measured pass starts warm, so its
   // fault count must be far below the footprint.
   EXPECT_LT(result.counts.page_faults, 32u);
@@ -101,7 +111,7 @@ TEST(Engine, WarmupReducesMeasuredFaults) {
   auto run_with = [&](unsigned warmup) {
     os::Vmm vmm(hybrid_config());
     const auto policy = make_policy("two-lru", vmm);
-    return run_trace(*policy, tiny_trace(), 1.0, warmup).counts.page_faults;
+    return replay(*policy, tiny_trace(), 1.0, warmup).counts.page_faults;
   };
   EXPECT_LT(run_with(1), run_with(0));
 }
@@ -116,12 +126,12 @@ TEST(Engine, StreamedRunMatchesInMemoryRun) {
   }
   os::Vmm vmm_a(hybrid_config());
   const auto policy_a = make_policy("two-lru", vmm_a);
-  const auto in_memory = run_trace(*policy_a, trace, 1.0);
+  const auto in_memory = replay(*policy_a, trace, 1.0);
 
   os::Vmm vmm_b(hybrid_config());
   const auto policy_b = make_policy("two-lru", vmm_b);
-  trace::StreamTraceReader reader(buf);
-  const auto streamed = run_stream(*policy_b, reader, 1.0);
+  trace::StreamBlockSource source(buf, vmm_b.config().page_size);
+  const auto streamed = run_blocks(*policy_b, source, nullptr, 0, 1.0);
 
   EXPECT_EQ(streamed.accesses, in_memory.accesses);
   EXPECT_EQ(streamed.counts.page_faults, in_memory.counts.page_faults);
@@ -130,17 +140,40 @@ TEST(Engine, StreamedRunMatchesInMemoryRun) {
   EXPECT_EQ(streamed.workload, in_memory.workload);
 }
 
+/// Reference for the engine: warm-up passes and the measured pass served
+/// one access at a time through on_access.
+RunResult per_access(policy::HybridPolicy& policy, const trace::Trace& trace,
+                     unsigned warmup_passes) {
+  const std::uint64_t page_size = policy.vmm().config().page_size;
+  for (unsigned pass = 0; pass < warmup_passes; ++pass) {
+    for (const auto& a : trace) {
+      policy.on_access(trace::page_of(a.addr, page_size), a.type);
+    }
+  }
+  if (warmup_passes > 0) policy.vmm().reset_accounting();
+  RunResult result;
+  result.policy = std::string(policy.name());
+  result.workload = trace.name();
+  for (const auto& a : trace) {
+    result.visible_latency_ns +=
+        policy.on_access(trace::page_of(a.addr, page_size), a.type);
+  }
+  result.accesses = trace.size();
+  result.counts = model::EventCounts::from_vmm(policy.vmm(), result.accesses);
+  return result;
+}
+
 TEST(Engine, BlockRunMatchesReferenceRunExactly) {
   const auto trace = tiny_trace();
   for (const unsigned warmup : {0u, 1u, 2u}) {
     os::Vmm vmm_a(hybrid_config());
     const auto policy_a = make_policy("two-lru", vmm_a);
-    const auto reference = run_trace(*policy_a, trace, 1.0, warmup);
+    const auto reference = per_access(*policy_a, trace, warmup);
 
     os::Vmm vmm_b(hybrid_config());
     const auto policy_b = make_policy("two-lru", vmm_b);
     trace::TraceBlockSource source(trace, vmm_b.config().page_size, 97);
-    const auto blocked = run_blocks(*policy_b, source, 1.0, warmup);
+    const auto blocked = run_blocks(*policy_b, source, &source, warmup, 1.0);
 
     EXPECT_EQ(blocked.accesses, reference.accesses) << warmup;
     EXPECT_EQ(blocked.counts.page_faults, reference.counts.page_faults)
@@ -155,20 +188,22 @@ TEST(Engine, BlockRunMatchesReferenceRunExactly) {
 }
 
 TEST(Engine, BlockRunObserverSeesOnlyMeasuredAccesses) {
-  // The observer path replays per access with identical semantics; the
-  // sampled timeline must cover exactly the measured pass.
+  // The sampled timeline must cover exactly the measured pass, with blocks
+  // cut at epoch boundaries that do not divide the block size.
   const auto trace = tiny_trace();
   os::Vmm vmm(hybrid_config());
   const auto policy = make_policy("two-lru", vmm);
   trace::TraceBlockSource source(trace, vmm.config().page_size, 64);
   obs::EpochSampler sampler(/*epoch_length=*/500, vmm, nullptr, 1.0);
-  const auto result =
-      run_blocks(*policy, source, 1.0, /*warmup_passes=*/1, &sampler);
-  const auto timeline = sampler.take_timeline();
+  const auto result = run_blocks(*policy, source, &source,
+                                 /*warmup_passes=*/1, 1.0, &sampler);
   std::uint64_t covered = 0;
-  for (const auto& epoch : timeline.epochs) covered += epoch.delta.accesses;
+  for (const auto& epoch : result.timeline.epochs) {
+    covered += epoch.delta.accesses;
+  }
   EXPECT_EQ(covered, result.accesses);
   EXPECT_EQ(result.accesses, trace.size());
+  EXPECT_EQ(result.timeline.epochs.size(), (trace.size() + 499) / 500);
 }
 
 TEST(Engine, EmptyBlockSourceRejected) {
@@ -177,7 +212,8 @@ TEST(Engine, EmptyBlockSourceRejected) {
   trace::Trace empty;
   empty.set_name("void");
   trace::TraceBlockSource source(empty, vmm.config().page_size, 16);
-  EXPECT_THROW(run_blocks(*policy, source, 1.0), std::invalid_argument);
+  EXPECT_THROW(run_blocks(*policy, source, nullptr, 0, 1.0),
+               std::invalid_argument);
 }
 
 TEST(Engine, IntegratedTransferModeShortensVisibleLatency) {
@@ -186,7 +222,7 @@ TEST(Engine, IntegratedTransferModeShortensVisibleLatency) {
     cfg.transfer_mode = mode;
     os::Vmm vmm(cfg);
     const auto policy = make_policy("clock-dwf", vmm);
-    return run_trace(*policy, tiny_trace(), 1.0);
+    return replay(*policy, tiny_trace(), 1.0);
   };
   const auto dma = run_mode(mem::TransferMode::kDma);
   const auto integrated = run_mode(mem::TransferMode::kIntegrated);

@@ -2,6 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <sstream>
+#include <string>
+
+#include "obs/timeline_io.hpp"
+#include "sim/policy_factory.hpp"
+#include "sim/results_io.hpp"
+#include "synth/generator.hpp"
+
 namespace hymem::sim {
 namespace {
 
@@ -79,6 +88,40 @@ TEST(Experiment, DeterministicAcrossRuns) {
   EXPECT_EQ(a.counts.page_faults, b.counts.page_faults);
   EXPECT_EQ(a.counts.migrations(), b.counts.migrations());
   EXPECT_DOUBLE_EQ(a.amat().total(), b.amat().total());
+}
+
+/// Everything a run exports: the result JSON, the sampled-hotness counters
+/// and the timeline CSV.
+std::string exported(const RunResult& result) {
+  std::ostringstream out;
+  out << to_json(result) << "\nsampled " << result.has_sampled << ' '
+      << result.sampled.samples << ' ' << result.sampled.promotions << ' '
+      << result.sampled.demotions << ' ' << result.sampled.drains << '\n';
+  obs::write_timeline_csv(result.timeline, out);
+  return out.str();
+}
+
+TEST(Experiment, SingleTraceFormIsTheTwoTraceFormWarmedOnItself) {
+  // run_experiment(T) warms on T, so it must equal run_experiment(T, T)
+  // (here with a copy of T, so the two forms read separate sources) for
+  // every policy, with and without a timeline.
+  synth::GeneratorOptions options;
+  options.seed = 42;
+  const trace::Trace trace =
+      synth::generate(synth::parsec_profile("canneal").scaled(512), options);
+  const trace::Trace copy = trace;
+  for (const std::string& name : policy_names()) {
+    for (const std::uint64_t epoch : {std::uint64_t{0}, std::uint64_t{997}}) {
+      ExperimentConfig cfg;
+      cfg.policy = name;
+      cfg.timeline_epoch = epoch;
+      const RunResult single = run_experiment(trace, 1.0, cfg);
+      const RunResult pair = run_experiment(trace, copy, 1.0, cfg);
+      EXPECT_EQ(exported(single), exported(pair))
+          << name << ", epoch " << epoch;
+      EXPECT_EQ(single.timeline.empty(), epoch == 0) << name;
+    }
+  }
 }
 
 TEST(Experiment, InvalidFootprintRejected) {

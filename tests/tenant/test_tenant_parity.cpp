@@ -12,6 +12,7 @@
 #include "sim/policy_factory.hpp"
 #include "synth/tenant_stream.hpp"
 #include "tenant/tenant_group.hpp"
+#include "trace/block_source.hpp"
 #include "trace/trace.hpp"
 
 namespace hymem::tenant {
@@ -66,7 +67,9 @@ TEST(TenantParity, OneTenantMatchesThePlainEngineByteForByte) {
     vc.nvm_frames = 120;
     os::Vmm vmm(vc);
     const auto plain_policy = sim::make_policy(policy, vmm);
-    const sim::RunResult plain = sim::run_trace(*plain_policy, trace, 1.0);
+    trace::TraceBlockSource source(trace, vc.page_size);
+    const sim::RunResult plain =
+        sim::run_blocks(*plain_policy, source, nullptr, 0, 1.0);
 
     // A single tenant owns the whole budget under every mode and any shard
     // count: unpopulated shards get zero frames, so the tenant's shard is

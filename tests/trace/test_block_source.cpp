@@ -57,7 +57,6 @@ TEST(TraceBlockSource, WindowsCoverTraceInOrder) {
   TraceBlockSource source(trace, kPage, /*block_accesses=*/3);
   EXPECT_EQ(source.name(), "blocks");
   EXPECT_EQ(source.page_size(), kPage);
-  EXPECT_EQ(source.total_accesses(), 10u);
   const Flat flat = drain(source);
   EXPECT_EQ(flat.block_sizes, (std::vector<std::size_t>{3, 3, 3, 1}));
   ASSERT_EQ(flat.pages.size(), 10u);
@@ -86,20 +85,25 @@ TEST(TraceBlockSource, RewindRepeatsSequence) {
   EXPECT_EQ(first.block_sizes, second.block_sizes);
 }
 
-TEST(TraceBlockSource, StripedDecodeMatchesSerial) {
-  const auto trace = make_trace(1001);
-  TraceBlockSource serial(trace, kPage, 64, /*decode_workers=*/1);
-  for (const unsigned workers : {2u, 3u, 8u, 2000u}) {
-    TraceBlockSource striped(trace, kPage, 64, workers);
-    serial.rewind();
-    EXPECT_TRUE(drain(serial) == drain(striped)) << workers << " workers";
+TEST(TraceBlockSource, OddPageSizeDecodesByDivision) {
+  // Power-of-two page sizes decode with a shift, others with page_of.
+  const auto trace = make_trace(100);
+  for (const std::uint64_t page_size : {std::uint64_t{1}, std::uint64_t{3000},
+                                        std::uint64_t{8192}}) {
+    TraceBlockSource source(trace, page_size, 7);
+    const Flat flat = drain(source);
+    ASSERT_EQ(flat.pages.size(), trace.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      EXPECT_EQ(flat.pages[i], page_of(trace[i].addr, page_size))
+          << page_size << " at " << i;
+    }
   }
 }
 
 TEST(TraceBlockSource, EmptyTraceYieldsNoBlocks) {
   Trace trace;
   trace.set_name("empty");
-  TraceBlockSource source(trace, kPage, 4, /*decode_workers=*/8);
+  TraceBlockSource source(trace, kPage, 4);
   EXPECT_EQ(source.next(), nullptr);
   source.rewind();
   EXPECT_EQ(source.next(), nullptr);

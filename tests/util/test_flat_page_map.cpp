@@ -29,8 +29,9 @@ TEST(FlatPageMap, InsertFindErase) {
   ASSERT_TRUE(inserted);
   *slot = 11;
   EXPECT_EQ(map.size(), 1u);
-  ASSERT_NE(map.find(42), nullptr);
-  EXPECT_EQ(*map.find(42), 11);
+  const int* found = map.find(42);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(*found, 11);
 
   const auto [again, second] = map.try_emplace(42);
   EXPECT_FALSE(second);
@@ -74,7 +75,9 @@ TEST(FlatPageMap, ClearEmptiesButKeepsWorking) {
   EXPECT_EQ(map.size(), 0u);
   for (PageId p = 0; p < 100; ++p) EXPECT_FALSE(map.contains(p));
   *map.try_emplace(3).first = 33;
-  EXPECT_EQ(*map.find(3), 33);
+  const int* found = map.find(3);
+  ASSERT_NE(found, nullptr);
+  EXPECT_EQ(*found, 33);
 }
 
 TEST(FlatPageMap, DenseSequentialKeys) {
@@ -83,8 +86,9 @@ TEST(FlatPageMap, DenseSequentialKeys) {
   FlatPageMap<std::uint64_t> map;
   for (PageId p = 0; p < 5000; ++p) *map.try_emplace(p).first = p * 3;
   for (PageId p = 0; p < 5000; ++p) {
-    ASSERT_NE(map.find(p), nullptr) << p;
-    EXPECT_EQ(*map.find(p), p * 3);
+    const std::uint64_t* value = map.find(p);
+    ASSERT_NE(value, nullptr) << p;
+    EXPECT_EQ(*value, p * 3);
   }
   // Erase every other key, then verify the survivors (backward-shift must
   // keep every remaining probe chain reachable).
@@ -232,10 +236,12 @@ TEST(FlatPageMap, EraseAcrossSeamKeepsHomeSlotEntriesPut) {
   // Erasing the seam-straddling entry must pull at_zero back toward its
   // home, not lose it.
   ASSERT_TRUE(map.erase(also_last));
-  ASSERT_NE(map.find(at_last), nullptr);
-  ASSERT_NE(map.find(at_zero), nullptr);
-  EXPECT_EQ(*map.find(at_last), 1u);
-  EXPECT_EQ(*map.find(at_zero), 3u);
+  const std::uint64_t* last = map.find(at_last);
+  const std::uint64_t* zero = map.find(at_zero);
+  ASSERT_NE(last, nullptr);
+  ASSERT_NE(zero, nullptr);
+  EXPECT_EQ(*last, 1u);
+  EXPECT_EQ(*zero, 3u);
 }
 
 // The table rehashes when an insert would push the load factor past 1/2.
@@ -254,8 +260,9 @@ TEST(FlatPageMap, ChurnAtExactlyHalfLoadFactor) {
     *map.try_emplace(out).first = out;
     ASSERT_EQ(map.size(), 8u);
     for (PageId k = 0; k < 8; ++k) {
-      ASSERT_NE(map.find(k), nullptr);
-      ASSERT_EQ(*map.find(k), k);
+      const std::uint64_t* value = map.find(k);
+      ASSERT_NE(value, nullptr);
+      ASSERT_EQ(*value, k);
     }
   }
   // The insert crossing the boundary (9 > 16/2) grows the table and must
@@ -263,8 +270,9 @@ TEST(FlatPageMap, ChurnAtExactlyHalfLoadFactor) {
   *map.try_emplace(100).first = 100;
   ASSERT_EQ(map.size(), 9u);
   for (PageId k = 0; k < 8; ++k) {
-    ASSERT_NE(map.find(k), nullptr);
-    EXPECT_EQ(*map.find(k), k);
+    const PageId* value = map.find(k);
+    ASSERT_NE(value, nullptr);
+    EXPECT_EQ(*value, k);
   }
   PageId* const grown = map.find(100);
   ASSERT_NE(grown, nullptr);
