@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): raw operation throughput of the
 // building blocks — replacement policies, the windowed NVM queue, the cache
-// hierarchy, the trace generator and the end-to-end simulator.
+// hierarchy, the trace generator, trace file I/O and the end-to-end
+// simulator.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -19,6 +20,7 @@
 #include "synth/generator.hpp"
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
+#include "trace/trace_io.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/random.hpp"
 #include "util/zipf.hpp"
@@ -179,6 +181,73 @@ void BM_RunTrace(benchmark::State& state, const std::string& policy,
   state.SetItemsProcessed(static_cast<std::int64_t>(replayed));
 }
 
+// Trace file I/O: the binary formats' encode and decode over a 1M-record
+// trace held in memory, so bytes/second (items: records) is the codec and
+// the stream calls, not the disk. HYTR (trace_io) is how a capture enters a
+// run; HYTS (stream_io) is read one record at a time, as StreamBlockSource
+// reads it.
+constexpr std::int64_t kCodecRecords = 1 << 20;
+
+trace::Trace codec_trace() {
+  Rng rng(42);
+  trace::Trace t("codec");
+  t.reserve(static_cast<std::size_t>(kCodecRecords));
+  for (std::int64_t i = 0; i < kCodecRecords; ++i) {
+    t.append(rng.next() & ~Addr{63},
+             rng.next_bool(0.3) ? AccessType::kWrite : AccessType::kRead,
+             static_cast<std::uint8_t>(rng.next_below(4)));
+  }
+  return t;
+}
+
+void BM_TraceSave(benchmark::State& state) {
+  const trace::Trace t = codec_trace();
+  std::stringstream bytes;
+  for (auto _ : state) {
+    bytes.seekp(0);
+    trace::write_binary(t, bytes);
+    benchmark::DoNotOptimize(&bytes);
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes.str().size()));
+  state.SetItemsProcessed(state.iterations() * kCodecRecords);
+}
+
+void BM_TraceLoad(benchmark::State& state) {
+  std::stringstream bytes;
+  trace::write_binary(codec_trace(), bytes);
+  const auto size = static_cast<std::int64_t>(bytes.str().size());
+  for (auto _ : state) {
+    bytes.clear();
+    bytes.seekg(0);
+    const trace::Trace t = trace::read_binary(bytes);
+    benchmark::DoNotOptimize(t.accesses().data());
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+  state.SetItemsProcessed(state.iterations() * kCodecRecords);
+}
+
+void BM_StreamTraceRead(benchmark::State& state) {
+  std::stringstream bytes;
+  {
+    const trace::Trace t = codec_trace();
+    trace::StreamTraceWriter writer(bytes, t.name());
+    for (const auto& access : t.accesses()) writer.append(access);
+  }
+  const auto size = static_cast<std::int64_t>(bytes.str().size());
+  for (auto _ : state) {
+    bytes.clear();
+    bytes.seekg(0);
+    trace::StreamTraceReader reader(bytes);
+    Addr sum = 0;
+    while (const auto access = reader.next()) sum += access->addr;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetBytesProcessed(state.iterations() * size);
+  state.SetItemsProcessed(state.iterations() * kCodecRecords);
+}
+
 BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, lru, "lru");
 BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, clock, "clock");
 BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, clock_pro, "clock-pro");
@@ -186,6 +255,9 @@ BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, car, "car");
 BENCHMARK(BM_CountedLruQueue);
 BENCHMARK(BM_CacheHierarchy);
 BENCHMARK(BM_TraceGenerator);
+BENCHMARK(BM_TraceSave);
+BENCHMARK(BM_TraceLoad);
+BENCHMARK(BM_StreamTraceRead);
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, two_lru, "two-lru");
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, clock_dwf, "clock-dwf");
 // Streamed replay from the chunked HYTS byte format: O(chunk) memory, with

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "trace/record_codec.hpp"
 #include "util/check.hpp"
 
 namespace hymem::trace {
@@ -12,12 +13,6 @@ namespace hymem::trace {
 namespace {
 
 constexpr std::array<char, 4> kMagic = {'H', 'Y', 'T', 'S'};
-
-template <typename T>
-void put(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
 
 }  // namespace
 
@@ -39,11 +34,7 @@ StreamTraceWriter::~StreamTraceWriter() {
 void StreamTraceWriter::flush_chunk() {
   if (pending_.empty()) return;
   put<std::uint32_t>(out_, static_cast<std::uint32_t>(pending_.size()));
-  for (const auto& a : pending_) {
-    put<std::uint64_t>(out_, a.addr);
-    put<std::uint8_t>(out_, static_cast<std::uint8_t>(a.type));
-    put<std::uint8_t>(out_, a.core);
-  }
+  codec_.write(out_, pending_);
   pending_.clear();
 }
 
@@ -88,9 +79,7 @@ StreamTraceReader::StreamTraceReader(std::istream& in) : in_(in) {
                              std::to_string(version) + " at byte 4");
   }
   const auto name_len = take<std::uint32_t>("name length");
-  name_.resize(name_len);
-  in_.read(name_.data(), name_len);
-  if (!in_) {
+  if (!read_bytes(in_, name_len, name_)) {
     throw std::runtime_error("hymem stream trace: truncated name at byte " +
                              std::to_string(offset_));
   }
@@ -105,41 +94,30 @@ bool StreamTraceReader::load_chunk() {
     done_ = true;
     return false;
   }
-  chunk_.clear();
-  // Record size is fixed (u64 + 2 * u8), so a header's claim is checkable
-  // directly against a seekable stream: a corrupt count fails here with the
-  // header's own offset rather than a truncation deep inside the chunk.
-  constexpr std::uint64_t kRecordBytes = sizeof(std::uint64_t) + 2;
   const auto chunk_error = [&](const std::string& what) {
     return std::runtime_error("hymem stream trace: " + what + " (chunk of " +
                               std::to_string(count) +
                               " records starting at byte " +
                               std::to_string(header_offset) + ")");
   };
-  const auto here = in_.tellg();
-  if (here != std::istream::pos_type(-1)) {
-    in_.seekg(0, std::ios::end);
-    const auto end = in_.tellg();
-    in_.seekg(here);
-    if (end != std::istream::pos_type(-1) &&
-        static_cast<std::uint64_t>(end - here) < count * kRecordBytes) {
-      throw chunk_error("chunk header claims " +
-                        std::to_string(count * kRecordBytes) +
-                        " record bytes but only " +
-                        std::to_string(static_cast<std::uint64_t>(end - here)) +
-                        " remain");
-    }
+  // Record size is fixed, so a header's claim is checkable directly against
+  // a seekable stream: a corrupt count fails here with the header's own
+  // offset rather than a truncation deep inside the chunk.
+  const std::uint64_t claimed = count * std::uint64_t{kRecordBytes};
+  if (const auto left = remaining_bytes(in_); left && *left < claimed) {
+    throw chunk_error("chunk header claims " + std::to_string(claimed) +
+                      " record bytes but only " + std::to_string(*left) +
+                      " remain");
   }
-  chunk_.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const auto addr = take<std::uint64_t>("record address");
-    const auto type = take<std::uint8_t>("record type");
-    const auto core = take<std::uint8_t>("record core");
-    if (type > 1) {
-      throw chunk_error("bad access type " + std::to_string(type) +
-                        " at byte " + std::to_string(offset_ - 2));
-    }
-    chunk_.push_back({addr, static_cast<AccessType>(type), core});
+  chunk_.clear();
+  const RecordsRead got = codec_.read(in_, count, chunk_);
+  offset_ += got.records * kRecordBytes;
+  if (got.bad_type) {
+    throw chunk_error("bad access type " + std::to_string(*got.bad_type) +
+                      " at byte " + std::to_string(offset_ + sizeof(Addr)));
+  }
+  if (got.records < count) {
+    throw chunk_error("truncated record at byte " + std::to_string(offset_));
   }
   cursor_ = 0;
   return true;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "trace/access.hpp"
+#include "trace/record_codec.hpp"
 
 namespace hymem::trace {
 
@@ -46,6 +47,7 @@ class StreamTraceWriter {
   std::ostream& out_;
   std::size_t chunk_records_;
   std::vector<MemAccess> pending_;
+  RecordCodec codec_;
   std::uint64_t written_ = 0;
   bool finished_ = false;
 };
@@ -84,6 +86,7 @@ class StreamTraceReader {
   std::istream& in_;
   std::string name_;
   std::vector<MemAccess> chunk_;
+  RecordCodec codec_;
   std::size_t cursor_ = 0;
   std::uint64_t read_ = 0;
   std::uint64_t offset_ = 0;       ///< Bytes consumed so far.

@@ -18,6 +18,8 @@ class Trace {
  public:
   Trace() = default;
   explicit Trace(std::string name) : name_(std::move(name)) {}
+  Trace(std::string name, std::vector<MemAccess> accesses)
+      : name_(std::move(name)), accesses_(std::move(accesses)) {}
 
   const std::string& name() const { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }

@@ -1,24 +1,19 @@
 #include "trace/trace_io.hpp"
 
 #include <array>
-#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "trace/record_codec.hpp"
+
 namespace hymem::trace {
 
 namespace {
 
 constexpr std::array<char, 4> kMagic = {'H', 'Y', 'T', 'R'};
-
-template <typename T>
-void put(std::ostream& out, T value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
 
 template <typename T>
 T take(std::istream& in) {
@@ -38,11 +33,7 @@ void write_binary(const Trace& trace, std::ostream& out) {
   out.write(trace.name().data(),
             static_cast<std::streamsize>(trace.name().size()));
   put<std::uint64_t>(out, trace.size());
-  for (const auto& a : trace) {
-    put<std::uint64_t>(out, a.addr);
-    put<std::uint8_t>(out, static_cast<std::uint8_t>(a.type));
-    put<std::uint8_t>(out, a.core);
-  }
+  RecordCodec().write(out, trace.accesses());
 }
 
 Trace read_binary(std::istream& in) {
@@ -57,20 +48,37 @@ Trace read_binary(std::istream& in) {
                              std::to_string(version));
   }
   const auto name_len = take<std::uint32_t>(in);
-  std::string name(name_len, '\0');
-  in.read(name.data(), name_len);
-  if (!in) throw std::runtime_error("hymem trace: truncated name");
-  const auto count = take<std::uint64_t>(in);
-  Trace trace(std::move(name));
-  trace.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto addr = take<std::uint64_t>(in);
-    const auto type = take<std::uint8_t>(in);
-    const auto core = take<std::uint8_t>(in);
-    if (type > 1) throw std::runtime_error("hymem trace: bad access type");
-    trace.append(addr, static_cast<AccessType>(type), core);
+  std::string name;
+  if (!read_bytes(in, name_len, name)) {
+    throw std::runtime_error("hymem trace: truncated name");
   }
-  return trace;
+  const std::uint64_t count_offset = 12 + std::uint64_t{name_len};
+  const auto count = take<std::uint64_t>(in);
+  std::vector<MemAccess> accesses;
+  // A seekable stream lets a corrupt count fail here, naming the header,
+  // and lets a good one size the trace exactly; otherwise the trace grows
+  // as records arrive.
+  if (const auto left = remaining_bytes(in)) {
+    if (count > *left / kRecordBytes) {
+      throw std::runtime_error(
+          "hymem trace: record count " + std::to_string(count) + " at byte " +
+          std::to_string(count_offset) + " exceeds the " +
+          std::to_string(*left) + " record bytes that remain");
+    }
+    accesses.reserve(count);
+  }
+  const RecordsRead got = RecordCodec().read(in, count, accesses);
+  if (got.bad_type) {
+    const std::uint64_t record_offset =
+        count_offset + sizeof(count) + got.records * kRecordBytes;
+    throw std::runtime_error("hymem trace: bad access type " +
+                             std::to_string(*got.bad_type) + " at byte " +
+                             std::to_string(record_offset + sizeof(Addr)));
+  }
+  if (got.records < count) {
+    throw std::runtime_error("hymem trace: truncated binary trace");
+  }
+  return Trace(std::move(name), std::move(accesses));
 }
 
 void write_text(const Trace& trace, std::ostream& out) {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <vector>
+
+#include "io_support.hpp"
+#include "trace/record_codec.hpp"
 
 namespace hymem::trace {
 namespace {
@@ -31,6 +35,57 @@ TEST(StreamIo, RoundTripAcrossChunks) {
   EXPECT_FALSE(reader.next().has_value());
   EXPECT_FALSE(reader.next().has_value()) << "terminator is sticky";
   EXPECT_EQ(reader.read_count(), 11u);
+}
+
+// Three records in chunks of 2, as stream_io.hpp lays them out.
+TEST(StreamIo, BytesFollowTheFormat) {
+  std::stringstream buf;
+  {
+    StreamTraceWriter writer(buf, "sample", /*chunk_records=*/2);
+    writer.append({0x1000, AccessType::kRead, 0});
+    writer.append({0xdeadbeef, AccessType::kWrite, 3});
+    writer.append({0, AccessType::kRead, 1});
+  }
+  EXPECT_EQ(hex(buf.str()),
+            "48595453"                  // magic "HYTS"
+            "01000000"                  // u32 version 1
+            "06000000"                  // u32 name_len 6
+            "73616d706c65"              // "sample"
+            "02000000"                  // chunk: u32 record_count 2
+            "0010000000000000" "00" "00"  // 0x1000, read, core 0
+            "efbeadde00000000" "01" "03"  // 0xdeadbeef, write, core 3
+            "01000000"                  // chunk: u32 record_count 1
+            "0000000000000000" "00" "01"  // 0x0, read, core 1
+            "00000000"                  // terminator chunk
+  );
+}
+
+// Sizes on both sides of the record codec's buffer (kBufferRecords). Chunks of
+// 100000 records put the buffer boundary inside a chunk; each stream is
+// read back seekable and through a pipe.
+TEST(StreamIo, RoundTripAcrossCodecBuffer) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kBufferRecords - 1, kBufferRecords,
+        kBufferRecords + 1, std::size_t{200000}}) {
+    const Trace original = random_trace(n, n);
+    std::stringstream buf;
+    {
+      StreamTraceWriter writer(buf, "random", /*chunk_records=*/100000);
+      for (const MemAccess& a : original) writer.append(a);
+    }
+    const std::size_t chunks = (n + 99999) / 100000;
+    ASSERT_EQ(buf.str().size(), 18 + 4 * (chunks + 1) + 10 * n) << n;
+    PipeStream pipe(buf.str());
+    for (std::istream* in : {static_cast<std::istream*>(&buf),
+                             static_cast<std::istream*>(&pipe)}) {
+      StreamTraceReader reader(*in);
+      std::vector<MemAccess> loaded;
+      while (const auto rec = reader.next()) loaded.push_back(*rec);
+      ASSERT_EQ(loaded.size(), n);
+      EXPECT_TRUE(std::equal(loaded.begin(), loaded.end(), original.begin()))
+          << n;
+    }
+  }
 }
 
 TEST(StreamIo, EmptyTrace) {

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <sstream>
+
+#include "io_support.hpp"
+#include "trace/record_codec.hpp"
 
 namespace hymem::trace {
 namespace {
@@ -24,6 +30,90 @@ TEST(TraceIo, BinaryRoundTrip) {
   EXPECT_EQ(loaded.name(), original.name());
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) EXPECT_EQ(loaded[i], original[i]);
+}
+
+// The bytes of sample_trace() as trace_io.hpp lays them out.
+TEST(TraceIo, BinaryBytesFollowTheFormat) {
+  std::stringstream buf;
+  write_binary(sample_trace(), buf);
+  EXPECT_EQ(hex(buf.str()),
+            "48595452"                  // magic "HYTR"
+            "01000000"                  // u32 version 1
+            "06000000"                  // u32 name_len 6
+            "73616d706c65"              // "sample"
+            "0300000000000000"          // u64 count 3
+            "0010000000000000" "00" "00"  // 0x1000, read, core 0
+            "efbeadde00000000" "01" "03"  // 0xdeadbeef, write, core 3
+            "0000000000000000" "00" "01"  // 0x0, read, core 1
+  );
+}
+
+// Sizes on both sides of the record codec's buffer (kBufferRecords), read back
+// through a seekable and a non-seekable stream.
+TEST(TraceIo, BinaryRoundTripAcrossCodecBuffer) {
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, kBufferRecords - 1, kBufferRecords,
+        kBufferRecords + 1, std::size_t{200000}}) {
+    const Trace original = random_trace(n, n);
+    std::stringstream buf;
+    write_binary(original, buf);
+    ASSERT_EQ(buf.str().size(), 26 + 10 * n) << n;
+    PipeStream pipe(buf.str());
+    for (std::istream* in : {static_cast<std::istream*>(&buf),
+                             static_cast<std::istream*>(&pipe)}) {
+      const Trace loaded = read_binary(*in);
+      EXPECT_EQ(loaded.name(), "random");
+      ASSERT_EQ(loaded.size(), n);
+      EXPECT_TRUE(std::equal(loaded.begin(), loaded.end(), original.begin()))
+          << n;
+    }
+  }
+}
+
+// A corrupt header count must not size an allocation: on a seekable stream
+// it fails against the bytes that remain, naming the header; on a pipe the
+// reader runs out of records first.
+TEST(TraceIo, HostileRecordCountThrowsRuntimeError) {
+  std::stringstream buf;
+  write_binary(sample_trace(), buf);
+  const std::string bytes = buf.str();
+  // 4 magic + 4 version + 4 name_len + "sample".
+  constexpr std::size_t kCountOffset = 18;
+  for (const std::uint64_t count :
+       {std::uint64_t{3000}, std::uint64_t{1} << 40,
+        std::numeric_limits<std::uint64_t>::max()}) {
+    std::string corrupt = bytes;
+    std::memcpy(corrupt.data() + kCountOffset, &count, sizeof(count));
+    std::stringstream seekable(corrupt);
+    try {
+      read_binary(seekable);
+      ADD_FAILURE() << "count " << count << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "record count " + std::to_string(count) + " at byte 18"),
+                std::string::npos)
+          << e.what();
+    }
+    PipeStream pipe(corrupt);
+    EXPECT_THROW(read_binary(pipe), std::runtime_error) << count;
+  }
+}
+
+TEST(TraceIo, BadAccessTypeNamesByte) {
+  std::stringstream buf;
+  write_binary(sample_trace(), buf);
+  std::string bytes = buf.str();
+  // Second record's type byte: 26 header + 10 first record + 8 addr.
+  bytes[44] = 5;
+  std::stringstream in(bytes);
+  try {
+    read_binary(in);
+    ADD_FAILURE() << "bad type was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bad access type 5 at byte 44"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(TraceIo, TextRoundTrip) {
