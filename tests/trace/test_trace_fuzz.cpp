@@ -5,10 +5,8 @@
 // never another exception type, a crash, or an allocation sized by a corrupt
 // field (tier1, so the ASan+UBSan job runs it). Each test stops at its first
 // misbehaving input and prints the seed and mutation that reproduce it.
-// HYMEM_FUZZ_SEEDS scales the number of random mutations for soak runs.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -103,13 +101,6 @@ std::string misbehaviour(const Format& format, const std::string& bytes) {
   return "";
 }
 
-std::uint64_t mutation_count(std::uint64_t fallback) {
-  const char* env = std::getenv("HYMEM_FUZZ_SEEDS");
-  if (env == nullptr) return fallback;
-  const long parsed = std::atol(env);
-  return parsed > 0 ? static_cast<std::uint64_t>(parsed) : fallback;
-}
-
 TEST(TraceFuzz, ValidEncodingsDecode) {
   for (const Format& format : {hytr(), hyts()}) {
     std::stringstream in(format.bytes);
@@ -153,13 +144,13 @@ TEST(TraceFuzz, TruncationAtEveryLengthThrowsRuntimeError) {
   }
 }
 
-// One to four bit flips or byte overwrites per case, drawn from a
-// splitmix64-derived seed.
+// 2000 cases per format, each one to four bit flips or byte overwrites
+// drawn from a splitmix64-derived seed.
 TEST(TraceFuzz, RandomByteMutationsDecodeOrThrowRuntimeError) {
-  const std::uint64_t cases = mutation_count(2000);
+  constexpr std::uint64_t kCases = 2000;
   for (const Format& format : {hytr(), hyts()}) {
     std::uint64_t state = 0x5eed;
-    for (std::uint64_t i = 0; i < cases; ++i) {
+    for (std::uint64_t i = 0; i < kCases; ++i) {
       const std::uint64_t seed = splitmix64(state);
       Rng rng(seed);
       std::string bytes = format.bytes;
