@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark): raw operation throughput of the
 // building blocks — replacement policies, the windowed NVM queue, the cache
-// hierarchy, the trace generator, trace file I/O and the end-to-end
+// hierarchy, the trace generator, trace file I/O, the side stages of a
+// capture replay (footprint count, timeline export) and the end-to-end
 // simulator.
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "core/migration_scheme.hpp"
 #include "core/nvm_queue.hpp"
 #include "obs/epoch.hpp"
+#include "obs/timeline_io.hpp"
 #include "os/vmm.hpp"
 #include "policy/factory.hpp"
 #include "sim/experiment.hpp"
@@ -139,10 +141,9 @@ ReplayFixture make_replay_fixture(const std::string& policy) {
   fx.trace = synth::generate(profile, options);
   fx.roi_seconds = profile.roi_seconds;
   fx.config.policy = policy;
-  trace::TraceCharacterizer characterizer(fx.config.page_size);
-  characterizer.observe(fx.trace);
   fx.vmm_config = sim::vmm_config_for(
-      sim::size_memory(characterizer.stats().distinct_pages, fx.config),
+      sim::size_memory(trace::distinct_pages(fx.trace, fx.config.page_size),
+                       fx.config),
       fx.config);
   return fx;
 }
@@ -179,6 +180,44 @@ void BM_RunTrace(benchmark::State& state, const std::string& policy,
     replayed += 2 * fx.trace.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(replayed));
+}
+
+// The side stages of a capture replay (perfbench's capture-replay-timeline:
+// x264/4, two-LRU, a 1024-access timeline). The footprint count sizes memory
+// before every run (items: accesses); the timeline export writes one CSV
+// row per epoch (items: epochs).
+trace::Trace capture_trace() {
+  synth::GeneratorOptions options;
+  options.seed = 42;
+  return synth::generate(synth::parsec_profile("x264").scaled(4), options);
+}
+
+void BM_Footprint(benchmark::State& state) {
+  const trace::Trace t = capture_trace();
+  const std::uint64_t page_size = sim::ExperimentConfig().page_size;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(trace::distinct_pages(t, page_size));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(t.size()));
+}
+
+void BM_TimelineCsv(benchmark::State& state) {
+  sim::ExperimentConfig config;
+  config.policy = "two-lru";
+  config.timeline_epoch = 1024;
+  const obs::Timeline timeline =
+      sim::run_experiment(capture_trace(),
+                          synth::parsec_profile("x264").scaled(4).roi_seconds,
+                          config)
+          .timeline;
+  for (auto _ : state) {
+    std::ostringstream out;
+    obs::write_timeline_csv(timeline, out);
+    benchmark::DoNotOptimize(out.tellp());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(timeline.epochs.size()));
 }
 
 // Trace file I/O: the binary formats' encode and decode over a 1M-record
@@ -258,6 +297,8 @@ BENCHMARK(BM_TraceGenerator);
 BENCHMARK(BM_TraceSave);
 BENCHMARK(BM_TraceLoad);
 BENCHMARK(BM_StreamTraceRead);
+BENCHMARK(BM_Footprint);
+BENCHMARK(BM_TimelineCsv);
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, two_lru, "two-lru");
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, clock_dwf, "clock-dwf");
 // Streamed replay from the chunked HYTS byte format: O(chunk) memory, with

@@ -49,7 +49,7 @@ sim::RunResult reference_run(Stack& stack, const trace::Trace& trace) {
     const Nanoseconds latency = stack.policy.on_access(
         trace::page_of(access.addr, page_size), access.type);
     result.visible_latency_ns += latency;
-    stack.sampler.record(&access.type, &latency, 1);
+    stack.sampler.record(&latency, 1);
   }
   stack.sampler.finish();
   result.accesses = trace.size();

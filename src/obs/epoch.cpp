@@ -8,14 +8,6 @@ namespace hymem::obs {
 
 namespace {
 
-/// Bucket edges for the visible-latency histogram, matched to the cost
-/// model's landmarks: DRAM hit (~50 ns), NVM read/write (~100/350 ns),
-/// migrations (PageFactor * device latencies, ~1e4 ns) and the disk fault
-/// plateau (~5e6 ns).
-std::vector<double> latency_bounds() {
-  return {50.0, 100.0, 350.0, 1e3, 1e4, 1e5, 1e6, 1e7};
-}
-
 /// counts-at-boundary minus counts-at-previous-boundary, field by field.
 /// page_factor is a run constant, not an accumulator, so it carries over.
 model::EventCounts delta_counts(const model::EventCounts& now,
@@ -47,37 +39,17 @@ EpochSampler::EpochSampler(std::uint64_t epoch_length, const os::Vmm& vmm,
       sampled_(sampled),
       duration_s_(duration_s),
       params_(model::ModelParams::from_vmm(vmm)),
-      epoch_length_(epoch_length),
-      reads_(registry_.counter("accesses.read")),
-      writes_(registry_.counter("accesses.write")),
-      latency_hist_(
-          registry_.histogram("visible_latency_ns", latency_bounds())) {
+      epoch_length_(epoch_length) {
   HYMEM_CHECK_MSG(epoch_length > 0, "epoch length must be positive");
   timeline_.epoch_length = epoch_length;
   last_counts_.page_factor = vmm.page_factor();
-  if (sampled_ != nullptr) {
-    sampled_samples_ = &registry_.counter("sampled.samples");
-    sampled_drops_ = &registry_.counter("sampled.sample_drops");
-    sampled_coolings_ = &registry_.counter("sampled.coolings");
-    sampled_promotions_ = &registry_.counter("sampled.promotions");
-    sampled_demotions_ = &registry_.counter("sampled.demotions");
-    sampled_backlog_ = &registry_.gauge("sampled.migration_backlog");
-    sampled_hot_hwm_ = &registry_.gauge("sampled.hot_ring_hwm");
-    sampled_cold_hwm_ = &registry_.gauge("sampled.cold_ring_hwm");
-  }
 }
 
-void EpochSampler::record(const AccessType* types,
-                          const Nanoseconds* latencies, std::size_t n) {
+void EpochSampler::record(const Nanoseconds* latencies, std::size_t n) {
   HYMEM_CHECK_MSG(n <= until_boundary(), "block crosses an epoch boundary");
-  std::uint64_t reads = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    reads += types[i] == AccessType::kRead ? 1 : 0;
-    latency_hist_.record(latencies[i]);
-    epoch_latency_ns_ += latencies[i];
-  }
-  reads_.inc(reads);
-  writes_.inc(n - reads);
+  // Access by access, in serve order, so mean_visible_latency_ns keeps its
+  // bytes whatever the block cut.
+  for (std::size_t i = 0; i < n; ++i) epoch_latency_ns_ += latencies[i];
   accesses_ += n;
   in_epoch_ += n;
   if (in_epoch_ == epoch_length_) emit_epoch();
@@ -122,14 +94,6 @@ void EpochSampler::emit_epoch() {
     record.migration_backlog = now.backlog;
     record.hot_ring_hwm = now.hot_ring_hwm;
     record.cold_ring_hwm = now.cold_ring_hwm;
-    sampled_samples_->inc(record.samples);
-    sampled_drops_->inc(record.sample_drops);
-    sampled_coolings_->inc(record.coolings);
-    sampled_promotions_->inc(record.sampled_promotions);
-    sampled_demotions_->inc(record.sampled_demotions);
-    sampled_backlog_->set(static_cast<double>(now.backlog));
-    sampled_hot_hwm_->set(static_cast<double>(now.hot_ring_hwm));
-    sampled_cold_hwm_->set(static_cast<double>(now.cold_ring_hwm));
     last_sampled_ = now;
   }
 

@@ -28,7 +28,6 @@
 #include "core/migration_scheme.hpp"
 #include "model/events.hpp"
 #include "model/model_params.hpp"
-#include "obs/metrics.hpp"
 #include "obs/sampled_stats.hpp"
 #include "os/vmm.hpp"
 
@@ -92,8 +91,7 @@ class EpochSampler final {
   /// `duration_s` is the run's ROI wall time, prorated per epoch by access
   /// share for the Eq. 2 static term. `sampled` is the sampled-hotness
   /// stats source when the run's policy carries one (sampled-lru), null
-  /// otherwise; when present its counters are charted per epoch and
-  /// exported through the registry as "sampled.*".
+  /// otherwise; when present its counters are charted per epoch.
   EpochSampler(std::uint64_t epoch_length, const os::Vmm& vmm,
                const core::TwoLruMigrationPolicy* policy, double duration_s,
                const SampledStatsSource* sampled = nullptr);
@@ -102,11 +100,11 @@ class EpochSampler final {
   /// each boundary snapshot follows a completed block.
   std::uint64_t until_boundary() const { return epoch_length_ - in_epoch_; }
 
-  /// Records `n` completed accesses (n <= until_boundary()) with the types
-  /// and visible latencies the policy served them with; emits the epoch when
-  /// they close it.
-  void record(const AccessType* types, const Nanoseconds* latencies,
-              std::size_t n);
+  /// Records `n` completed accesses (n <= until_boundary()) with the visible
+  /// latencies the policy served them with; emits the epoch when they close
+  /// it. The only per-access work is the epoch's latency sum: everything
+  /// else is read from the VMM and the policy at the boundary.
+  void record(const Nanoseconds* latencies, std::size_t n);
 
   /// The measured pass finished: emits the remainder epoch and back-fills
   /// each epoch's APPR from its share of the run.
@@ -114,11 +112,6 @@ class EpochSampler final {
 
   const Timeline& timeline() const { return timeline_; }
   Timeline take_timeline() { return std::move(timeline_); }
-
-  /// The sampler's own registry: access/read/write counters and a visible-
-  /// latency histogram, owned by this run (no cross-job synchronization).
-  MetricsRegistry& registry() { return registry_; }
-  const MetricsRegistry& registry() const { return registry_; }
 
  private:
   void emit_epoch();
@@ -138,20 +131,6 @@ class EpochSampler final {
   std::uint64_t last_demotions_ = 0;
   std::uint64_t last_throttled_ = 0;
   SampledStats last_sampled_;  ///< Snapshot at the previous boundary.
-  MetricsRegistry registry_;
-  Counter& reads_;
-  Counter& writes_;
-  Histogram& latency_hist_;
-  // Registered (non-null) only when the run carries a sampled subsystem,
-  // so non-sampled runs keep their registry export byte-identical.
-  Counter* sampled_samples_ = nullptr;
-  Counter* sampled_drops_ = nullptr;
-  Counter* sampled_coolings_ = nullptr;
-  Counter* sampled_promotions_ = nullptr;
-  Counter* sampled_demotions_ = nullptr;
-  Gauge* sampled_backlog_ = nullptr;
-  Gauge* sampled_hot_hwm_ = nullptr;
-  Gauge* sampled_cold_hwm_ = nullptr;
 };
 
 }  // namespace hymem::obs

@@ -1,7 +1,7 @@
 #include "obs/timeline_io.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <charconv>
+#include <cstdint>
 
 #include "util/csv.hpp"
 #include "util/json.hpp"
@@ -10,10 +10,64 @@ namespace hymem::obs {
 
 namespace {
 
-std::string fmt_double(double value) {
-  std::ostringstream os;
-  os << std::setprecision(12) << value;
-  return os.str();
+void append_number(std::string& out, std::uint64_t value) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+  out.append(buf, end);
+}
+
+/// %.12g, the bytes `std::ostream << std::setprecision(12)` writes.
+void append_number(std::string& out, double value) {
+  char buf[32];
+  const auto end =
+      std::to_chars(buf, buf + sizeof buf, value, std::chars_format::general,
+                    12)
+          .ptr;
+  out.append(buf, end);
+}
+
+/// The one column projection: passes each timeline_csv_header() column of
+/// `r`, in order, to `put` as a std::uint64_t or a double.
+template <typename Put>
+void project(const EpochRecord& r, Put&& put) {
+  put(r.epoch);
+  put(r.end_access);
+  put(r.delta.accesses);
+  put(r.delta.dram_read_hits);
+  put(r.delta.dram_write_hits);
+  put(r.delta.nvm_read_hits);
+  put(r.delta.nvm_write_hits);
+  put(r.delta.page_faults);
+  put(r.delta.fills_to_dram);
+  put(r.delta.fills_to_nvm);
+  put(r.delta.migrations_to_dram);
+  put(r.delta.migrations_to_nvm);
+  put(r.delta.dirty_evictions);
+  put(r.dram_resident);
+  put(r.nvm_resident);
+  put(r.read_window.pages);
+  put(r.read_window.target);
+  put(r.read_window.mean_counter());
+  put(r.write_window.pages);
+  put(r.write_window.target);
+  put(r.write_window.mean_counter());
+  put(r.read_threshold);
+  put(r.write_threshold);
+  put(r.promotions);
+  put(r.demotions);
+  put(r.throttled_promotions);
+  put(r.amat_total_ns);
+  put(r.appr_total_nj);
+  put(r.mean_visible_latency_ns);
+  put(r.samples);
+  put(r.sample_drops);
+  put(r.coolings);
+  put(r.sampled_promotions);
+  put(r.sampled_demotions);
+  put(r.sampled_stale);
+  put(r.migration_backlog);
+  put(r.hot_ring_hwm);
+  put(r.cold_ring_hwm);
 }
 
 }  // namespace
@@ -61,58 +115,28 @@ const std::vector<std::string>& timeline_csv_header() {
   return header;
 }
 
-std::vector<std::string> timeline_csv_fields(const EpochRecord& r) {
-  return {std::to_string(r.epoch),
-          std::to_string(r.end_access),
-          std::to_string(r.delta.accesses),
-          std::to_string(r.delta.dram_read_hits),
-          std::to_string(r.delta.dram_write_hits),
-          std::to_string(r.delta.nvm_read_hits),
-          std::to_string(r.delta.nvm_write_hits),
-          std::to_string(r.delta.page_faults),
-          std::to_string(r.delta.fills_to_dram),
-          std::to_string(r.delta.fills_to_nvm),
-          std::to_string(r.delta.migrations_to_dram),
-          std::to_string(r.delta.migrations_to_nvm),
-          std::to_string(r.delta.dirty_evictions),
-          std::to_string(r.dram_resident),
-          std::to_string(r.nvm_resident),
-          std::to_string(r.read_window.pages),
-          std::to_string(r.read_window.target),
-          fmt_double(r.read_window.mean_counter()),
-          std::to_string(r.write_window.pages),
-          std::to_string(r.write_window.target),
-          fmt_double(r.write_window.mean_counter()),
-          std::to_string(r.read_threshold),
-          std::to_string(r.write_threshold),
-          std::to_string(r.promotions),
-          std::to_string(r.demotions),
-          std::to_string(r.throttled_promotions),
-          fmt_double(r.amat_total_ns),
-          fmt_double(r.appr_total_nj),
-          fmt_double(r.mean_visible_latency_ns),
-          std::to_string(r.samples),
-          std::to_string(r.sample_drops),
-          std::to_string(r.coolings),
-          std::to_string(r.sampled_promotions),
-          std::to_string(r.sampled_demotions),
-          std::to_string(r.sampled_stale),
-          std::to_string(r.migration_backlog),
-          std::to_string(r.hot_ring_hwm),
-          std::to_string(r.cold_ring_hwm)};
+void append_timeline_csv_row(const EpochRecord& record, std::string& row) {
+  bool first = true;
+  project(record, [&](auto value) {
+    if (!first) row += ',';
+    first = false;
+    append_number(row, value);
+  });
 }
 
 void write_timeline_csv(const Timeline& timeline, std::ostream& out) {
-  CsvWriter writer(out);
-  writer.write_row(timeline_csv_header());
+  CsvWriter(out).write_row(timeline_csv_header());
+  std::string row;  // reused: one allocation for the whole export
   for (const EpochRecord& record : timeline.epochs) {
-    writer.write_row(timeline_csv_fields(record));
+    row.clear();
+    append_timeline_csv_row(record, row);
+    row += '\n';
+    out.write(row.data(), static_cast<std::streamsize>(row.size()));
   }
 }
 
 void write_timeline_json(const Timeline& timeline, std::ostream& out,
                          std::string_view workload, std::string_view policy) {
-  out << std::setprecision(12);
   out << "{\n  \"epoch_length\": " << timeline.epoch_length;
   if (!workload.empty()) {
     out << ",\n  \"workload\": \"" << util::json_escape(workload) << "\"";
@@ -122,16 +146,20 @@ void write_timeline_json(const Timeline& timeline, std::ostream& out,
   }
   out << ",\n  \"epochs\": [";
   const auto& header = timeline_csv_header();
+  std::string row;
   for (std::size_t i = 0; i < timeline.epochs.size(); ++i) {
-    if (i) out << ",";
-    // Reuse the CSV projection: same columns, same values, one schema.
-    const auto fields = timeline_csv_fields(timeline.epochs[i]);
-    out << "\n    {";
-    for (std::size_t j = 0; j < fields.size(); ++j) {
-      if (j) out << ", ";
-      out << "\"" << util::json_escape(header[j]) << "\": " << fields[j];
-    }
-    out << "}";
+    // The CSV projection keyed by its column names: one schema.
+    row.assign(i ? ",\n    {" : "\n    {");
+    std::size_t column = 0;
+    project(timeline.epochs[i], [&](auto value) {
+      if (column) row += ", ";
+      row += '"';
+      row += util::json_escape(header[column++]);
+      row += "\": ";
+      append_number(row, value);
+    });
+    row += '}';
+    out << row;
   }
   out << "\n  ]\n}\n";
 }

@@ -19,8 +19,11 @@ namespace hymem::obs {
 /// workload/policy/variant/seed when splicing multi-job timelines).
 const std::vector<std::string>& timeline_csv_header();
 
-/// One epoch's row, aligned with timeline_csv_header().
-std::vector<std::string> timeline_csv_fields(const EpochRecord& record);
+/// Appends one epoch's row to `row`, without a newline: its values aligned
+/// with timeline_csv_header(), comma-separated. Counts print as integers,
+/// means and model outputs as %.12g (what std::setprecision(12) streams);
+/// no value needs CSV quoting.
+void append_timeline_csv_row(const EpochRecord& record, std::string& row);
 
 /// Header plus one row per epoch.
 void write_timeline_csv(const Timeline& timeline, std::ostream& out);

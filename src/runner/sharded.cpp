@@ -66,12 +66,12 @@ sim::RunResult run_sharded_experiment(const trace::Trace& warmup,
   std::vector<trace::Trace> shard_measured(shards);
   std::vector<std::uint64_t> shard_footprint(shards, 0);
   {
-    util::FlatPageMap<char> seen;
+    util::FlatPageSet seen;
     for (const auto& access : warmup.accesses()) {
       const PageId page = trace::page_of(access.addr, config.page_size);
       const unsigned s = shard_of(page, shards);
       shard_warmup[s].append(access);
-      if (seen.try_emplace(page).second) ++shard_footprint[s];
+      if (seen.insert(page)) ++shard_footprint[s];
     }
   }
   for (const auto& access : measured.accesses()) {

@@ -98,22 +98,24 @@ void SweepResults::write_csv(std::ostream& out) const {
 }
 
 std::size_t SweepResults::write_timeline_csv(std::ostream& out) const {
-  CsvWriter writer(out);
   const auto& epoch_header = obs::timeline_csv_header();
   std::vector<std::string> header = {"workload", "policy", "variant", "seed"};
   header.insert(header.end(), epoch_header.begin(), epoch_header.end());
-  writer.write_row(header);
+  CsvWriter(out).write_row(header);
   std::size_t rows = 0;
+  std::string row;
   for (const auto& job : jobs) {
     if (!job.ok || job.result.timeline.empty()) continue;
+    const std::string identity =
+        CsvWriter::escape(job.job.workload.name) + ',' +
+        CsvWriter::escape(job.job.policy) + ',' +
+        CsvWriter::escape(job.job.variant) + ',' +
+        std::to_string(job.job.seed) + ',';
     for (const auto& record : job.result.timeline.epochs) {
-      std::vector<std::string> row = {job.job.workload.name, job.job.policy,
-                                      job.job.variant,
-                                      std::to_string(job.job.seed)};
-      auto fields = obs::timeline_csv_fields(record);
-      row.insert(row.end(), std::make_move_iterator(fields.begin()),
-                 std::make_move_iterator(fields.end()));
-      writer.write_row(row);
+      row.assign(identity);
+      obs::append_timeline_csv_row(record, row);
+      row += '\n';
+      out.write(row.data(), static_cast<std::streamsize>(row.size()));
       ++rows;
     }
   }

@@ -35,9 +35,8 @@ PassTotals replay(policy::HybridPolicy& policy, trace::BlockSource& source,
       }
       totals.visible_latency_ns += policy.on_block(part);
       if (sampler != nullptr) {
-        policy.quiesced([&] {
-          sampler->record(part.types, part.latencies, part.size);
-        });
+        policy.quiesced(
+            [&] { sampler->record(part.latencies, part.size); });
       }
       done += part.size;
     }

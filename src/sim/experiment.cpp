@@ -58,17 +58,6 @@ os::VmmConfig vmm_config_for(const MemorySizing& sizing,
   return vmm_config;
 }
 
-namespace {
-
-std::uint64_t footprint_of(const trace::Trace& trace,
-                           const ExperimentConfig& config) {
-  trace::TraceCharacterizer characterizer(config.page_size);
-  characterizer.observe(trace);
-  return characterizer.stats().distinct_pages;
-}
-
-}  // namespace
-
 RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
                     unsigned warmup_passes, const trace::Trace& measured,
                     double duration_s, const ExperimentConfig& config) {
@@ -100,14 +89,18 @@ RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
 
 RunResult run_experiment(const trace::Trace& trace, double duration_s,
                          const ExperimentConfig& config) {
-  return run_sized(size_memory(footprint_of(trace, config), config), &trace,
+  const std::uint64_t footprint =
+      trace::distinct_pages(trace, config.page_size);
+  return run_sized(size_memory(footprint, config), &trace,
                    config.warmup_passes, trace, duration_s, config);
 }
 
 RunResult run_experiment(const trace::Trace& warmup,
                          const trace::Trace& measured, double duration_s,
                          const ExperimentConfig& config) {
-  return run_sized(size_memory(footprint_of(warmup, config), config), &warmup,
+  const std::uint64_t footprint =
+      trace::distinct_pages(warmup, config.page_size);
+  return run_sized(size_memory(footprint, config), &warmup,
                    std::max(1u, config.warmup_passes), measured, duration_s,
                    config);
 }

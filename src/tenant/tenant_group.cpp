@@ -136,7 +136,7 @@ struct TenantGroup::TenantState {
   unsigned shard = 0;
   std::uint64_t window_accesses = 0;  ///< Demand signal, reset per rebalance.
   model::EventCounts epoch_start;     ///< Counts at the open epoch's start.
-  util::FlatPageMap<char> touched;    ///< Local pages possibly resident.
+  util::FlatPageSet touched;          ///< Local pages possibly resident.
   std::vector<PageId> touched_list;   ///< Same, first-touch order.
 };
 
@@ -242,7 +242,7 @@ std::uint64_t TenantGroup::evict_tenant(std::uint32_t tenant) {
     }
     attribute(shard, *state);
   }
-  state->touched = util::FlatPageMap<char>{};
+  state->touched = util::FlatPageSet{};
   state->touched_list.clear();
   return evicted;
 }
@@ -378,7 +378,7 @@ Nanoseconds TenantGroup::serve(std::uint32_t tenant,
   const PageId local = trace::page_of(access.addr, config_.page_size);
   const PageId page = namespaced_page(tenant, local);
   const Nanoseconds latency = shard.policy->on_access(page, access.type);
-  if (state->touched.try_emplace(local).second) {
+  if (state->touched.insert(local)) {
     state->touched_list.push_back(local);
   }
   ++accesses_;

@@ -1,11 +1,15 @@
 #include "trace/trace_io.hpp"
 
+#include <algorithm>
 #include <array>
+#include <charconv>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <vector>
 
 #include "trace/record_codec.hpp"
 
@@ -14,6 +18,8 @@ namespace hymem::trace {
 namespace {
 
 constexpr std::array<char, 4> kMagic = {'H', 'Y', 'T', 'R'};
+/// First line of the text format; the trace name follows it.
+constexpr std::string_view kTextHeader = "# hymem trace: ";
 
 template <typename T>
 T take(std::istream& in) {
@@ -22,6 +28,45 @@ T take(std::istream& in) {
   in.read(reinterpret_cast<char*>(&value), sizeof(value));
   if (!in) throw std::runtime_error("hymem trace: truncated binary trace");
   return value;
+}
+
+/// The whitespace-separated fields of a text line.
+std::vector<std::string_view> split_fields(std::string_view line) {
+  constexpr std::string_view kSpace = " \t\r\v\f";
+  std::vector<std::string_view> fields;
+  for (std::size_t at = line.find_first_not_of(kSpace);
+       at != std::string_view::npos; at = line.find_first_not_of(kSpace, at)) {
+    const std::size_t end =
+        std::min(line.find_first_of(kSpace, at), line.size());
+    fields.push_back(line.substr(at, end - at));
+    at = end;
+  }
+  return fields;
+}
+
+/// `text` as a whole unsigned number in `base`: no sign, nothing after it,
+/// no overflow of T.
+template <typename T>
+std::optional<T> parse_whole(std::string_view text, int base) {
+  T value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value, base);
+  if (ec != std::errc() || end != text.data() + text.size()) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// An address field as strtoull reads base 0: "0x" hex, a leading 0 octal,
+/// otherwise decimal.
+std::optional<Addr> parse_address(std::string_view text) {
+  if (text.starts_with("0x") || text.starts_with("0X")) {
+    return parse_whole<Addr>(text.substr(2), 16);
+  }
+  if (text.size() > 1 && text[0] == '0') {
+    return parse_whole<Addr>(text.substr(1), 8);
+  }
+  return parse_whole<Addr>(text, 10);
 }
 
 }  // namespace
@@ -82,7 +127,7 @@ Trace read_binary(std::istream& in) {
 }
 
 void write_text(const Trace& trace, std::ostream& out) {
-  out << "# hymem trace: " << trace.name() << '\n';
+  out << kTextHeader << trace.name() << '\n';
   for (const auto& a : trace) {
     out << (a.type == AccessType::kRead ? 'R' : 'W') << " 0x" << std::hex
         << a.addr << std::dec << ' ' << static_cast<int>(a.core) << '\n';
@@ -95,28 +140,34 @@ Trace read_text(std::istream& in, std::string name) {
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
     ++line_no;
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    char kind = 0;
-    std::string addr_str;
-    int core = 0;
-    ls >> kind >> addr_str;
-    if (!(ls >> core)) core = 0;
-    if (!ls && ls.fail() && addr_str.empty()) {
-      throw std::runtime_error("hymem trace: parse error at line " +
-                               std::to_string(line_no));
+    if (line_no == 1 && line.starts_with(kTextHeader)) {
+      trace.set_name(line.substr(kTextHeader.size()));
+      continue;
     }
+    if (line.empty() || line[0] == '#') continue;
+    const auto fail = [line_no](const std::string& what) {
+      return std::runtime_error("hymem trace: " + what + " at line " +
+                                std::to_string(line_no));
+    };
+    const std::vector<std::string_view> fields = split_fields(line);
+    if (fields.empty()) continue;
     AccessType type;
-    if (kind == 'R' || kind == 'r') {
+    if (fields[0] == "R" || fields[0] == "r") {
       type = AccessType::kRead;
-    } else if (kind == 'W' || kind == 'w') {
+    } else if (fields[0] == "W" || fields[0] == "w") {
       type = AccessType::kWrite;
     } else {
-      throw std::runtime_error("hymem trace: bad access kind at line " +
-                               std::to_string(line_no));
+      throw fail("bad access kind \"" + std::string(fields[0]) + "\"");
     }
-    const Addr addr = std::stoull(addr_str, nullptr, 0);
-    trace.append(addr, type, static_cast<std::uint8_t>(core));
+    if (fields.size() < 2) throw fail("missing address");
+    if (fields.size() > 3) throw fail("trailing field");
+    const std::optional<Addr> addr = parse_address(fields[1]);
+    if (!addr) throw fail("bad address \"" + std::string(fields[1]) + "\"");
+    const std::optional<std::uint8_t> core =
+        fields.size() == 3 ? parse_whole<std::uint8_t>(fields[2], 10)
+                           : std::uint8_t{0};
+    if (!core) throw fail("bad core \"" + std::string(fields[2]) + "\"");
+    trace.append(*addr, type, *core);
   }
   return trace;
 }

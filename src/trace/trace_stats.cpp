@@ -1,8 +1,10 @@
 #include "trace/trace_stats.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.hpp"
+#include "util/flat_page_map.hpp"
 #include "util/units.hpp"
 
 namespace hymem::trace {
@@ -60,6 +62,19 @@ TraceStats characterize(const Trace& trace, std::uint64_t page_size) {
   TraceCharacterizer c(page_size);
   c.observe(trace);
   return c.stats();
+}
+
+std::uint64_t distinct_pages(const Trace& trace, std::uint64_t page_size) {
+  HYMEM_CHECK_MSG(page_size > 0, "page size must be positive");
+  util::FlatPageSet pages;
+  // Decode as TraceBlockSource does: a shift for power-of-two page sizes.
+  if (std::has_single_bit(page_size)) {
+    const int shift = std::countr_zero(page_size);
+    for (const MemAccess& a : trace) pages.insert(a.addr >> shift);
+  } else {
+    for (const MemAccess& a : trace) pages.insert(page_of(a.addr, page_size));
+  }
+  return pages.size();
 }
 
 }  // namespace hymem::trace

@@ -78,4 +78,9 @@ class TraceCharacterizer {
 /// One-shot convenience.
 TraceStats characterize(const Trace& trace, std::uint64_t page_size);
 
+/// The trace's footprint in pages: characterize(trace, page_size)
+/// .distinct_pages, counted in a util::FlatPageSet without the per-page
+/// profiles. The memory-sizing pass of every run (Section V.A).
+std::uint64_t distinct_pages(const Trace& trace, std::uint64_t page_size);
+
 }  // namespace hymem::trace

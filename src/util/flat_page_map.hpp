@@ -9,11 +9,14 @@
 // backward shift — no tombstones, so probe sequences never degrade with
 // churn. Keys live in their own array so a probe walks 8 keys per cache
 // line and never pulls value bytes it does not need; the value array is
-// touched exactly once, on match.
+// touched exactly once, on match. FlatPageSet is the same table with an
+// empty value type, for "which pages were seen" (footprint counts, first
+// touch).
 //
 // Contract: PageId `kInvalidPage` is reserved as the empty-slot sentinel and
-// must never be inserted (nothing in hymem uses it as a real page — it is
-// already the "no page" sentinel everywhere else).
+// must never be inserted into the map (nothing in hymem uses it as a real
+// page — it is already the "no page" sentinel everywhere else). The set
+// accepts it, since a footprint count must take any trace's addresses.
 #pragma once
 
 #include <cstddef>
@@ -204,6 +207,25 @@ class FlatPageMap {
   std::vector<V> values_;
   std::size_t mask_ = 0;
   std::size_t size_ = 0;
+};
+
+/// The set of pages seen: a FlatPageMap whose values are empty, so an insert
+/// probes and writes the key array only. Unlike the map it holds every
+/// PageId, kInvalidPage included (kept as a flag beside the table).
+class FlatPageSet {
+ public:
+  std::size_t size() const { return pages_.size() + (has_invalid_ ? 1 : 0); }
+
+  /// Adds `key`; returns whether it was absent.
+  bool insert(PageId key) {
+    if (key == kInvalidPage) return !std::exchange(has_invalid_, true);
+    return pages_.try_emplace(key).second;
+  }
+
+ private:
+  struct None {};
+  FlatPageMap<None> pages_;
+  bool has_invalid_ = false;
 };
 
 }  // namespace hymem::util

@@ -11,7 +11,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "obs/timeline_io.hpp"
 #include "runner/sweep.hpp"
 #include "synth/workload_profile.hpp"
 
@@ -60,11 +62,11 @@ TEST(SweepParity, CsvIsByteIdenticalToPreOverhaulGolden) {
   EXPECT_EQ(csv.str(), golden);
 }
 
-// Pins the rows of the epoch timeline export: every policy family the
-// samplers read (two-LRU windows, CLOCK-DWF, the sampled-hotness columns, a
-// single-tier baseline). The epoch length is odd so epoch boundaries fall at
-// odd offsets inside the engine's replay blocks.
-TEST(SweepParity, TimelineCsvIsByteIdenticalToGolden) {
+// The timeline golden's grid: every policy family the samplers read
+// (two-LRU windows, CLOCK-DWF, the sampled-hotness columns, a single-tier
+// baseline). The epoch length is odd so epoch boundaries fall at odd offsets
+// inside the engine's replay blocks.
+runner::SweepResults timeline_sweep() {
   runner::SweepSpec spec;
   spec.workloads = {synth::parsec_profile("canneal"),
                     synth::parsec_profile("streamcluster")};
@@ -78,8 +80,19 @@ TEST(SweepParity, TimelineCsvIsByteIdenticalToGolden) {
 
   runner::SweepOptions options;
   options.jobs = 1;
+  return runner::run_sweep(spec, options);
+}
 
-  const auto sweep = runner::run_sweep(spec, options);
+/// `line` without its first `n` comma-separated fields.
+std::string drop_fields(const std::string& line, int n) {
+  std::size_t at = 0;
+  for (int i = 0; i < n; ++i) at = line.find(',', at) + 1;
+  return line.substr(at);
+}
+
+// Pins the rows of the spliced (sweep) timeline export.
+TEST(SweepParity, TimelineCsvIsByteIdenticalToGolden) {
+  const auto sweep = timeline_sweep();
   ASSERT_EQ(sweep.failures(), 0u);
 
   std::ostringstream csv;
@@ -89,6 +102,35 @@ TEST(SweepParity, TimelineCsvIsByteIdenticalToGolden) {
   ASSERT_FALSE(golden.empty());
   ASSERT_EQ(csv.str().size(), golden.size());
   EXPECT_EQ(csv.str(), golden);
+}
+
+// Pins the direct exporter, one job's timeline at a time: the golden's
+// header and that job's rows, without the four job-identity columns.
+TEST(SweepParity, DirectTimelineCsvMatchesGoldenRows) {
+  const auto sweep = timeline_sweep();
+  ASSERT_EQ(sweep.failures(), 0u);
+  std::vector<std::string> lines;
+  std::istringstream golden(read_file(HYMEM_GOLDEN_TIMELINE_CSV));
+  for (std::string line; std::getline(golden, line);) lines.push_back(line);
+  ASSERT_FALSE(lines.empty());
+
+  std::size_t jobs = 0;
+  for (const auto& job : sweep.jobs) {
+    const std::string identity = job.job.workload.name + ',' +
+                                 job.job.policy + ',' + job.job.variant +
+                                 ',' + std::to_string(job.job.seed) + ',';
+    std::string expected = drop_fields(lines.front(), 4) + '\n';
+    for (std::size_t i = 1; i < lines.size(); ++i) {
+      if (lines[i].starts_with(identity)) {
+        expected += drop_fields(lines[i], 4) + '\n';
+      }
+    }
+    std::ostringstream direct;
+    obs::write_timeline_csv(job.result.timeline, direct);
+    EXPECT_EQ(direct.str(), expected) << identity;
+    if (!job.result.timeline.empty()) ++jobs;
+  }
+  EXPECT_EQ(jobs, 8u);
 }
 
 }  // namespace

@@ -147,24 +147,6 @@ TEST(EpochSampler, ObserverSeesMeasuredPassOnly) {
   expect_deltas_sum_to_totals(result.timeline, result.counts);
 }
 
-TEST(EpochSampler, RegistryTracksAccessMix) {
-  os::Vmm vmm(hybrid_config());
-  const auto policy = sim::make_policy("two-lru", vmm);
-  const auto trace = tiny_trace();
-  EpochSampler sampler(
-      500, vmm,
-      dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()), 1.0);
-  run(*policy, trace, 0, sampler);
-  MetricsRegistry& registry = sampler.registry();
-  const std::uint64_t reads = registry.counter("accesses.read").value;
-  const std::uint64_t writes = registry.counter("accesses.write").value;
-  EXPECT_EQ(reads + writes, trace.size());
-  EXPECT_GT(reads, 0u);
-  EXPECT_GT(writes, 0u);
-  EXPECT_EQ(registry.histogram("visible_latency_ns", {}).count(),
-            trace.size());
-}
-
 TEST(EpochSampler, TwoLruWindowsAndModelsPopulated) {
   const auto result = sampled_run(tiny_trace(), 500);
   bool saw_window = false;

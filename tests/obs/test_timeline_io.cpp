@@ -2,14 +2,40 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <iomanip>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sim/figure_schemas.hpp"
+#include "util/random.hpp"
 
 namespace hymem::obs {
 namespace {
+
+/// One epoch's CSV row, split at its commas.
+std::vector<std::string> row_fields(const EpochRecord& record) {
+  std::string row;
+  append_timeline_csv_row(record, row);
+  std::vector<std::string> fields;
+  std::istringstream in(row);
+  for (std::string field; std::getline(in, field, ',');) {
+    fields.push_back(field);
+  }
+  return fields;
+}
+
+/// Index of `name` in timeline_csv_header().
+std::size_t column(const std::string& name) {
+  const auto& header = timeline_csv_header();
+  return static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), name) - header.begin());
+}
 
 EpochRecord sample_record() {
   EpochRecord r;
@@ -79,8 +105,7 @@ TEST(TimelineIo, GoldenHeader) {
 }
 
 TEST(TimelineIo, FieldsAlignWithHeader) {
-  EXPECT_EQ(timeline_csv_fields(sample_record()).size(),
-            timeline_csv_header().size());
+  EXPECT_EQ(row_fields(sample_record()).size(), timeline_csv_header().size());
 }
 
 TEST(TimelineIo, TableSchemaComposesJobIdentityPlusEpochColumns) {
@@ -110,17 +135,11 @@ TEST(TimelineIo, WindowMeanUsesPopulationNotTarget) {
   const EpochRecord r = sample_record();
   // 12 counter sum over 4 pages in the window -> mean 3.
   EXPECT_DOUBLE_EQ(r.read_window.mean_counter(), 3.0);
-  const auto fields = timeline_csv_fields(r);
-  const auto& header = timeline_csv_header();
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == "read_counter_mean") {
-      EXPECT_EQ(fields[i], "3");
-    }
-  }
+  EXPECT_EQ(row_fields(r).at(column("read_counter_mean")), "3");
 }
 
 TEST(TimelineIo, SampledColumnsCarryRecordValues) {
-  const auto fields = timeline_csv_fields(sample_record());
+  const auto fields = row_fields(sample_record());
   const auto& header = timeline_csv_header();
   ASSERT_EQ(fields.size(), header.size());
   for (std::size_t i = 0; i < header.size(); ++i) {
@@ -149,6 +168,40 @@ TEST(TimelineIo, JsonCarriesTagsAndEpochObjects) {
   EXPECT_NE(json.find("\"policy\": \"two-lru\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"end_access\": 3000"), std::string::npos) << json;
   EXPECT_NE(json.find("\"amat_total_ns\": 123.5"), std::string::npos) << json;
+}
+
+// Doubles print through std::to_chars; the bytes must stay those of
+// `std::ostream << std::setprecision(12)`, which the goldens were made with.
+TEST(TimelineIo, DoublesPrintAsSetprecision12) {
+  const auto streamed = [](double value) {
+    std::ostringstream os;
+    os << std::setprecision(12) << value;
+    return os.str();
+  };
+  const std::size_t amat = column("amat_total_ns");
+  const auto check = [&](double value) {
+    EpochRecord r;
+    r.amat_total_ns = value;
+    const std::string got = row_fields(r).at(amat);
+    if (got != streamed(value)) {
+      ADD_FAILURE() << "bits 0x" << std::hex
+                    << std::bit_cast<std::uint64_t>(value) << ": got " << got
+                    << ", stream writes " << streamed(value);
+    }
+  };
+  for (const double value :
+       {0.0, -0.0, 1.0 / 3.0, 1e-7 / 3.0, 123456789012.5, 1e17, 5e-324,
+        DBL_MAX, std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity()}) {
+    check(value);
+  }
+  std::uint64_t state = 0x5eed;
+  for (int drawn = 0; drawn < 10000;) {
+    const double value = std::bit_cast<double>(splitmix64(state));
+    if (!std::isfinite(value)) continue;
+    check(value);
+    ++drawn;
+  }
 }
 
 TEST(TimelineIo, EmptyTimelineWritesHeaderOnly) {

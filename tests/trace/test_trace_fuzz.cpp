@@ -1,10 +1,11 @@
-// Deterministic byte-mutation fuzz over both binary trace readers (HYTR
-// read_binary and the chunked HYTS StreamTraceReader). Every mutated
-// encoding of a small valid trace must either decode or throw
-// std::runtime_error, through a seekable and a non-seekable stream alike:
-// never another exception type, a crash, or an allocation sized by a corrupt
-// field (tier1, so the ASan+UBSan job runs it). Each test stops at its first
-// misbehaving input and prints the seed and mutation that reproduce it.
+// Deterministic byte-mutation fuzz over the trace readers: both binary
+// formats (HYTR read_binary and the chunked HYTS StreamTraceReader) and the
+// text format (read_text). Every mutated encoding of a small valid trace
+// must either decode or throw std::runtime_error, through a seekable and a
+// non-seekable stream alike: never another exception type, a crash, or an
+// allocation sized by a corrupt field (tier1, so the ASan+UBSan job runs
+// it). Each test stops at its first misbehaving input and prints the seed
+// and mutation that reproduce it.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -101,8 +102,14 @@ std::string misbehaviour(const Format& format, const std::string& bytes) {
   return "";
 }
 
+Format text() {
+  std::stringstream buf;
+  write_text(small_trace(), buf);
+  return {"text", buf.str(), [](std::istream& in) { read_text(in); }, {}};
+}
+
 TEST(TraceFuzz, ValidEncodingsDecode) {
-  for (const Format& format : {hytr(), hyts()}) {
+  for (const Format& format : {hytr(), hyts(), text()}) {
     std::stringstream in(format.bytes);
     EXPECT_NO_THROW(format.decode(in)) << format.name;
   }
@@ -131,8 +138,10 @@ TEST(TraceFuzz, ExtremeSizeFieldsThrowRuntimeError) {
   }
 }
 
+// A binary encoding cut short must throw; a text one cut at a line end may
+// decode the lines before the cut.
 TEST(TraceFuzz, TruncationAtEveryLengthThrowsRuntimeError) {
-  for (const Format& format : {hytr(), hyts()}) {
+  for (const Format& format : {hytr(), hyts(), text()}) {
     for (std::size_t length = 0; length < format.bytes.size(); ++length) {
       const std::string what =
           misbehaviour(format, format.bytes.substr(0, length));
@@ -148,7 +157,7 @@ TEST(TraceFuzz, TruncationAtEveryLengthThrowsRuntimeError) {
 // drawn from a splitmix64-derived seed.
 TEST(TraceFuzz, RandomByteMutationsDecodeOrThrowRuntimeError) {
   constexpr std::uint64_t kCases = 2000;
-  for (const Format& format : {hytr(), hyts()}) {
+  for (const Format& format : {hytr(), hyts(), text()}) {
     std::uint64_t state = 0x5eed;
     for (std::uint64_t i = 0; i < kCases; ++i) {
       const std::uint64_t seed = splitmix64(state);

@@ -7,6 +7,8 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <typeinfo>
 
 #include "io_support.hpp"
 #include "trace/record_codec.hpp"
@@ -120,14 +122,16 @@ TEST(TraceIo, TextRoundTrip) {
   const Trace original = sample_trace();
   std::stringstream buf;
   write_text(original, buf);
-  const Trace loaded = read_text(buf, "sample");
+  const Trace loaded = read_text(buf, "fallback");
+  EXPECT_EQ(loaded.name(), original.name());
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < loaded.size(); ++i) EXPECT_EQ(loaded[i], original[i]);
 }
 
 TEST(TraceIo, TextSkipsCommentsAndBlanks) {
   std::stringstream buf("# comment\n\nR 0x40 0\nW 0x80 1\n");
-  const Trace loaded = read_text(buf);
+  const Trace loaded = read_text(buf, "fallback");
+  EXPECT_EQ(loaded.name(), "fallback");
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0].addr, 0x40u);
   EXPECT_EQ(loaded[1].type, AccessType::kWrite);
@@ -152,6 +156,37 @@ TEST(TraceIo, TruncatedBinaryThrows) {
 TEST(TraceIo, BadAccessKindThrows) {
   std::stringstream buf("X 0x40 0\n");
   EXPECT_THROW(read_text(buf), std::runtime_error);
+}
+
+// A malformed record throws std::runtime_error naming its line: not
+// stoull's std::invalid_argument or std::out_of_range, and not a wrong
+// record (address 2^64-1 for "-1", 12 for "12zz", core 44 for 300).
+TEST(TraceIo, MalformedTextLinesThrowRuntimeErrorNamingTheLine) {
+  for (const std::string bad :
+       {"R zzz", "R 0x1ffffffffffffffffffff", "R -1", "R 12zz",
+        "W 0x40 300"}) {
+    std::stringstream buf("# comment\n\nR 0x40 0\n" + bad + "\n");
+    try {
+      read_text(buf);
+      ADD_FAILURE() << "\"" << bad << "\" decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 4"), std::string::npos)
+          << bad << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "\"" << bad << "\" threw " << typeid(e).name() << ": "
+                    << e.what();
+    }
+  }
+}
+
+TEST(TraceIo, TextAcceptsWhatStrtoullBaseZeroReads) {
+  std::stringstream buf("r 0X1f\nw 010 255\nR 18446744073709551615\n");
+  const Trace loaded = read_text(buf);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded[0].addr, 0x1fu);
+  EXPECT_EQ(loaded[1].addr, 8u);  // a leading 0 is octal
+  EXPECT_EQ(loaded[1].core, 255);
+  EXPECT_EQ(loaded[2].addr, std::numeric_limits<Addr>::max());
 }
 
 TEST(TraceIo, SaveLoadBinaryFile) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/random.hpp"
+
 namespace hymem::trace {
 namespace {
 
@@ -74,6 +76,31 @@ TEST(TraceStats, EmptyTrace) {
 
 TEST(TraceStats, PageSizeZeroRejected) {
   EXPECT_THROW(TraceCharacterizer(0), std::logic_error);
+  EXPECT_THROW(distinct_pages(Trace(), 0), std::logic_error);
+}
+
+// The sizing count must be the characterizer's footprint for any trace and
+// page size: shift-decoded for powers of two, divided otherwise, including
+// page kInvalidPage (page size 1, address 2^64-1), the flat map's sentinel.
+TEST(TraceStats, DistinctPagesMatchesCharacterizer) {
+  Rng rng(7);
+  Trace t;
+  for (int i = 0; i < 20000; ++i) {
+    // Clustered addresses revisit pages; the odd raw one lands anywhere.
+    const Addr addr =
+        rng.next_bool(0.9) ? rng.next_below(1 << 24) : rng.next();
+    t.append(addr, rng.next_bool(0.3) ? AccessType::kWrite : AccessType::kRead);
+  }
+  t.append(~Addr{0}, AccessType::kRead);
+  t.append(0, AccessType::kWrite);
+  for (const std::uint64_t page_size :
+       {std::uint64_t{1}, std::uint64_t{64}, std::uint64_t{3000},
+        std::uint64_t{4096}, std::uint64_t{1} << 21, ~std::uint64_t{0}}) {
+    EXPECT_EQ(distinct_pages(t, page_size),
+              characterize(t, page_size).distinct_pages)
+        << "page size " << page_size;
+  }
+  EXPECT_EQ(distinct_pages(Trace(), 4096), 0u);
 }
 
 }  // namespace

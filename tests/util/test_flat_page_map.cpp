@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <stdexcept>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "util/random.hpp"
@@ -277,6 +278,20 @@ TEST(FlatPageMap, ChurnAtExactlyHalfLoadFactor) {
   PageId* const grown = map.find(100);
   ASSERT_NE(grown, nullptr);
   EXPECT_EQ(*grown, 100u);
+}
+
+TEST(FlatPageSet, MatchesUnorderedSetAndHoldsTheSentinel) {
+  FlatPageSet set;
+  std::unordered_set<PageId> reference;
+  EXPECT_EQ(set.size(), 0u);
+  Rng rng(3);
+  for (int step = 0; step < 50000; ++step) {
+    PageId key = rng.next_bool(0.5) ? rng.next_below(3000) : rng.next();
+    if (step % 1000 == 0) key = kInvalidPage;
+    ASSERT_EQ(set.insert(key), reference.insert(key).second) << key;
+    ASSERT_EQ(set.size(), reference.size());
+  }
+  EXPECT_FALSE(set.insert(kInvalidPage));
 }
 
 }  // namespace
