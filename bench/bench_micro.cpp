@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <sstream>
+#include <type_traits>
 
 #include "cachesim/hierarchy.hpp"
 #include "core/migration_scheme.hpp"
@@ -14,7 +15,8 @@
 #include "obs/epoch.hpp"
 #include "obs/timeline_io.hpp"
 #include "os/vmm.hpp"
-#include "policy/factory.hpp"
+#include "policy/clock.hpp"
+#include "policy/lru.hpp"
 #include "sim/experiment.hpp"
 #include "sim/engine.hpp"
 #include "sim/policy_factory.hpp"
@@ -42,22 +44,23 @@ std::vector<PageId> sampled_pages(std::size_t count, std::uint64_t universe,
   return pages;
 }
 
+template <typename Policy>
 void BM_ReplacementPolicyChurn(benchmark::State& state,
-                               const std::string& name) {
+                               std::type_identity<Policy> /*policy*/) {
   const std::size_t capacity = 4096;
-  const auto policy = policy::make_replacement(name, capacity);
+  Policy policy(capacity);
   const std::vector<PageId> pages = sampled_pages(1 << 16, capacity * 4, 7);
   // One benchmark iteration replays the whole pre-sampled stream, so the
   // per-access cost is the policy operation alone, not harness bookkeeping.
   for (auto _ : state) {
     for (const PageId page : pages) {
-      if (policy->contains(page)) {
-        policy->on_hit(page, AccessType::kRead);
+      if (policy.contains(page)) {
+        policy.on_hit(page, AccessType::kRead);
       } else {
-        if (policy->full()) {
-          policy->erase(*policy->select_victim());
+        if (policy.full()) {
+          policy.erase(*policy.select_victim());
         }
-        policy->insert(page, AccessType::kRead);
+        policy.insert(page, AccessType::kRead);
       }
     }
   }
@@ -287,10 +290,10 @@ void BM_StreamTraceRead(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCodecRecords);
 }
 
-BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, lru, "lru");
-BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, clock, "clock");
-BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, clock_pro, "clock-pro");
-BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, car, "car");
+BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, lru,
+                  std::type_identity<policy::LruPolicy>{});
+BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, clock,
+                  std::type_identity<policy::ClockPolicy>{});
 BENCHMARK(BM_CountedLruQueue);
 BENCHMARK(BM_CacheHierarchy);
 BENCHMARK(BM_TraceGenerator);

@@ -4,6 +4,7 @@
 // of the paper in one program.
 //
 //   $ cache_filter_pipeline [--cores 4] [--accesses 200000] [--policy two-lru]
+#include <exception>
 #include <iostream>
 
 #include "cachesim/hierarchy.hpp"
@@ -14,7 +15,9 @@
 
 using namespace hymem;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   synth::CpuStreamOptions cpu_opts;
   cpu_opts.cores = static_cast<unsigned>(args.get_uint("cores", 4));
@@ -51,4 +54,17 @@ int main(int argc, char** argv) {
             << result.counts.migrations() << ", NVM writes "
             << result.nvm_writes().total() << "\n";
   return 0;
+}
+
+}  // namespace
+
+// Bad input (an unknown --policy) ends the run with one line on stderr and
+// exit code 2, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "cache_filter_pipeline: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -5,6 +5,7 @@
 //
 // This is the smallest end-to-end use of the public API:
 //   profile -> synthetic trace -> sized hybrid memory -> policy -> models.
+#include <exception>
 #include <iostream>
 
 #include "sim/experiment.hpp"
@@ -14,7 +15,9 @@
 
 using namespace hymem;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string workload = args.get("workload", "facesim");
   const std::string policy = args.get("policy", "two-lru");
@@ -51,4 +54,17 @@ int main(int argc, char** argv) {
             << writes.demand_writes << ", fills " << writes.fault_fill_writes
             << ", migrations " << writes.migration_writes << "]\n";
   return 0;
+}
+
+}  // namespace
+
+// Bad input (an unknown --workload or --policy) ends the run with one line
+// on stderr and exit code 2, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "quickstart: " << e.what() << "\n";
+    return 2;
+  }
 }

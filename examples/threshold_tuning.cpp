@@ -6,6 +6,7 @@
 // operating point.
 //
 //   $ threshold_tuning [--workload raytrace] [--scale 128]
+#include <exception>
 #include <iostream>
 
 #include "core/migration_scheme.hpp"
@@ -16,7 +17,9 @@
 
 using namespace hymem;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string workload = args.get("workload", "raytrace");
   const std::uint64_t scale = args.get_uint("scale", 128);
@@ -58,4 +61,17 @@ int main(int argc, char** argv) {
                    mem::dram_table4(), mem::pcm_table4(), 64)
             << " DRAM hits amortize one promotion round trip)\n";
   return 0;
+}
+
+}  // namespace
+
+// Bad input (an unknown --workload) ends the run with one line on stderr
+// and exit code 2, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "threshold_tuning: " << e.what() << "\n";
+    return 2;
+  }
 }

@@ -4,6 +4,7 @@
 // sizing will behave.
 //
 //   $ workload_explorer [--workload canneal] [--scale 256] [--csv]
+#include <exception>
 #include <iostream>
 
 #include "synth/generator.hpp"
@@ -17,7 +18,9 @@
 
 using namespace hymem;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string workload = args.get("workload", "canneal");
   const std::uint64_t scale = args.get_uint("scale", 256);
@@ -83,4 +86,17 @@ int main(int argc, char** argv) {
                "\nbetween the 0.75 row and 100% is the steady-state fault"
                " rate\nany policy must pay.\n";
   return 0;
+}
+
+}  // namespace
+
+// Bad input (an unknown --workload) ends the run with one line on stderr
+// and exit code 2, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "workload_explorer: " << e.what() << "\n";
+    return 2;
+  }
 }

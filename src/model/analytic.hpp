@@ -105,10 +105,10 @@ struct AnalyticSweepPoint {
   AnalyticEstimate estimate;
 };
 
-/// Re-estimates a fixed profile across a parameter sweep: the analytic
-/// counterpart of model::sweep, except the swept knob may change *behaviour*
-/// (thresholds, window fractions, capacities), not just costing — the whole
-/// point of the fast path. `mutate` receives a copy of the base config and
+/// Re-estimates a fixed profile across a parameter sweep. Unlike re-costing
+/// fixed event counts, the swept knob may change *behaviour* (thresholds,
+/// window fractions, capacities), not just costing — the whole point of the
+/// fast path. `mutate` receives a copy of the base config and
 /// the sweep value.
 std::vector<AnalyticSweepPoint> analytic_sweep(
     const trace::ReuseProfile& profile, const AnalyticConfig& base,

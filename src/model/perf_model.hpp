@@ -34,9 +34,9 @@ AmatBreakdown amat(const EventCounts& counts, const ModelParams& params);
 
 /// Computes Eq. 1 directly from Table I probabilities — the published form.
 /// PageFactor comes from `params.page_factor`. This is the single formula
-/// home for probability-form costing: the analytic estimator and the what-if
-/// helpers route through it (check/oracle_metrics deliberately keeps its own
-/// independent recomputation). Agrees with the counts form exactly:
+/// home for probability-form costing: the analytic estimator routes through
+/// it (check/oracle_metrics deliberately keeps its own independent
+/// recomputation). Agrees with the counts form exactly:
 /// PHitDRAM * PRDRAM == dram_read_hits / accesses, including the 0/0 cases.
 AmatBreakdown amat(const TableIProbabilities& probs, const ModelParams& params);
 

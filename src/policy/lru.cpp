@@ -18,11 +18,11 @@ LruPolicy::LruPolicy(std::size_t capacity) : capacity_(capacity) {
 }
 
 void LruPolicy::on_hit(PageId page, AccessType /*type*/) {
-  const std::uint32_t i = lookup(page);
-  HYMEM_CHECK_MSG(i != kNoNode, "hit on untracked page");
-  if (nodes_[sentinel()].next == i) return;  // already MRU
-  unlink(i);
-  link_front(i);
+  const std::uint32_t* i = index_.find(page);
+  HYMEM_CHECK_MSG(i != nullptr, "hit on untracked page");
+  if (nodes_[sentinel()].next == *i) return;  // already MRU
+  unlink(*i);
+  link_front(*i);
 }
 
 void LruPolicy::insert(PageId page, AccessType /*type*/) {
@@ -33,7 +33,6 @@ void LruPolicy::insert(PageId page, AccessType /*type*/) {
   free_.pop_back();
   nodes_[i].page = page;
   *slot = i;
-  if (last_key_ == page) last_lookup_ = i;
   link_front(i);
 }
 
@@ -51,7 +50,6 @@ std::optional<PageId> LruPolicy::select_victim() {
 void LruPolicy::erase(PageId page) {
   const std::optional<std::uint32_t> i = index_.take(page);
   HYMEM_CHECK_MSG(i.has_value(), "erase of untracked page");
-  forget(page);
   unlink(*i);
   free_.push_back(*i);
 }

@@ -2,11 +2,13 @@
 // the DRAM-only baseline (Fig. 1) and the two queues of the proposed scheme.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
-#include "policy/replacement.hpp"
 #include "util/flat_page_map.hpp"
+#include "util/types.hpp"
 
 namespace hymem::policy {
 
@@ -15,34 +17,28 @@ namespace hymem::policy {
 /// links) indexed by a flat open-addressing map with 32-bit values — the
 /// whole structure is a few dense arrays sized once at construction, so the
 /// per-access splice stays inside a compact, allocation-free working set.
-class LruPolicy final : public ReplacementPolicy {
+class LruPolicy {
  public:
   explicit LruPolicy(std::size_t capacity);
 
-  std::string_view name() const override { return "lru"; }
-  std::size_t capacity() const override { return capacity_; }
-  std::size_t size() const override { return index_.size(); }
-  // The ReplacementPolicy interface makes callers probe membership before
-  // acting (`contains` then `on_hit`/`erase`); remember the node the probe
-  // found so the action reuses it instead of paying a second hash lookup.
-  bool contains(PageId page) const override {
-    const std::uint32_t* found = index_.find(page);
-    last_lookup_ = found == nullptr ? kNoNode : *found;
-    last_key_ = page;
-    // The caller's next move on a hit is the MRU splice, and on a miss it
-    // is select_victim on the (by definition cold) LRU tail; start pulling
-    // the node each path needs so it arrives during the dispatch back.
-    __builtin_prefetch(
-        &nodes_[last_lookup_ == kNoNode ? nodes_[sentinel()].prev
-                                        : last_lookup_]);
-    return found != nullptr;
-  }
+  /// Maximum number of pages the policy may hold.
+  std::size_t capacity() const { return capacity_; }
+  /// Pages currently tracked.
+  std::size_t size() const { return index_.size(); }
+  bool full() const { return size() >= capacity_; }
+  bool contains(PageId page) const { return index_.contains(page); }
 
-  void prefetch(PageId page) const override { index_.prefetch(page); }
-  void on_hit(PageId page, AccessType type) override;
-  void insert(PageId page, AccessType type) override;
-  std::optional<PageId> select_victim() override;
-  void erase(PageId page) override;
+  /// Warms the index slot a coming lookup of `page` will probe.
+  void prefetch(PageId page) const { index_.prefetch(page); }
+  /// Moves a tracked page to the MRU position.
+  void on_hit(PageId page, AccessType type);
+  /// Starts tracking a new page at the MRU position (must not be present;
+  /// must not be full: callers evict first via select_victim()/erase()).
+  void insert(PageId page, AccessType type);
+  /// The LRU page, not yet removed. nullopt iff empty.
+  std::optional<PageId> select_victim();
+  /// Stops tracking a page (eviction or migration elsewhere).
+  void erase(PageId page);
 
   /// MRU-to-LRU page order (for tests).
   template <typename Fn>
@@ -66,20 +62,6 @@ class LruPolicy final : public ReplacementPolicy {
     return static_cast<std::uint32_t>(capacity_);
   }
 
-  /// Returns the node index for `page` (the memoized one when
-  /// `contains(page)` was the last lookup), or kNoNode if untracked.
-  std::uint32_t lookup(PageId page) const {
-    if (last_key_ == page) return last_lookup_;
-    const std::uint32_t* found = index_.find(page);
-    return found == nullptr ? kNoNode : *found;
-  }
-  void forget(PageId page) const {
-    if (last_key_ == page) {
-      last_lookup_ = kNoNode;
-      last_key_ = kInvalidPage;
-    }
-  }
-
   void unlink(std::uint32_t i) {
     nodes_[nodes_[i].prev].next = nodes_[i].next;
     nodes_[nodes_[i].next].prev = nodes_[i].prev;
@@ -96,8 +78,6 @@ class LruPolicy final : public ReplacementPolicy {
   std::vector<Node> nodes_;          // [0, capacity_) + sentinel at the end
   std::vector<std::uint32_t> free_;  // unused node indices (stack)
   util::FlatPageMap<std::uint32_t> index_;
-  mutable std::uint32_t last_lookup_ = kNoNode;
-  mutable PageId last_key_ = kInvalidPage;
 };
 
 }  // namespace hymem::policy

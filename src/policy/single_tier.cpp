@@ -4,32 +4,28 @@
 
 namespace hymem::policy {
 
-SingleTierPolicy::SingleTierPolicy(os::Vmm& vmm, Tier tier,
-                                   std::unique_ptr<ReplacementPolicy> replacement)
-    : HybridPolicy(vmm), tier_(tier), replacement_(std::move(replacement)) {
+SingleTierPolicy::SingleTierPolicy(os::Vmm& vmm, Tier tier)
+    : HybridPolicy(vmm),
+      tier_(tier),
+      lru_(static_cast<std::size_t>(vmm.frames(tier))) {
   HYMEM_CHECK_MSG(vmm.frames(other(tier)) == 0,
                   "single-tier policy requires the other module to be empty");
-  HYMEM_CHECK_MSG(replacement_ != nullptr, "replacement policy required");
-  HYMEM_CHECK_MSG(replacement_->capacity() == vmm.frames(tier),
-                  "replacement capacity must match module size");
-  name_ = std::string(tier == Tier::kDram ? "dram-only-" : "nvm-only-") +
-          std::string(replacement_->name());
 }
 
 Nanoseconds SingleTierPolicy::on_access(PageId page, AccessType type) {
   // Combined residency probe + demand access: one page-table lookup.
   if (const auto hit = vmm_.access_if_resident(page, type)) {
-    replacement_->on_hit(page, type);
+    lru_.on_hit(page, type);
     return hit->latency;
   }
-  if (replacement_->full()) {
-    const auto victim = replacement_->select_victim();
+  if (lru_.full()) {
+    const auto victim = lru_.select_victim();
     HYMEM_CHECK_MSG(victim.has_value(), "full policy produced no victim");
-    replacement_->erase(*victim);
+    lru_.erase(*victim);
     vmm_.evict(*victim);
   }
   const Nanoseconds latency = vmm_.fault_in(page, tier_);
-  replacement_->insert(page, type);
+  lru_.insert(page, type);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
   return latency;
 }

@@ -1,35 +1,31 @@
 // Single-module baselines: a DRAM-only or NVM-only main memory managed by
-// any ReplacementPolicy. These are the normalization anchors of every figure
-// (power is normalized to DRAM-only, NVM write counts to NVM-only).
+// LRU. These are the normalization anchors of every figure (power is
+// normalized to DRAM-only, NVM write counts to NVM-only).
 #pragma once
 
-#include <memory>
-
 #include "policy/hybrid_policy.hpp"
-#include "policy/replacement.hpp"
+#include "policy/lru.hpp"
 
 namespace hymem::policy {
 
-/// Runs the whole main memory as one module; the other module must be
-/// configured with zero frames.
+/// Runs the whole main memory as one LRU-managed module, sized from the
+/// VMM; the other module must be configured with zero frames.
 class SingleTierPolicy final : public HybridPolicy {
  public:
-  SingleTierPolicy(os::Vmm& vmm, Tier tier,
-                   std::unique_ptr<ReplacementPolicy> replacement);
+  SingleTierPolicy(os::Vmm& vmm, Tier tier);
 
-  std::string_view name() const override { return name_; }
+  std::string_view name() const override {
+    return tier_ == Tier::kDram ? "dram-only-lru" : "nvm-only-lru";
+  }
   Nanoseconds on_access(PageId page, AccessType type) override;
   void prefetch(PageId page) const override {
     vmm_.prefetch_translation(page);
-    replacement_->prefetch(page);
+    lru_.prefetch(page);
   }
-
-  const ReplacementPolicy& replacement() const { return *replacement_; }
 
  private:
   Tier tier_;
-  std::unique_ptr<ReplacementPolicy> replacement_;
-  std::string name_;
+  LruPolicy lru_;
 };
 
 }  // namespace hymem::policy

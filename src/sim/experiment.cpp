@@ -30,7 +30,7 @@ MemorySizing size_memory(std::uint64_t footprint_pages,
       2, static_cast<std::uint64_t>(std::llround(
              config.memory_fraction * static_cast<double>(footprint_pages))));
   if (is_single_tier(config.policy)) {
-    const bool dram = config.policy.rfind("dram-only", 0) == 0;
+    const bool dram = config.policy == "dram-only";
     s.dram_frames = dram ? s.total_frames : 0;
     s.nvm_frames = dram ? 0 : s.total_frames;
     return s;
@@ -107,10 +107,9 @@ RunResult run_experiment(const trace::Trace& warmup,
 
 bool analytic_supported(const ExperimentConfig& config) {
   if (config.policy == "two-lru") return !config.migration.adaptive;
-  // Single-tier baselines: only the (default) LRU replacement matches the
-  // stack-distance model.
-  return config.policy == "dram-only" || config.policy == "dram-only:lru" ||
-         config.policy == "nvm-only" || config.policy == "nvm-only:lru";
+  // Single-tier baselines run LRU, which the stack-distance model is exact
+  // for.
+  return is_single_tier(config.policy);
 }
 
 model::AnalyticConfig analytic_config_for(const ExperimentConfig& config,

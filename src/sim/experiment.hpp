@@ -117,7 +117,7 @@ RunResult run_workload(const synth::WorkloadProfile& profile,
 // --- Analytic fast path (model/analytic) -------------------------------------
 
 /// True when `config` names a cell the analytic estimator models: the
-/// two-LRU scheme with static thresholds, or the LRU single-tier baselines.
+/// two-LRU scheme with static thresholds, or the single-tier baselines.
 /// Adaptive thresholds, sampled policies and the other hybrid baselines must
 /// be simulated.
 bool analytic_supported(const ExperimentConfig& config);

@@ -5,7 +5,6 @@
 #include "core/migration_scheme.hpp"
 #include "policy/clock_dwf.hpp"
 #include "policy/dram_cache.hpp"
-#include "policy/factory.hpp"
 #include "policy/rank_mq.hpp"
 #include "policy/single_tier.hpp"
 #include "policy/static_partition.hpp"
@@ -64,7 +63,7 @@ bool is_shardable(const std::string& name) {
 }
 
 bool is_single_tier(const std::string& name) {
-  return name.rfind("dram-only", 0) == 0 || name.rfind("nvm-only", 0) == 0;
+  return name == "dram-only" || name == "nvm-only";
 }
 
 std::unique_ptr<policy::HybridPolicy> make_policy(
@@ -72,20 +71,8 @@ std::unique_ptr<policy::HybridPolicy> make_policy(
     const core::MigrationConfig& migration,
     const sample::SampleConfig& sample) {
   if (is_single_tier(name)) {
-    const bool dram = name.rfind("dram-only", 0) == 0;
-    const Tier tier = dram ? Tier::kDram : Tier::kNvm;
-    const std::string base = dram ? "dram-only" : "nvm-only";
-    std::string repl = "lru";
-    if (name.size() > base.size()) {
-      if (name[base.size()] != ':') {
-        throw_unknown_policy(name);
-      }
-      repl = name.substr(base.size() + 1);
-    }
     return std::make_unique<policy::SingleTierPolicy>(
-        vmm, tier,
-        policy::make_replacement(repl,
-                                 static_cast<std::size_t>(vmm.frames(tier))));
+        vmm, name == "dram-only" ? Tier::kDram : Tier::kNvm);
   }
   if (name == "clock-dwf") {
     return std::make_unique<policy::ClockDwfPolicy>(vmm);

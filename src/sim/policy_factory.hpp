@@ -3,9 +3,7 @@
 //
 // Names:
 //   "dram-only"          DRAM-only main memory, LRU (Fig. 1 baseline)
-//   "dram-only:<repl>"   DRAM-only with another replacement policy
 //   "nvm-only"           NVM-only main memory, LRU (endurance baseline)
-//   "nvm-only:<repl>"    NVM-only with another replacement policy
 //   "clock-dwf"          CLOCK-DWF (Lee et al.)
 //   "two-lru"            the paper's proposed scheme
 //   "two-lru-adaptive"   proposed scheme + adaptive thresholds (extension)
@@ -24,10 +22,10 @@
 
 namespace hymem::sim {
 
-/// All accepted base names.
+/// All accepted names.
 std::vector<std::string> policy_names();
 
-/// Base names usable where one run is split across independent policy
+/// Names usable where one run is split across independent policy
 /// instances sharing a physical budget (partitioned shards, tenant groups):
 /// everything except the sampled-* family, whose hotness tap and background
 /// migrator are per-run global structures.
@@ -42,7 +40,8 @@ bool is_shardable(const std::string& name);
 [[noreturn]] void throw_unshardable_policy(const std::string& context,
                                            const std::string& name);
 
-/// True if the name denotes a single-module (DRAM-only/NVM-only) policy.
+/// True if the name is "dram-only" or "nvm-only", the single-module
+/// policies.
 bool is_single_tier(const std::string& name);
 
 /// Builds a policy. The VMM must be sized consistently (single-module

@@ -1,9 +1,14 @@
-#include "model/whatif.hpp"
-
+// The analytic estimator (model/analytic) evaluates Eq. 1 / Eq. 2 / the
+// endurance accounting through the probability-form overloads; the replay
+// path evaluates the counts form. These agreement tests are what licenses
+// keeping exactly one home per formula: on shared inputs the two forms are
+// the same expression regrouped, so they must match to round-off.
 #include <gtest/gtest.h>
 
 #include "mem/dma.hpp"
 #include "model/endurance_model.hpp"
+#include "model/perf_model.hpp"
+#include "model/power_model.hpp"
 #include "model/probabilities.hpp"
 
 namespace hymem::model {
@@ -30,12 +35,6 @@ ModelParams base_params() {
   p.nvm_bytes = 10 << 20;
   return p;
 }
-
-// The analytic estimator (model/analytic) evaluates Eq. 1 / Eq. 2 / the
-// endurance accounting through the probability-form overloads; the replay
-// path evaluates the counts form. These agreement tests are what licenses
-// keeping exactly one home per formula: on shared inputs the two forms are
-// the same expression regrouped, so they must match to round-off.
 
 TEST(FormAgreement, AmatCountsAndProbabilityFormsMatch) {
   EventCounts c = sample_counts();
@@ -93,52 +92,6 @@ TEST(FormAgreement, NvmWriteCountsAndProbabilityFormsMatch) {
       static_cast<double>(nvm_writes(c).total());
   EXPECT_NEAR(per_access * static_cast<double>(c.accesses),
               total_from_counts, 1e-9 * total_from_counts);
-}
-
-TEST(WhatIf, BasePointMatchesDirectEvaluation) {
-  const auto counts = sample_counts();
-  const auto params = base_params();
-  const auto points = sweep_nvm_write_latency(counts, params, 1.0,
-                                              {params.nvm.write_latency_ns});
-  ASSERT_EQ(points.size(), 1u);
-  EXPECT_DOUBLE_EQ(points[0].amat.total(), amat(counts, params).total());
-  EXPECT_DOUBLE_EQ(points[0].power.total(),
-                   appr(counts, params, 1.0).total());
-}
-
-TEST(WhatIf, NvmWriteLatencyMonotone) {
-  const auto points = sweep_nvm_write_latency(sample_counts(), base_params(),
-                                              1.0, {100, 200, 350, 700});
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GT(points[i].amat.total(), points[i - 1].amat.total());
-    // Power is untouched by a latency change... except through nothing:
-    EXPECT_DOUBLE_EQ(points[i].power.hit_nj, points[0].power.hit_nj);
-  }
-}
-
-TEST(WhatIf, NvmWriteEnergyAffectsPowerNotLatency) {
-  const auto points = sweep_nvm_write_energy(sample_counts(), base_params(),
-                                             1.0, {16, 32, 64});
-  EXPECT_DOUBLE_EQ(points[0].amat.total(), points[2].amat.total());
-  EXPECT_LT(points[0].power.total(), points[2].power.total());
-}
-
-TEST(WhatIf, DiskLatencyScalesFaultTermOnly) {
-  const auto points = sweep_disk_latency(sample_counts(), base_params(), 1.0,
-                                         {1e6, 5e6});
-  EXPECT_DOUBLE_EQ(points[1].amat.fault_ns, 5 * points[0].amat.fault_ns);
-  EXPECT_DOUBLE_EQ(points[0].amat.hit_ns, points[1].amat.hit_ns);
-  EXPECT_DOUBLE_EQ(points[0].amat.migration_ns, points[1].amat.migration_ns);
-}
-
-TEST(WhatIf, CustomMutator) {
-  const auto points =
-      sweep(sample_counts(), base_params(), 0.0, {1.0, 2.0},
-            [](ModelParams p, double factor) {
-              p.dram.read_latency_ns *= factor;
-              return p;
-            });
-  EXPECT_LT(points[0].amat.hit_ns, points[1].amat.hit_ns);
 }
 
 }  // namespace

@@ -13,6 +13,22 @@ ModelParams table4_params() {
   return p;
 }
 
+// A run with hits in both modules, faults and migrations both ways, so
+// every term of Eq. 1 is nonzero.
+EventCounts mixed_counts() {
+  EventCounts c;
+  c.accesses = 100;
+  c.dram_read_hits = 50;
+  c.nvm_read_hits = 20;
+  c.nvm_write_hits = 20;
+  c.page_faults = 10;
+  c.fills_to_dram = 10;
+  c.migrations_to_dram = 2;
+  c.migrations_to_nvm = 2;
+  c.page_factor = 64;
+  return c;
+}
+
 TEST(PerfModel, PureDramHitsGiveDramLatency) {
   EventCounts c;
   c.accesses = 10;
@@ -57,6 +73,32 @@ TEST(PerfModel, MigrationTermScalesWithPageFactor) {
   c.page_factor = 128;
   const auto large = amat(c, table4_params());
   EXPECT_DOUBLE_EQ(large.migration_ns, 2 * small.migration_ns);
+}
+
+TEST(PerfModel, NvmWriteLatencyRaisesAmat) {
+  const EventCounts c = mixed_counts();
+  ModelParams p = table4_params();
+  p.nvm.write_latency_ns = 100;
+  double previous = amat(c, p).total();
+  for (const double latency_ns : {200.0, 350.0, 700.0}) {
+    p.nvm.write_latency_ns = latency_ns;
+    const double total = amat(c, p).total();
+    EXPECT_GT(total, previous) << latency_ns;
+    previous = total;
+  }
+}
+
+TEST(PerfModel, DiskLatencyScalesFaultTermOnly) {
+  const EventCounts c = mixed_counts();
+  ModelParams fast = table4_params();
+  fast.disk_latency_ns = 1e6;
+  ModelParams slow = fast;
+  slow.disk_latency_ns = 5e6;
+  const AmatBreakdown a = amat(c, fast);
+  const AmatBreakdown b = amat(c, slow);
+  EXPECT_DOUBLE_EQ(b.fault_ns, 5 * a.fault_ns);
+  EXPECT_DOUBLE_EQ(a.hit_ns, b.hit_ns);
+  EXPECT_DOUBLE_EQ(a.migration_ns, b.migration_ns);
 }
 
 TEST(PerfModel, EmptyRunYieldsZeroBreakdown) {

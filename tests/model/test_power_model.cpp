@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "model/perf_model.hpp"
 #include "util/units.hpp"
 
 namespace hymem::model {
@@ -78,6 +79,25 @@ TEST(PowerModel, NvmStaticAdvantage) {
   nvm_only.nvm_bytes = kGiB;
   EXPECT_DOUBLE_EQ(dram_only.total_static_power(), 1.0);
   EXPECT_DOUBLE_EQ(nvm_only.total_static_power(), 0.1);
+}
+
+TEST(PowerModel, NvmWriteEnergyMovesApprNotAmat) {
+  EventCounts c;
+  c.accesses = 100;
+  c.dram_read_hits = 50;
+  c.nvm_read_hits = 20;
+  c.nvm_write_hits = 20;
+  c.page_faults = 10;
+  c.fills_to_dram = 10;
+  c.migrations_to_dram = 2;
+  c.migrations_to_nvm = 2;
+  c.page_factor = 64;
+  ModelParams cheap = gig_params();
+  cheap.nvm.write_energy_nj = 16;
+  ModelParams dear = cheap;
+  dear.nvm.write_energy_nj = 64;
+  EXPECT_DOUBLE_EQ(amat(c, cheap).total(), amat(c, dear).total());
+  EXPECT_LT(appr(c, cheap, 1.0).total(), appr(c, dear, 1.0).total());
 }
 
 TEST(PowerModel, NegativeDurationRejected) {

@@ -1,77 +1,84 @@
-// Property suite run over EVERY replacement policy: invariants that must
+// Property suite run over both replacement policies: invariants that must
 // hold regardless of the algorithm.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
+#include <type_traits>
 
-#include "policy/factory.hpp"
+#include "policy/clock.hpp"
+#include "policy/lru.hpp"
 #include "util/random.hpp"
 
 namespace hymem::policy {
 namespace {
 
-class ReplacementProperties : public ::testing::TestWithParam<std::string> {
- protected:
-  std::unique_ptr<ReplacementPolicy> make(std::size_t capacity) {
-    return make_replacement(GetParam(), capacity, /*seed=*/11);
+template <typename Policy>
+class ReplacementProperties : public ::testing::Test {};
+
+struct PolicyNames {
+  template <typename Policy>
+  static std::string GetName(int /*index*/) {
+    return std::is_same_v<Policy, LruPolicy> ? "lru" : "clock";
   }
 };
 
-TEST_P(ReplacementProperties, NameMatchesFactoryKey) {
-  const auto policy = make(8);
-  EXPECT_EQ(policy->name(), GetParam());
-  EXPECT_EQ(policy->capacity(), 8u);
+using Policies = ::testing::Types<LruPolicy, ClockPolicy>;
+TYPED_TEST_SUITE(ReplacementProperties, Policies, PolicyNames);
+
+TYPED_TEST(ReplacementProperties, ReportsConstructedCapacity) {
+  const TypeParam policy(8);
+  EXPECT_EQ(policy.capacity(), 8u);
+  EXPECT_EQ(policy.size(), 0u);
 }
 
-TEST_P(ReplacementProperties, SizeNeverExceedsCapacityUnderChurn) {
-  const auto policy = make(16);
+TYPED_TEST(ReplacementProperties, SizeNeverExceedsCapacityUnderChurn) {
+  TypeParam policy(16);
   Rng rng(21);
   for (int i = 0; i < 5000; ++i) {
     const PageId page = rng.next_below(100);
-    if (policy->contains(page)) {
-      policy->on_hit(page, rng.next_bool(0.3) ? AccessType::kWrite
-                                              : AccessType::kRead);
+    if (policy.contains(page)) {
+      policy.on_hit(page, rng.next_bool(0.3) ? AccessType::kWrite
+                                             : AccessType::kRead);
     } else {
-      if (policy->full()) {
-        const auto victim = policy->select_victim();
+      if (policy.full()) {
+        const auto victim = policy.select_victim();
         ASSERT_TRUE(victim.has_value());
-        ASSERT_TRUE(policy->contains(*victim))
+        ASSERT_TRUE(policy.contains(*victim))
             << "victim must be a tracked page";
-        policy->erase(*victim);
+        policy.erase(*victim);
       }
-      policy->insert(page, AccessType::kRead);
+      policy.insert(page, AccessType::kRead);
     }
-    ASSERT_LE(policy->size(), policy->capacity());
+    ASSERT_LE(policy.size(), policy.capacity());
   }
 }
 
-TEST_P(ReplacementProperties, ContainsConsistentWithInsertErase) {
-  const auto policy = make(4);
-  policy->insert(42, AccessType::kRead);
-  EXPECT_TRUE(policy->contains(42));
-  EXPECT_EQ(policy->size(), 1u);
-  policy->erase(42);
-  EXPECT_FALSE(policy->contains(42));
-  EXPECT_EQ(policy->size(), 0u);
+TYPED_TEST(ReplacementProperties, ContainsConsistentWithInsertErase) {
+  TypeParam policy(4);
+  policy.insert(42, AccessType::kRead);
+  EXPECT_TRUE(policy.contains(42));
+  EXPECT_EQ(policy.size(), 1u);
+  policy.erase(42);
+  EXPECT_FALSE(policy.contains(42));
+  EXPECT_EQ(policy.size(), 0u);
 }
 
-TEST_P(ReplacementProperties, VictimOfEmptyIsNull) {
-  const auto policy = make(4);
-  EXPECT_FALSE(policy->select_victim().has_value());
+TYPED_TEST(ReplacementProperties, VictimOfEmptyIsNull) {
+  TypeParam policy(4);
+  EXPECT_FALSE(policy.select_victim().has_value());
 }
 
-TEST_P(ReplacementProperties, CanRefillAfterDrain) {
-  const auto policy = make(4);
-  for (PageId p = 0; p < 4; ++p) policy->insert(p, AccessType::kRead);
-  for (PageId p = 0; p < 4; ++p) policy->erase(p);
-  EXPECT_EQ(policy->size(), 0u);
-  for (PageId p = 10; p < 14; ++p) policy->insert(p, AccessType::kRead);
-  EXPECT_EQ(policy->size(), 4u);
+TYPED_TEST(ReplacementProperties, CanRefillAfterDrain) {
+  TypeParam policy(4);
+  for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
+  for (PageId p = 0; p < 4; ++p) policy.erase(p);
+  EXPECT_EQ(policy.size(), 0u);
+  for (PageId p = 10; p < 14; ++p) policy.insert(p, AccessType::kRead);
+  EXPECT_EQ(policy.size(), 4u);
 }
 
-TEST_P(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
-  const auto policy = make(8);
+TYPED_TEST(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
+  TypeParam policy(8);
   Rng rng(31);
   std::uint64_t hits = 0;
   constexpr int kAccesses = 4000;
@@ -79,47 +86,32 @@ TEST_P(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
     // 90% of accesses to 6 pages that fit in the cache.
     const PageId page =
         rng.next_bool(0.9) ? rng.next_below(6) : 100 + rng.next_below(400);
-    if (policy->contains(page)) {
+    if (policy.contains(page)) {
       ++hits;
-      policy->on_hit(page, AccessType::kRead);
+      policy.on_hit(page, AccessType::kRead);
     } else {
-      if (policy->full()) {
-        const auto victim = policy->select_victim();
+      if (policy.full()) {
+        const auto victim = policy.select_victim();
         ASSERT_TRUE(victim.has_value());
-        policy->erase(*victim);
+        policy.erase(*victim);
       }
-      policy->insert(page, AccessType::kRead);
+      policy.insert(page, AccessType::kRead);
     }
   }
-  // Even Random beats 50% here; real policies score much higher.
-  EXPECT_GT(static_cast<double>(hits) / kAccesses, 0.5) << GetParam();
+  EXPECT_GT(static_cast<double>(hits) / kAccesses, 0.5);
 }
 
-TEST_P(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
+TYPED_TEST(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
   // Two consecutive select_victim calls with no intervening mutation must
   // agree (the call may mutate internal bits, but must converge).
-  const auto policy = make(4);
-  for (PageId p = 0; p < 4; ++p) policy->insert(p, AccessType::kRead);
-  const auto v1 = policy->select_victim();
-  const auto v2 = policy->select_victim();
+  TypeParam policy(4);
+  for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
+  const auto v1 = policy.select_victim();
+  const auto v2 = policy.select_victim();
   ASSERT_TRUE(v1.has_value());
-  EXPECT_TRUE(v2.has_value());
-  if (GetParam() != "random") {
-    EXPECT_EQ(*v1, *v2);
-  }
+  ASSERT_TRUE(v2.has_value());
+  EXPECT_EQ(*v1, *v2);
 }
-
-INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementProperties,
-                         ::testing::Values("lru", "fifo", "clock", "clock-pro",
-                                           "car", "lirs", "lfu", "lru-k",
-                                           "2q", "random"),
-                         [](const auto& param_info) {
-                           std::string name = param_info.param;
-                           for (char& c : name) {
-                             if (c == '-') c = '_';
-                           }
-                           return name;
-                         });
 
 }  // namespace
 }  // namespace hymem::policy

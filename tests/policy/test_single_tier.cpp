@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "policy/lru.hpp"
 #include "trace/reuse_distance.hpp"
 #include "util/random.hpp"
 
@@ -16,32 +15,25 @@ os::VmmConfig dram_only_config(std::uint64_t frames) {
   return c;
 }
 
-std::unique_ptr<SingleTierPolicy> make_dram_lru(os::Vmm& vmm) {
-  return std::make_unique<SingleTierPolicy>(
-      vmm, Tier::kDram,
-      std::make_unique<LruPolicy>(
-          static_cast<std::size_t>(vmm.frames(Tier::kDram))));
-}
-
 TEST(SingleTier, NameReflectsTierAndPolicy) {
   os::Vmm vmm(dram_only_config(4));
-  const auto policy = make_dram_lru(vmm);
-  EXPECT_EQ(policy->name(), "dram-only-lru");
+  const SingleTierPolicy policy(vmm, Tier::kDram);
+  EXPECT_EQ(policy.name(), "dram-only-lru");
 }
 
 TEST(SingleTier, ColdMissCostsDiskLatency) {
   os::Vmm vmm(dram_only_config(4));
-  const auto policy = make_dram_lru(vmm);
-  EXPECT_DOUBLE_EQ(policy->on_access(1, AccessType::kRead), 5e6);
-  EXPECT_DOUBLE_EQ(policy->on_access(1, AccessType::kRead), 50);
+  SingleTierPolicy policy(vmm, Tier::kDram);
+  EXPECT_DOUBLE_EQ(policy.on_access(1, AccessType::kRead), 5e6);
+  EXPECT_DOUBLE_EQ(policy.on_access(1, AccessType::kRead), 50);
 }
 
 TEST(SingleTier, EvictionAtCapacity) {
   os::Vmm vmm(dram_only_config(2));
-  const auto policy = make_dram_lru(vmm);
-  policy->on_access(1, AccessType::kRead);
-  policy->on_access(2, AccessType::kRead);
-  policy->on_access(3, AccessType::kRead);  // evicts 1
+  SingleTierPolicy policy(vmm, Tier::kDram);
+  policy.on_access(1, AccessType::kRead);
+  policy.on_access(2, AccessType::kRead);
+  policy.on_access(3, AccessType::kRead);  // evicts 1
   EXPECT_FALSE(vmm.is_resident(1));
   EXPECT_TRUE(vmm.is_resident(2));
   EXPECT_TRUE(vmm.is_resident(3));
@@ -50,9 +42,9 @@ TEST(SingleTier, EvictionAtCapacity) {
 
 TEST(SingleTier, WriteFaultMarksPageDirty) {
   os::Vmm vmm(dram_only_config(1));
-  const auto policy = make_dram_lru(vmm);
-  policy->on_access(1, AccessType::kWrite);
-  policy->on_access(2, AccessType::kRead);  // evicts dirty 1
+  SingleTierPolicy policy(vmm, Tier::kDram);
+  policy.on_access(1, AccessType::kWrite);
+  policy.on_access(2, AccessType::kRead);  // evicts dirty 1
   EXPECT_EQ(vmm.disk().page_outs(), 1u);
 }
 
@@ -61,14 +53,14 @@ TEST(SingleTier, HitRatioMatchesMattsonStackAnalysis) {
   // the reuse distance is below capacity.
   constexpr std::uint64_t kCapacity = 24;
   os::Vmm vmm(dram_only_config(kCapacity));
-  const auto policy = make_dram_lru(vmm);
+  SingleTierPolicy policy(vmm, Tier::kDram);
   trace::ReuseDistanceAnalyzer rd(4096);
   Rng rng(123);
   std::uint64_t accesses = 0;
   for (int i = 0; i < 8000; ++i) {
     const PageId page = rng.next_below(100);
     rd.observe(page * 4096);
-    policy->on_access(page, AccessType::kRead);
+    policy.on_access(page, AccessType::kRead);
     ++accesses;
   }
   const auto& counters = vmm.device(Tier::kDram).counters();
@@ -82,18 +74,11 @@ TEST(SingleTier, NvmOnlyVariantUsesNvmTimings) {
   cfg.dram_frames = 0;
   cfg.nvm_frames = 2;
   os::Vmm vmm(cfg);
-  SingleTierPolicy policy(vmm, Tier::kNvm, std::make_unique<LruPolicy>(2));
+  SingleTierPolicy policy(vmm, Tier::kNvm);
   EXPECT_EQ(policy.name(), "nvm-only-lru");
   policy.on_access(1, AccessType::kRead);
   EXPECT_DOUBLE_EQ(policy.on_access(1, AccessType::kWrite), 350);
   EXPECT_GT(vmm.nvm_endurance().total_writes(), 0u);
-}
-
-TEST(SingleTier, RequiresMatchingCapacity) {
-  os::Vmm vmm(dram_only_config(4));
-  EXPECT_THROW(SingleTierPolicy(vmm, Tier::kDram,
-                                std::make_unique<LruPolicy>(3)),
-               std::logic_error);
 }
 
 TEST(SingleTier, RequiresEmptyOtherModule) {
@@ -101,9 +86,7 @@ TEST(SingleTier, RequiresEmptyOtherModule) {
   cfg.dram_frames = 4;
   cfg.nvm_frames = 4;
   os::Vmm vmm(cfg);
-  EXPECT_THROW(SingleTierPolicy(vmm, Tier::kDram,
-                                std::make_unique<LruPolicy>(4)),
-               std::logic_error);
+  EXPECT_THROW(SingleTierPolicy(vmm, Tier::kDram), std::logic_error);
 }
 
 }  // namespace

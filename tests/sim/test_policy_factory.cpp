@@ -38,20 +38,29 @@ TEST(PolicyFactory, BuildsEveryAdvertisedPolicy) {
   }
 }
 
-TEST(PolicyFactory, SingleTierVariantsWithReplacementSuffix) {
+// The single-tier baselines run LRU only: "<tier>:<replacement>" names are
+// unknown policies, rejected like any other typo.
+TEST(PolicyFactory, SuffixedSingleTierNamesRejected) {
   for (const char* name :
-       {"dram-only:clock", "dram-only:clock-pro", "dram-only:car",
-        "nvm-only:lru", "nvm-only:fifo"}) {
+       {"dram-only:lru", "dram-only:clock", "nvm-only:lru", "nvm-only:fifo"}) {
+    EXPECT_FALSE(is_single_tier(name)) << name;
     os::Vmm vmm(config_for(name));
-    const auto policy = make_policy(name, vmm);
-    for (PageId p = 0; p < 12; ++p) policy->on_access(p, AccessType::kRead);
-    SUCCEED() << name;
+    try {
+      make_policy(name, vmm);
+      ADD_FAILURE() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      for (const auto& known : policy_names()) {
+        EXPECT_NE(msg.find(known), std::string::npos)
+            << name << ": missing " << known << " in " << msg;
+      }
+    }
   }
 }
 
 TEST(PolicyFactory, IsSingleTierClassification) {
   EXPECT_TRUE(is_single_tier("dram-only"));
-  EXPECT_TRUE(is_single_tier("nvm-only:clock"));
+  EXPECT_TRUE(is_single_tier("nvm-only"));
   EXPECT_FALSE(is_single_tier("two-lru"));
   EXPECT_FALSE(is_single_tier("clock-dwf"));
 }
@@ -95,19 +104,6 @@ TEST(PolicyFactory, UnknownNameErrorEnumeratesPolicies) {
       EXPECT_NE(msg.find(name), std::string::npos) << "missing " << name;
     }
     EXPECT_NE(msg.find("sampled-lru"), std::string::npos);
-  }
-}
-
-TEST(PolicyFactory, UnknownReplacementErrorEnumeratesReplacements) {
-  os::Vmm vmm(config_for("dram-only"));
-  try {
-    make_policy("dram-only:bogus", vmm);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    for (const char* name : {"lru", "fifo", "clock"}) {
-      EXPECT_NE(msg.find(name), std::string::npos) << "missing " << name;
-    }
   }
 }
 
