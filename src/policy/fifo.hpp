@@ -1,29 +1,32 @@
-// First-In-First-Out replacement: insertion order, hits ignored. A lower
-// bound for recency-aware policies in the baseline sweeps.
+// First-In-First-Out replacement: insertion order, hits ignored. Not behind
+// any policy name; a reference point for the property suite.
 #pragma once
 
-#include "policy/replacement.hpp"
+#include <cstddef>
+#include <optional>
+
 #include "util/flat_page_map.hpp"
 #include "util/intrusive_list.hpp"
 #include "util/slab_pool.hpp"
+#include "util/types.hpp"
 
 namespace hymem::policy {
 
-/// FIFO queue of pages (slab-allocated nodes, flat-map index; see LruPolicy).
-class FifoPolicy final : public ReplacementPolicy {
+/// FIFO queue of pages (slab-allocated nodes, flat-map index).
+class FifoPolicy {
  public:
   explicit FifoPolicy(std::size_t capacity);
 
-  std::string_view name() const override { return "fifo"; }
-  std::size_t capacity() const override { return capacity_; }
-  std::size_t size() const override { return index_.size(); }
-  bool contains(PageId page) const override { return index_.contains(page); }
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return index_.size(); }
+  bool full() const { return size() >= capacity_; }
+  bool contains(PageId page) const { return index_.contains(page); }
 
-  void prefetch(PageId page) const override { index_.prefetch(page); }
-  void on_hit(PageId page, AccessType type) override;
-  void insert(PageId page, AccessType type) override;
-  std::optional<PageId> select_victim() override;
-  void erase(PageId page) override;
+  void on_hit(PageId page, AccessType type);
+  void insert(PageId page, AccessType type);
+  /// The oldest page, not yet removed. nullopt iff empty.
+  std::optional<PageId> select_victim();
+  void erase(PageId page);
 
  private:
   struct Node {

@@ -1,29 +1,34 @@
-// LFU (Least Frequently Used) with FIFO tie-breaking. Included as the
-// frequency-only endpoint of the baseline spectrum.
+// LFU (Least Frequently Used) with FIFO tie-breaking: the frequency-only
+// endpoint. Not behind any policy name; a reference point for the property
+// suite.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
-#include "policy/replacement.hpp"
+#include "util/types.hpp"
 
 namespace hymem::policy {
 
 /// LFU replacement; O(log n) per operation via an ordered (count, seq) index.
-class LfuPolicy final : public ReplacementPolicy {
+class LfuPolicy {
  public:
   explicit LfuPolicy(std::size_t capacity);
 
-  std::string_view name() const override { return "lfu"; }
-  std::size_t capacity() const override { return capacity_; }
-  std::size_t size() const override { return pages_.size(); }
-  bool contains(PageId page) const override { return pages_.count(page) > 0; }
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return pages_.size(); }
+  bool full() const { return size() >= capacity_; }
+  bool contains(PageId page) const { return pages_.count(page) > 0; }
 
-  void on_hit(PageId page, AccessType type) override;
-  void insert(PageId page, AccessType type) override;
-  std::optional<PageId> select_victim() override;
-  void erase(PageId page) override;
+  void on_hit(PageId page, AccessType type);
+  void insert(PageId page, AccessType type);
+  /// The least frequently used page (oldest on ties), not yet removed.
+  /// nullopt iff empty.
+  std::optional<PageId> select_victim();
+  void erase(PageId page);
 
   /// Access count of a tracked page (for tests).
   std::uint64_t frequency(PageId page) const;

@@ -1,28 +1,33 @@
-// Random replacement — the no-information control in the baseline sweeps.
+// Random replacement: the no-information control. Not behind any policy
+// name; a reference point for the property suite.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "policy/replacement.hpp"
 #include "util/random.hpp"
+#include "util/types.hpp"
 
 namespace hymem::policy {
 
 /// Evicts a uniformly random tracked page. Deterministic under a fixed seed.
-class RandomPolicy final : public ReplacementPolicy {
+class RandomPolicy {
  public:
   RandomPolicy(std::size_t capacity, std::uint64_t seed = 1);
 
-  std::string_view name() const override { return "random"; }
-  std::size_t capacity() const override { return capacity_; }
-  std::size_t size() const override { return pages_.size(); }
-  bool contains(PageId page) const override { return index_.count(page) > 0; }
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return pages_.size(); }
+  bool full() const { return size() >= capacity_; }
+  bool contains(PageId page) const { return index_.count(page) > 0; }
 
-  void on_hit(PageId page, AccessType type) override;
-  void insert(PageId page, AccessType type) override;
-  std::optional<PageId> select_victim() override;
-  void erase(PageId page) override;
+  void on_hit(PageId page, AccessType type);
+  void insert(PageId page, AccessType type);
+  /// A random tracked page, not yet removed. nullopt iff empty.
+  std::optional<PageId> select_victim();
+  void erase(PageId page);
 
  private:
   std::size_t capacity_;

@@ -75,7 +75,8 @@ TEST(PerfModel, MigrationTermScalesWithPageFactor) {
   EXPECT_DOUBLE_EQ(large.migration_ns, 2 * small.migration_ns);
 }
 
-TEST(PerfModel, NvmWriteLatencyRaisesAmat) {
+// What-if properties of Eq. 1 under a changed technology parameter.
+TEST(WhatIf, NvmWriteLatencyMonotone) {
   const EventCounts c = mixed_counts();
   ModelParams p = table4_params();
   p.nvm.write_latency_ns = 100;
@@ -88,7 +89,7 @@ TEST(PerfModel, NvmWriteLatencyRaisesAmat) {
   }
 }
 
-TEST(PerfModel, DiskLatencyScalesFaultTermOnly) {
+TEST(WhatIf, DiskLatencyScalesFaultTermOnly) {
   const EventCounts c = mixed_counts();
   ModelParams fast = table4_params();
   fast.disk_latency_ns = 1e6;

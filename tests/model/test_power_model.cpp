@@ -81,7 +81,7 @@ TEST(PowerModel, NvmStaticAdvantage) {
   EXPECT_DOUBLE_EQ(nvm_only.total_static_power(), 0.1);
 }
 
-TEST(PowerModel, NvmWriteEnergyMovesApprNotAmat) {
+TEST(WhatIf, NvmWriteEnergyAffectsPowerNotLatency) {
   EventCounts c;
   c.accesses = 100;
   c.dram_read_hits = 50;

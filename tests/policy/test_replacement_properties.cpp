@@ -1,117 +1,150 @@
-// Property suite run over both replacement policies: invariants that must
+// Property suite run over every replacement algorithm: invariants that must
 // hold regardless of the algorithm.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <type_traits>
 
 #include "policy/clock.hpp"
+#include "policy/fifo.hpp"
+#include "policy/lfu.hpp"
 #include "policy/lru.hpp"
+#include "policy/random_repl.hpp"
 #include "util/random.hpp"
 
 namespace hymem::policy {
 namespace {
 
-template <typename Policy>
-class ReplacementProperties : public ::testing::Test {};
-
-struct PolicyNames {
-  template <typename Policy>
-  static std::string GetName(int /*index*/) {
-    return std::is_same_v<Policy, LruPolicy> ? "lru" : "clock";
+// Runs `body` on a fresh policy of the named algorithm. The algorithms are
+// concrete classes with no common base, so the suite dispatches on the name.
+template <typename Body>
+void with_policy(const std::string& name, std::size_t capacity, Body&& body) {
+  if (name == "lru") {
+    LruPolicy policy(capacity);
+    body(policy);
+  } else if (name == "fifo") {
+    FifoPolicy policy(capacity);
+    body(policy);
+  } else if (name == "clock") {
+    ClockPolicy policy(capacity);
+    body(policy);
+  } else if (name == "lfu") {
+    LfuPolicy policy(capacity);
+    body(policy);
+  } else if (name == "random") {
+    RandomPolicy policy(capacity, /*seed=*/11);
+    body(policy);
+  } else {
+    FAIL() << "no replacement algorithm named " << name;
   }
-};
-
-using Policies = ::testing::Types<LruPolicy, ClockPolicy>;
-TYPED_TEST_SUITE(ReplacementProperties, Policies, PolicyNames);
-
-TYPED_TEST(ReplacementProperties, ReportsConstructedCapacity) {
-  const TypeParam policy(8);
-  EXPECT_EQ(policy.capacity(), 8u);
-  EXPECT_EQ(policy.size(), 0u);
 }
 
-TYPED_TEST(ReplacementProperties, SizeNeverExceedsCapacityUnderChurn) {
-  TypeParam policy(16);
-  Rng rng(21);
-  for (int i = 0; i < 5000; ++i) {
-    const PageId page = rng.next_below(100);
-    if (policy.contains(page)) {
-      policy.on_hit(page, rng.next_bool(0.3) ? AccessType::kWrite
-                                             : AccessType::kRead);
-    } else {
-      if (policy.full()) {
-        const auto victim = policy.select_victim();
-        ASSERT_TRUE(victim.has_value());
-        ASSERT_TRUE(policy.contains(*victim))
-            << "victim must be a tracked page";
-        policy.erase(*victim);
+class ReplacementProperties : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ReplacementProperties, ReportsConstructedCapacity) {
+  with_policy(GetParam(), 8, [](const auto& policy) {
+    EXPECT_EQ(policy.capacity(), 8u);
+    EXPECT_EQ(policy.size(), 0u);
+  });
+}
+
+TEST_P(ReplacementProperties, SizeNeverExceedsCapacityUnderChurn) {
+  with_policy(GetParam(), 16, [](auto& policy) {
+    Rng rng(21);
+    for (int i = 0; i < 5000; ++i) {
+      const PageId page = rng.next_below(100);
+      if (policy.contains(page)) {
+        policy.on_hit(page, rng.next_bool(0.3) ? AccessType::kWrite
+                                               : AccessType::kRead);
+      } else {
+        if (policy.full()) {
+          const auto victim = policy.select_victim();
+          ASSERT_TRUE(victim.has_value());
+          ASSERT_TRUE(policy.contains(*victim))
+              << "victim must be a tracked page";
+          policy.erase(*victim);
+        }
+        policy.insert(page, AccessType::kRead);
       }
-      policy.insert(page, AccessType::kRead);
+      ASSERT_LE(policy.size(), policy.capacity());
     }
-    ASSERT_LE(policy.size(), policy.capacity());
-  }
+  });
 }
 
-TYPED_TEST(ReplacementProperties, ContainsConsistentWithInsertErase) {
-  TypeParam policy(4);
-  policy.insert(42, AccessType::kRead);
-  EXPECT_TRUE(policy.contains(42));
-  EXPECT_EQ(policy.size(), 1u);
-  policy.erase(42);
-  EXPECT_FALSE(policy.contains(42));
-  EXPECT_EQ(policy.size(), 0u);
+TEST_P(ReplacementProperties, ContainsConsistentWithInsertErase) {
+  with_policy(GetParam(), 4, [](auto& policy) {
+    policy.insert(42, AccessType::kRead);
+    EXPECT_TRUE(policy.contains(42));
+    EXPECT_EQ(policy.size(), 1u);
+    policy.erase(42);
+    EXPECT_FALSE(policy.contains(42));
+    EXPECT_EQ(policy.size(), 0u);
+  });
 }
 
-TYPED_TEST(ReplacementProperties, VictimOfEmptyIsNull) {
-  TypeParam policy(4);
-  EXPECT_FALSE(policy.select_victim().has_value());
+TEST_P(ReplacementProperties, VictimOfEmptyIsNull) {
+  with_policy(GetParam(), 4, [](auto& policy) {
+    EXPECT_FALSE(policy.select_victim().has_value());
+  });
 }
 
-TYPED_TEST(ReplacementProperties, CanRefillAfterDrain) {
-  TypeParam policy(4);
-  for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
-  for (PageId p = 0; p < 4; ++p) policy.erase(p);
-  EXPECT_EQ(policy.size(), 0u);
-  for (PageId p = 10; p < 14; ++p) policy.insert(p, AccessType::kRead);
-  EXPECT_EQ(policy.size(), 4u);
+TEST_P(ReplacementProperties, CanRefillAfterDrain) {
+  with_policy(GetParam(), 4, [](auto& policy) {
+    for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
+    for (PageId p = 0; p < 4; ++p) policy.erase(p);
+    EXPECT_EQ(policy.size(), 0u);
+    for (PageId p = 10; p < 14; ++p) policy.insert(p, AccessType::kRead);
+    EXPECT_EQ(policy.size(), 4u);
+  });
 }
 
-TYPED_TEST(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
-  TypeParam policy(8);
-  Rng rng(31);
-  std::uint64_t hits = 0;
-  constexpr int kAccesses = 4000;
-  for (int i = 0; i < kAccesses; ++i) {
-    // 90% of accesses to 6 pages that fit in the cache.
-    const PageId page =
-        rng.next_bool(0.9) ? rng.next_below(6) : 100 + rng.next_below(400);
-    if (policy.contains(page)) {
-      ++hits;
-      policy.on_hit(page, AccessType::kRead);
-    } else {
-      if (policy.full()) {
-        const auto victim = policy.select_victim();
-        ASSERT_TRUE(victim.has_value());
-        policy.erase(*victim);
+TEST_P(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
+  with_policy(GetParam(), 8, [](auto& policy) {
+    Rng rng(31);
+    std::uint64_t hits = 0;
+    constexpr int kAccesses = 4000;
+    for (int i = 0; i < kAccesses; ++i) {
+      // 90% of accesses to 6 pages that fit in the cache.
+      const PageId page =
+          rng.next_bool(0.9) ? rng.next_below(6) : 100 + rng.next_below(400);
+      if (policy.contains(page)) {
+        ++hits;
+        policy.on_hit(page, AccessType::kRead);
+      } else {
+        if (policy.full()) {
+          const auto victim = policy.select_victim();
+          ASSERT_TRUE(victim.has_value());
+          policy.erase(*victim);
+        }
+        policy.insert(page, AccessType::kRead);
       }
-      policy.insert(page, AccessType::kRead);
     }
-  }
-  EXPECT_GT(static_cast<double>(hits) / kAccesses, 0.5);
+    // Even Random beats 50% here; real policies score much higher.
+    EXPECT_GT(static_cast<double>(hits) / kAccesses, 0.5);
+  });
 }
 
-TYPED_TEST(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
+TEST_P(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
   // Two consecutive select_victim calls with no intervening mutation must
   // agree (the call may mutate internal bits, but must converge).
-  TypeParam policy(4);
-  for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
-  const auto v1 = policy.select_victim();
-  const auto v2 = policy.select_victim();
-  ASSERT_TRUE(v1.has_value());
-  ASSERT_TRUE(v2.has_value());
-  EXPECT_EQ(*v1, *v2);
+  const bool random = GetParam() == "random";
+  with_policy(GetParam(), 4, [random](auto& policy) {
+    for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
+    const auto v1 = policy.select_victim();
+    const auto v2 = policy.select_victim();
+    ASSERT_TRUE(v1.has_value());
+    ASSERT_TRUE(v2.has_value());
+    if (!random) {
+      EXPECT_EQ(*v1, *v2);
+    }
+  });
 }
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementProperties,
+                         ::testing::Values("lru", "fifo", "clock", "lfu",
+                                           "random"),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace hymem::policy

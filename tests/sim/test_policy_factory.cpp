@@ -40,7 +40,7 @@ TEST(PolicyFactory, BuildsEveryAdvertisedPolicy) {
 
 // The single-tier baselines run LRU only: "<tier>:<replacement>" names are
 // unknown policies, rejected like any other typo.
-TEST(PolicyFactory, SuffixedSingleTierNamesRejected) {
+TEST(PolicyFactory, SingleTierVariantsWithReplacementSuffix) {
   for (const char* name :
        {"dram-only:lru", "dram-only:clock", "nvm-only:lru", "nvm-only:fifo"}) {
     EXPECT_FALSE(is_single_tier(name)) << name;
