@@ -12,6 +12,12 @@
 // run_fuzz_case() wraps it for fuzzing: derive a FuzzCase from a seed,
 // diff it, and on divergence shrink the trace to a minimal repro and
 // format a reproduction report.
+//
+// run_clock_dwf_differential() and run_clock_dwf_fuzz_case() do the same
+// for CLOCK-DWF against check/clock_dwf_reference: per-access decisions
+// (hit or fault tier, forced promotion, demoted and evicted victims, dirty
+// evictions), both clock rings in order from the hand with their reference
+// bits, and the end-of-run ledgers and model outputs.
 #pragma once
 
 #include <cstdint>
@@ -87,5 +93,36 @@ struct FuzzReport {
 
 FuzzReport run_fuzz_case(std::uint64_t seed, std::size_t accesses,
                          std::int64_t oracle_threshold_bias = 0);
+
+/// What to replay through ClockDwfPolicy and its oracle.
+struct DwfDiffSpec {
+  std::size_t dram_frames = 0;
+  std::size_t nvm_frames = 0;
+  /// Deep ring diff (order from the hand, reference bits) every N accesses;
+  /// 0 = only at the end. The per-access decision diff always runs.
+  std::size_t deep_diff_stride = 16;
+  /// MUTATION-CHECK KNOB — leave false for real checking. When set, the
+  /// oracle's DRAM clock also takes reference bits from reads (see
+  /// ClockDwfReference); the harness must then report a divergence.
+  bool oracle_dram_read_ref = false;
+
+  static DwfDiffSpec from_fuzz(const FuzzCase& fc) {
+    DwfDiffSpec spec;
+    spec.dram_frames = fc.dram_frames;
+    spec.nvm_frames = fc.nvm_frames;
+    return spec;
+  }
+};
+
+/// Replays `trace` (page-granular, default page size) through ClockDwfPolicy
+/// and ClockDwfReference in lockstep, auditing the VMM after every access.
+DiffResult run_clock_dwf_differential(const trace::Trace& trace,
+                                      const DwfDiffSpec& spec);
+
+/// One CLOCK-DWF fuzz iteration: the memory shape and trace of
+/// make_fuzz_case(seed, accesses) (its two-LRU tunables are unused), diffed
+/// and, on divergence, shrunk.
+FuzzReport run_clock_dwf_fuzz_case(std::uint64_t seed, std::size_t accesses,
+                                   bool oracle_dram_read_ref = false);
 
 }  // namespace hymem::check

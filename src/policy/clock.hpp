@@ -37,6 +37,19 @@ class ClockPolicy {
   /// Reference bit of a tracked page (for tests).
   bool ref_bit(PageId page) const;
 
+  /// Calls fn(page, ref_bit) for every tracked page in ring order, starting
+  /// at the hand (the page the next sweep inspects first). For tests and
+  /// src/check.
+  template <typename Fn>
+  void for_each_from_hand(Fn&& fn) const {
+    if (ring_.empty()) return;
+    Ring::const_iterator it = hand_;
+    for (std::size_t n = 0; n < ring_.size(); ++n) {
+      fn(it->page, it->ref);
+      if (++it == ring_.end()) it = ring_.begin();
+    }
+  }
+
  private:
   struct Entry {
     PageId page;

@@ -1,4 +1,5 @@
-// The long randomized differential sweep (nightly CI; ctest -L fuzz).
+// The long randomized differential sweeps, two-LRU and CLOCK-DWF (nightly
+// CI; ctest -L fuzz).
 // Deliberately a separate binary so `ctest -L tier1` never pays for it.
 // HYMEM_FUZZ_SEEDS scales the sweep (default 32 seeds x 10k accesses).
 #include <gtest/gtest.h>
@@ -24,6 +25,16 @@ TEST(FuzzLong, SweepRunsClean) {
     const FuzzReport report = run_fuzz_case(seed, /*accesses=*/10000);
     EXPECT_TRUE(report.ok()) << report.summary;
     if (!report.ok()) break;  // one full report is enough to act on
+  }
+}
+
+TEST(FuzzLong, ClockDwfSweepRunsClean) {
+  const std::uint64_t seeds = seed_count(32);
+  for (std::uint64_t i = 0; i < seeds; ++i) {
+    const std::uint64_t seed = 0xc10c0dcf00000000ull + i;
+    const FuzzReport report = run_clock_dwf_fuzz_case(seed, /*accesses=*/10000);
+    EXPECT_TRUE(report.ok()) << report.summary;
+    if (!report.ok()) break;
   }
 }
 
