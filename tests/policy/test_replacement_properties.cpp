@@ -1,37 +1,26 @@
-// Property suite run over every replacement algorithm: invariants that must
+// Property suite run over both replacement algorithms: invariants that must
 // hold regardless of the algorithm.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "policy/clock.hpp"
-#include "policy/fifo.hpp"
-#include "policy/lfu.hpp"
 #include "policy/lru.hpp"
-#include "policy/random_repl.hpp"
 #include "util/random.hpp"
 
 namespace hymem::policy {
 namespace {
 
 // Runs `body` on a fresh policy of the named algorithm. The algorithms are
-// concrete classes with no common base, so the suite dispatches on the name.
+// concrete classes with no common base, so the suite dispatches on the name
+// (which keeps the case names "lru" and "clock").
 template <typename Body>
 void with_policy(const std::string& name, std::size_t capacity, Body&& body) {
   if (name == "lru") {
     LruPolicy policy(capacity);
     body(policy);
-  } else if (name == "fifo") {
-    FifoPolicy policy(capacity);
-    body(policy);
   } else if (name == "clock") {
     ClockPolicy policy(capacity);
-    body(policy);
-  } else if (name == "lfu") {
-    LfuPolicy policy(capacity);
-    body(policy);
-  } else if (name == "random") {
-    RandomPolicy policy(capacity, /*seed=*/11);
     body(policy);
   } else {
     FAIL() << "no replacement algorithm named " << name;
@@ -118,7 +107,8 @@ TEST_P(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
         policy.insert(page, AccessType::kRead);
       }
     }
-    // Even Random beats 50% here; real policies score much higher.
+    // Even random replacement beats 50% here; LRU and CLOCK score much
+    // higher.
     EXPECT_GT(static_cast<double>(hits) / kAccesses, 0.5);
   });
 }
@@ -126,22 +116,18 @@ TEST_P(ReplacementProperties, HighLocalityStreamGetsHighHitRatio) {
 TEST_P(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
   // Two consecutive select_victim calls with no intervening mutation must
   // agree (the call may mutate internal bits, but must converge).
-  const bool random = GetParam() == "random";
-  with_policy(GetParam(), 4, [random](auto& policy) {
+  with_policy(GetParam(), 4, [](auto& policy) {
     for (PageId p = 0; p < 4; ++p) policy.insert(p, AccessType::kRead);
     const auto v1 = policy.select_victim();
     const auto v2 = policy.select_victim();
     ASSERT_TRUE(v1.has_value());
     ASSERT_TRUE(v2.has_value());
-    if (!random) {
-      EXPECT_EQ(*v1, *v2);
-    }
+    EXPECT_EQ(*v1, *v2);
   });
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementProperties,
-                         ::testing::Values("lru", "fifo", "clock", "lfu",
-                                           "random"),
+                         ::testing::Values("lru", "clock"),
                          [](const auto& param_info) {
                            return std::string(param_info.param);
                          });
