@@ -1,5 +1,7 @@
 #include "check/stream_parity.hpp"
 
+#include <iomanip>
+#include <memory>
 #include <sstream>
 
 #include "core/migration_scheme.hpp"
@@ -7,6 +9,7 @@
 #include "obs/timeline_io.hpp"
 #include "os/vmm.hpp"
 #include "sim/engine.hpp"
+#include "sim/policy_factory.hpp"
 #include "sim/results_io.hpp"
 #include "trace/access.hpp"
 #include "trace/block_source.hpp"
@@ -20,21 +23,36 @@ namespace {
 
 constexpr double kDurationS = 1.0;
 
+/// The memory shape `policy` runs `fc` on: single-tier policies get both
+/// modules' frames in their own module.
+os::VmmConfig vmm_config(const std::string& policy, const FuzzCase& fc) {
+  os::VmmConfig config;
+  config.dram_frames = fc.dram_frames;
+  config.nvm_frames = fc.nvm_frames;
+  if (policy == "dram-only") {
+    config.dram_frames += config.nvm_frames;
+    config.nvm_frames = 0;
+  } else if (policy == "nvm-only") {
+    config.nvm_frames += config.dram_frames;
+    config.dram_frames = 0;
+  }
+  return config;
+}
+
 /// Fresh policy stack for one replay: every mode starts from cold memory.
 struct Stack {
   os::Vmm vmm;
-  core::TwoLruMigrationPolicy policy;
+  std::unique_ptr<policy::HybridPolicy> policy;
   obs::EpochSampler sampler;
 
-  Stack(const FuzzCase& fc, std::uint64_t epoch_length)
-      : vmm([&fc] {
-          os::VmmConfig config;
-          config.dram_frames = fc.dram_frames;
-          config.nvm_frames = fc.nvm_frames;
-          return config;
-        }()),
-        policy(vmm, fc.migration),
-        sampler(epoch_length, vmm, &policy, kDurationS) {}
+  Stack(const std::string& name, const FuzzCase& fc,
+        std::uint64_t epoch_length)
+      : vmm(vmm_config(name, fc)),
+        policy(sim::make_policy(name, vmm, fc.migration)),
+        sampler(epoch_length, vmm,
+                dynamic_cast<const core::TwoLruMigrationPolicy*>(policy.get()),
+                kDurationS,
+                dynamic_cast<const obs::SampledStatsSource*>(policy.get())) {}
 };
 
 /// The reference: every access decoded and served on its own through
@@ -42,15 +60,16 @@ struct Stack {
 sim::RunResult reference_run(Stack& stack, const trace::Trace& trace) {
   const std::uint64_t page_size = stack.vmm.config().page_size;
   sim::RunResult result;
-  result.policy = std::string(stack.policy.name());
+  result.policy = std::string(stack.policy->name());
   result.workload = trace.name();
   result.duration_s = kDurationS;
   for (const trace::MemAccess& access : trace.accesses()) {
-    const Nanoseconds latency = stack.policy.on_access(
+    const Nanoseconds latency = stack.policy->on_access(
         trace::page_of(access.addr, page_size), access.type);
     result.visible_latency_ns += latency;
     stack.sampler.record(&latency, 1);
   }
+  stack.policy->stop_background();
   stack.sampler.finish();
   result.accesses = trace.size();
   result.timeline = stack.sampler.take_timeline();
@@ -59,10 +78,13 @@ sim::RunResult reference_run(Stack& stack, const trace::Trace& trace) {
   return result;
 }
 
-/// Serialized result plus its timeline: the bytes every mode must match.
+/// Serialized result, summed visible latency and timeline: the bytes every
+/// mode must match.
 std::string bytes_of(const sim::RunResult& result) {
   std::ostringstream out;
-  out << sim::to_json(result) << '\n';
+  out << sim::to_json(result) << '\n'
+      << "visible_latency_ns " << std::setprecision(17)
+      << result.visible_latency_ns << '\n';
   obs::write_timeline_csv(result.timeline, out);
   return out.str();
 }
@@ -79,7 +101,8 @@ std::string encode_stream(const trace::Trace& trace,
 
 }  // namespace
 
-StreamParityResult run_stream_parity(const FuzzCase& fc,
+StreamParityResult run_stream_parity(const std::string& policy,
+                                     const FuzzCase& fc,
                                      std::size_t block_accesses,
                                      std::uint64_t epoch_length) {
   HYMEM_CHECK_MSG(!fc.trace.empty(), "stream parity over an empty trace");
@@ -89,7 +112,7 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
 
   std::string reference;
   {
-    Stack stack(fc, epoch_length);
+    Stack stack(policy, fc, epoch_length);
     reference = bytes_of(reference_run(stack, fc.trace));
   }
 
@@ -106,28 +129,28 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
            std::getline(got_lines, got_line)) {
       if (want_line != got_line) break;
     }
-    out.divergence = std::string(mode) + ": reference " + want_line +
+    out.divergence = policy + " " + mode + ": reference " + want_line +
                      " != " + got_line;
     return false;
   };
 
   {
-    Stack stack(fc, epoch_length);
+    Stack stack(policy, fc, epoch_length);
     trace::TraceBlockSource source(fc.trace, stack.vmm.config().page_size,
                                    block_accesses);
-    if (!diff("blocks", sim::run_blocks(stack.policy, source, nullptr, 0,
+    if (!diff("blocks", sim::run_blocks(*stack.policy, source, nullptr, 0,
                                         kDurationS, &stack.sampler))) {
       return out;
     }
   }
   const std::string bytes = encode_stream(fc.trace, block_accesses);
   for (const bool readahead : {false, true}) {
-    Stack stack(fc, epoch_length);
+    Stack stack(policy, fc, epoch_length);
     std::istringstream in(bytes);
     trace::StreamBlockSource source(in, stack.vmm.config().page_size,
                                     block_accesses, readahead);
     if (!diff(readahead ? "stream+readahead" : "stream",
-              sim::run_blocks(stack.policy, source, nullptr, 0, kDurationS,
+              sim::run_blocks(*stack.policy, source, nullptr, 0, kDurationS,
                               &stack.sampler))) {
       return out;
     }
@@ -135,7 +158,8 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
   return out;
 }
 
-StreamParityResult run_stream_parity_case(std::uint64_t seed,
+StreamParityResult run_stream_parity_case(const std::string& policy,
+                                          std::uint64_t seed,
                                           std::size_t accesses) {
   const FuzzCase fc = make_fuzz_case(seed, accesses);
   // Block size and epoch length from the seed's own stream: blocks from 1
@@ -148,7 +172,7 @@ StreamParityResult run_stream_parity_case(std::uint64_t seed,
                                    (fc.trace.size() + 7));
   const std::uint64_t epoch_length =
       1 + splitmix64(state) % (fc.trace.size() / 4 + 1);
-  return run_stream_parity(fc, block_accesses, epoch_length);
+  return run_stream_parity(policy, fc, block_accesses, epoch_length);
 }
 
 }  // namespace hymem::check

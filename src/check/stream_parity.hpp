@@ -2,14 +2,15 @@
 //
 // The block engine (sim::run_blocks) promises results byte-identical to
 // serving the trace one access at a time through HybridPolicy::on_access,
-// for every ingest mode (decoded trace windows of any size, and the
-// O(block) double-buffered stream of the HYTS format with readahead on or
-// off) and with the epoch sampler cutting blocks at its boundaries. The
-// reference is a plain on_access loop that lives here, so the policies'
-// on_block fast paths are diffed against code the engine does not share.
-// run_stream_parity() replays one trace through every mode and diffs the
-// complete serialized RunResult (counts, latencies, derived Eq. 1/2/3
-// metrics) and the epoch timeline CSV against the reference.
+// for every policy, every ingest mode (decoded trace windows of any size,
+// and the O(block) double-buffered stream of the HYTS format with readahead
+// on or off) and with the epoch sampler cutting blocks at its boundaries.
+// The reference is a plain on_access loop that lives here, so each
+// policy's serve_block instantiation is diffed against per-access serving
+// with its demand counters recorded at once. run_stream_parity() replays
+// one trace through every mode and diffs the complete serialized RunResult
+// (counts, summed visible latency, derived Eq. 1/2/3 metrics) and the epoch
+// timeline CSV against the reference.
 //
 // run_stream_parity_case() wraps it for fuzzing: the trace and memory shape
 // derive from a seed through the same check/fuzzer scenarios that feed the
@@ -35,11 +36,15 @@ struct StreamParityResult {
   bool ok() const { return divergence.empty(); }
 };
 
-/// Replays `fc.trace` on `fc`'s memory shape through the per-access
-/// reference and through each ingest mode with `block_accesses`-sized
-/// blocks, sampling epochs of `epoch_length` accesses, and diffs the full
-/// serialized results and timelines.
-StreamParityResult run_stream_parity(const FuzzCase& fc,
+/// Replays `fc.trace` under the policy named `policy` (any
+/// sim::policy_names() entry, built by sim::make_policy with `fc`'s
+/// migration config and the default sample config) on `fc`'s memory shape
+/// through the per-access reference and through each ingest mode with
+/// `block_accesses`-sized blocks, sampling epochs of `epoch_length`
+/// accesses, and diffs the full serialized results and timelines. A
+/// single-tier policy gets both modules' frames in its own module.
+StreamParityResult run_stream_parity(const std::string& policy,
+                                     const FuzzCase& fc,
                                      std::size_t block_accesses,
                                      std::uint64_t epoch_length);
 
@@ -47,7 +52,8 @@ StreamParityResult run_stream_parity(const FuzzCase& fc,
 /// The block size also derives from the seed (1 to ~accesses, covering the
 /// degenerate one-access blocks and the whole-trace block), and so does the
 /// epoch length.
-StreamParityResult run_stream_parity_case(std::uint64_t seed,
+StreamParityResult run_stream_parity_case(const std::string& policy,
+                                          std::uint64_t seed,
                                           std::size_t accesses);
 
 }  // namespace hymem::check

@@ -32,12 +32,12 @@ class DramLruQueue {
   /// access, and a third less node footprint is a third fewer cache lines
   /// under that random walk. A promotion's hit count cannot reach 2^62.
   ///
-  /// Bit 62 is a *deferred dirty mark*: the block-replay fast path classifies
+  /// Bit 62 is a *parked dirty mark*: the scheme's serve() classifies
   /// writes with the same single index probe as reads and parks the
   /// page-table dirty bit here instead of paying a second (page-table) probe
-  /// per write. The scheme flushes it to the real page-table entry when the
-  /// page leaves DRAM — eviction, the only consumer of the dirty bit, can
-  /// only happen after that demotion.
+  /// per write. The scheme publishes it to the real page-table entry when
+  /// the page leaves DRAM — eviction, the only consumer of the dirty bit,
+  /// can only happen after that demotion.
   struct Node {
     PageId page = kInvalidPage;
     std::uint64_t score = 0;  // kPromotedBit | kDirtyBit | hits
@@ -57,9 +57,6 @@ class DramLruQueue {
   std::size_t size() const { return index_.size(); }
   bool full() const { return size() >= capacity_; }
   bool contains(PageId page) const { return index_.contains(page); }
-
-  /// Warms the index cache line for an upcoming access to `page`.
-  void prefetch(PageId page) const { index_.prefetch(page); }
 
   /// Records a demand hit: moves the page to MRU and, if it is an open
   /// promotion, counts the hit towards its score.
@@ -105,6 +102,13 @@ class DramLruQueue {
   template <typename Fn>
   void for_each_mru_to_lru(Fn&& fn) const {
     list_.for_each([&fn](const Node& n) { fn(n.page); });
+  }
+  /// Calls fn(page) for every page with a parked dirty mark.
+  template <typename Fn>
+  void for_each_dirty(Fn&& fn) const {
+    list_.for_each([&fn](const Node& n) {
+      if (n.dirty()) fn(n.page);
+    });
   }
 
  private:

@@ -33,9 +33,9 @@ std::uint64_t TwoLruMigrationPolicy::write_threshold() const {
 }
 
 void TwoLruMigrationPolicy::evict_from_dram(PageId page) {
-  // Flush the node-deferred dirty mark (see on_block) into the page table
-  // before the page leaves DRAM: the migrated-to-NVM entry keeps the bit,
-  // and eviction accounting reads it from there.
+  // Publish the dirty bit parked on the node (see serve) into the page
+  // table before the page leaves DRAM: the migrated-to-NVM entry keeps the
+  // bit, and eviction accounting reads it from there.
   if (const DramLruQueue::Node* node = dram_.find_node(page);
       node != nullptr && node->dirty()) {
     vmm_.touch_dirty(page);
@@ -91,170 +91,69 @@ bool TwoLruMigrationPolicy::admit_promotion() {
   return true;
 }
 
-Nanoseconds TwoLruMigrationPolicy::on_access(PageId page, AccessType type) {
-  const Nanoseconds latency = serve(page, type);
-  if (audit_hook_) audit_hook_(*this, page, type);
-  return latency;
+policy::Served TwoLruMigrationPolicy::nvm_hit(PageId page,
+                                              CountedLruQueue::Node& node,
+                                              AccessType type) {
+  policy::Served served = hit(Tier::kNvm, type);
+  const std::uint64_t counter = nvm_.record_hit_node(node, type);
+  const std::uint64_t threshold =
+      type == AccessType::kRead ? read_threshold() : write_threshold();
+  if (counter > threshold && admit_promotion()) served.latency += promote(page);
+  return served;
 }
 
-Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
-  // Auditing wants the hook after every access: take the generic loop so
-  // the checker semantics are identical to the reference engine.
-  if (audit_hook_ || block.hashes == nullptr) {
-    return policy::HybridPolicy::on_block(block);
-  }
-  // Batched Algorithm 1 with decisions and accounting identical to serve()
-  // access for access (the stream-vs-materialized differential pins this).
-  // One structural cut makes it fast — queue-index-first classification:
-  // the policy's queues track exactly the DRAM/NVM-resident pages
-  // (check_consistency and src/check verify that invariant), so a DRAM hit
-  // classifies with ONE probe of the DRAM index. Reads have no dirty or
-  // endurance side effects at all; DRAM writes park the dirty bit on the
-  // queue node (Node::kDirtyBit) and evict_from_dram flushes it to the page
-  // table at demotion — eviction, the only dirty-bit consumer, can only
-  // follow a demotion, so deferral is invisible to every output. Only NVM
-  // writes still fetch the page-table entry (wear accounting needs the
-  // frame). Every probe reuses the decode-time memoized hash.
-  //
-  // Rejected by measurement on this loop (kept here so the next tuner does
-  // not re-try them blind): staged/distance prefetching of the indexes and
-  // split probe/serve mini-batches both ran slower — at replay footprints
-  // the indexes are cache-resident and the extra instructions cost more
-  // than the latency they hide; a same-page node cursor (~28% repeats)
-  // also lost to its unpredictable guard branch.
-  const Nanoseconds lat_dram_read =
-      vmm_.demand_latency(Tier::kDram, AccessType::kRead);
-  const Nanoseconds lat_dram_write =
-      vmm_.demand_latency(Tier::kDram, AccessType::kWrite);
-  const Nanoseconds lat_nvm_read =
-      vmm_.demand_latency(Tier::kNvm, AccessType::kRead);
-  const Nanoseconds lat_nvm_write =
-      vmm_.demand_latency(Tier::kNvm, AccessType::kWrite);
-  std::uint64_t dram_reads = 0;
-  std::uint64_t dram_writes = 0;
-  std::uint64_t nvm_reads = 0;
-  std::uint64_t nvm_writes = 0;
-  accesses_seen_ += block.size;  // serve() counts per access; the sum is equal
-  // Hoisted by hand: promote() writes through `this`, so the compiler must
-  // otherwise reload the throttle config on every access.
-  const double token_cap = static_cast<double>(config_.max_promotions_per_kacc);
-  const double token_refill = token_cap / 1000.0;
-  Nanoseconds total = 0;
-  // Per-access latencies only when the caller asked for them (an epoch
-  // sampler is attached); the hit paths then store their device latency.
-  Nanoseconds* const latencies = block.latencies;
-  for (std::size_t i = 0; i < block.size; ++i) {
-    const PageId page = block.pages[i];
-    const std::uint64_t hash = block.hashes[i];
-    const AccessType type = block.types[i];
-    // Token-bucket refill, exactly as serve().
-    if (token_cap > 0) {
-      tokens_ = std::min(token_cap, tokens_ + token_refill);
-    }
-    if (type == AccessType::kRead) {
-      if (DramLruQueue::Node* node = dram_.find_node_hashed(page, hash)) {
-        // Algorithm 1 lines 2-3 (DRAM read hit): one probe total.
-        ++dram_reads;
-        dram_.on_hit_node(*node);
-        if (latencies != nullptr) latencies[i] = lat_dram_read;
-        continue;
-      }
-      if (CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash)) {
-        // Lines 5-25 (NVM read hit).
-        ++nvm_reads;
-        const std::uint64_t counter =
-            nvm_.record_hit_node(*node, AccessType::kRead);
-        Nanoseconds migration = 0;
-        if (counter > read_threshold() && admit_promotion()) {
-          migration = promote(page);
-          total += migration;
-        }
-        if (latencies != nullptr) latencies[i] = lat_nvm_read + migration;
-        continue;
-      }
-    } else {
-      if (DramLruQueue::Node* node = dram_.find_node_hashed(page, hash)) {
-        // DRAM write hit: one probe, dirty mark deferred to the node.
-        ++dram_writes;
-        node->mark_dirty();
-        dram_.on_hit_node(*node);
-        if (latencies != nullptr) latencies[i] = lat_dram_write;
-        continue;
-      }
-      if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
-        // Resident but not in the DRAM queue: must be NVM (the queues track
-        // residency exactly).
-        HYMEM_CHECK_MSG(entry->tier() == Tier::kNvm, "hit on untracked page");
-        entry->mark_dirty();
-        vmm_.note_nvm_demand_write(entry->frame());
-        ++nvm_writes;
-        CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash);
-        HYMEM_CHECK_MSG(node != nullptr, "hit on untracked page");
-        const std::uint64_t counter =
-            nvm_.record_hit_node(*node, AccessType::kWrite);
-        Nanoseconds migration = 0;
-        if (counter > write_threshold() && admit_promotion()) {
-          migration = promote(page);
-          total += migration;
-        }
-        if (latencies != nullptr) latencies[i] = lat_nvm_write + migration;
-        continue;
-      }
-    }
-    // Lines 27-28: page fault; all fills go to DRAM.
-    Nanoseconds latency = 0;
-    if (!vmm_.has_free_frame(Tier::kDram)) latency += demote_dram_victim();
-    latency += vmm_.fault_in(page, Tier::kDram);
-    dram_.insert(page, /*promoted=*/false);
-    if (type == AccessType::kWrite) vmm_.touch_dirty(page);
-    if (latencies != nullptr) latencies[i] = latency;
-    total += latency;
-  }
-  vmm_.record_demand_batch(Tier::kDram, dram_reads, dram_writes);
-  vmm_.record_demand_batch(Tier::kNvm, nvm_reads, nvm_writes);
-  total += static_cast<double>(dram_reads) * lat_dram_read +
-           static_cast<double>(dram_writes) * lat_dram_write +
-           static_cast<double>(nvm_reads) * lat_nvm_read +
-           static_cast<double>(nvm_writes) * lat_nvm_write;
-  return total;
-}
-
-Nanoseconds TwoLruMigrationPolicy::serve(PageId page, AccessType type) {
+policy::Served TwoLruMigrationPolicy::serve(PageId page, std::uint64_t hash,
+                                            AccessType type) {
   // Refill the promotion token bucket (rate per 1000 accesses).
-  ++accesses_seen_;
   if (config_.max_promotions_per_kacc > 0) {
     tokens_ = std::min(
         static_cast<double>(config_.max_promotions_per_kacc),
         tokens_ + static_cast<double>(config_.max_promotions_per_kacc) / 1000.0);
   }
-  // One page-table probe classifies the access AND serves resident hits
-  // (the historical tier_of + access pair probed twice).
-  const auto hit = vmm_.access_if_resident(page, type);
-  if (hit.has_value() && hit->tier == Tier::kDram) {
-    // Algorithm 1 lines 2-3: plain LRU housekeeping. The queue node carries
-    // the open-promotion score, so this is a single index probe.
-    dram_.on_hit(page);
-    return hit->latency;
+  if (DramLruQueue::Node* node = dram_.find_node_hashed(page, hash)) {
+    // Algorithm 1 lines 2-3: plain LRU housekeeping. The node also carries
+    // the open-promotion score and the parked dirty bit.
+    if (type == AccessType::kWrite) node->mark_dirty();
+    dram_.on_hit_node(*node);
+    return hit(Tier::kDram, type);
   }
-  if (hit.has_value()) {
-    // Lines 5-25: served from NVM; update the windowed counter and promote
-    // only past the threshold.
-    const std::uint64_t counter = nvm_.record_hit(page, type);
-    const std::uint64_t threshold =
-        type == AccessType::kRead ? read_threshold() : write_threshold();
-    if (counter > threshold && admit_promotion()) {
-      return hit->latency + promote(page);
+  if (type == AccessType::kRead) {
+    if (CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash)) {
+      return nvm_hit(page, *node, type);
     }
-    return hit->latency;
+  } else if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
+    // Resident but not in the DRAM queue: must be NVM.
+    HYMEM_CHECK_MSG(entry->tier() == Tier::kNvm, "hit on untracked page");
+    entry->mark_dirty();
+    vmm_.note_nvm_demand_write(entry->frame());
+    CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash);
+    HYMEM_CHECK_MSG(node != nullptr, "hit on untracked page");
+    return nvm_hit(page, *node, type);
   }
-  // Lines 27-28: all page faults fill DRAM; demote the DRAM LRU victim when
-  // needed.
+  return {fault(page, type), policy::Demand::kNone};
+}
+
+Nanoseconds TwoLruMigrationPolicy::fault(PageId page, AccessType type) {
   Nanoseconds latency = 0;
   if (!vmm_.has_free_frame(Tier::kDram)) latency += demote_dram_victim();
   latency += vmm_.fault_in(page, Tier::kDram);
   dram_.insert(page, /*promoted=*/false);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
   return latency;
+}
+
+Nanoseconds TwoLruMigrationPolicy::on_access(PageId page, AccessType type) {
+  const Nanoseconds latency = policy::serve_one(*this, page, type);
+  if (audit_hook_) audit_hook_(*this, page, type);
+  return latency;
+}
+
+Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
+  return policy::serve_block(*this, block);
+}
+
+void TwoLruMigrationPolicy::publish_dirty() {
+  dram_.for_each_dirty([this](PageId page) { vmm_.touch_dirty(page); });
 }
 
 }  // namespace hymem::core

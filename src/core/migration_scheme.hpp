@@ -34,19 +34,21 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   std::string_view name() const override {
     return config_.adaptive ? "two-lru-adaptive" : "two-lru";
   }
+  /// Serves one access, then runs the audit hook.
   Nanoseconds on_access(PageId page, AccessType type) override;
-  /// Block-batched replay path: same decisions as on_access in sequence
-  /// (the stream-vs-materialized differential pins this), restructured
-  /// around two batch-only facts — a read's residency/tier classification
-  /// needs only the policy's own queue indexes (one probe instead of two),
-  /// and same-page runs can serve from a cached node cursor with no probe
-  /// at all. Every probe reuses the decode-time memoized page hash.
   Nanoseconds on_block(const policy::AccessBlock& block) override;
-  void prefetch(PageId page) const override {
-    vmm_.prefetch_translation(page);
-    dram_.prefetch(page);
-    nvm_.prefetch(page);
-  }
+  void publish_dirty() override;
+
+  /// serve_block's step: Algorithm 1 for one access. The queues track
+  /// exactly the DRAM- and NVM-resident pages, so the queue indexes
+  /// classify an access: a DRAM hit costs one probe (a write parks its
+  /// dirty bit on the queue node until the page leaves DRAM), an NVM read
+  /// hit two. Only an NVM write also fetches the page-table entry, whose
+  /// frame the wear ledger needs. Defined in the .cpp, where on_block and
+  /// on_access instantiate serve_block and inline it.
+  [[gnu::always_inline]] inline policy::Served serve(PageId page,
+                                                     std::uint64_t hash,
+                                                     AccessType type);
 
   const MigrationConfig& config() const { return config_; }
   const CountedLruQueue& nvm_queue() const { return nvm_; }
@@ -70,7 +72,7 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
 
   /// Debug hook, run after every completed on_access (HYMEM_CHECK-style
   /// validation: src/check installs its invariant checker here). Null by
-  /// default; the hot path pays one branch. The hook must not mutate the
+  /// default; on_block does not run it. The hook must not mutate the
   /// policy or the VMM.
   using AuditHook = std::function<void(const TwoLruMigrationPolicy&, PageId,
                                        AccessType)>;
@@ -88,9 +90,13 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   void evict_from_dram(PageId page);
   /// Token-bucket admission for one promotion (true = allowed).
   bool admit_promotion();
-  /// The actual Algorithm 1 access path (on_access wraps it with the audit
-  /// hook).
-  Nanoseconds serve(PageId page, AccessType type);
+  /// Lines 5-25 after an NVM hit: counts it in the page's windowed counter
+  /// and promotes past the threshold (inlined into serve).
+  [[gnu::always_inline]] inline policy::Served nvm_hit(
+      PageId page, CountedLruQueue::Node& node, AccessType type);
+  /// Lines 27-28: a page fault fills DRAM, demoting the DRAM LRU victim
+  /// when needed.
+  Nanoseconds fault(PageId page, AccessType type);
 
   MigrationConfig config_;
   DramLruQueue dram_;
@@ -99,7 +105,6 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   std::uint64_t promotions_ = 0;
   std::uint64_t demotions_ = 0;
   std::uint64_t throttled_ = 0;
-  std::uint64_t accesses_seen_ = 0;
   double tokens_ = 0.0;
   AuditHook audit_hook_;
 };

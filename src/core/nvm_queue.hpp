@@ -61,7 +61,6 @@ class CountedLruQueue {
   std::size_t write_window_target() const { return write_win_.target; }
 
   /// Warms the membership-index cache line for an upcoming record_hit.
-  void prefetch(PageId page) const { index_.prefetch(page); }
 
   /// Records a hit per Algorithm 1: promotes the page to MRU, maintains both
   /// windows (resetting counters that fall off), and updates the counter for

@@ -78,9 +78,6 @@ class PageTable {
   /// dirty bit.
   void remap(PageId page, Tier tier, FrameId frame);
 
-  /// Warms the cache line holding `page`'s entry (see FlatPageMap::prefetch).
-  void prefetch(PageId page) const { entries_.prefetch(page); }
-
   bool is_resident(PageId page) const { return entries_.contains(page); }
   std::uint64_t resident_pages() const { return entries_.size(); }
   std::uint64_t resident_in(Tier tier) const {

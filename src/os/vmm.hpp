@@ -53,8 +53,6 @@ class Vmm {
   bool is_resident(PageId page) const { return table_.is_resident(page); }
   /// Tier holding the page, or nullopt when it is on disk.
   std::optional<Tier> tier_of(PageId page) const;
-  /// Warms the page-table cache line for an upcoming access to `page`.
-  void prefetch_translation(PageId page) const { table_.prefetch(page); }
   bool has_free_frame(Tier tier) const;
   std::uint64_t frames(Tier tier) const;
   std::uint64_t resident(Tier tier) const { return table_.resident_in(tier); }
@@ -78,13 +76,13 @@ class Vmm {
                                                    AccessType type);
 
   // --- Block-replay fast path -----------------------------------------------
-  // The three calls below decompose access_if_resident for a *trusted*
-  // caller: a policy whose own per-tier indexes already prove residency and
-  // tier (the queues and the page table track the same pages by invariant —
-  // check_consistency and the stream-vs-materialized differential pin it).
-  // Splitting the accounting from the probe lets the policy's block loop
-  // skip the page-table probe entirely on reads (reads have no dirty or
-  // endurance side effects) and reuse a cached entry across same-page runs.
+  // The calls below decompose access_if_resident for a *trusted* caller: a
+  // policy whose own per-tier indexes already prove residency and tier (its
+  // queues and the page table track the same pages by invariant —
+  // check_consistency and the stream-parity and differential harnesses pin
+  // it). Splitting the accounting from the probe lets policy::serve_block
+  // skip the page-table probe on reads (reads have no dirty or endurance
+  // side effects) and batch the demand counters per block.
 
   /// Page-table entry for the fast path, probed with the decode-time
   /// memoized hash (must equal util::hash_page_id(page)); nullptr when
@@ -95,17 +93,11 @@ class Vmm {
     return table_.find_hashed(page, hash);
   }
 
-  /// Demand-access accounting for a page the caller has proven resident in
-  /// `tier`: identical counters and latency to `access`, minus the probe.
-  /// For writes the caller must also mark the entry dirty and, on NVM,
-  /// call note_nvm_demand_write.
-  Nanoseconds record_demand_resident(Tier tier, AccessType type) {
-    return device_mut(tier).record_demand(type);
-  }
-
-  /// The latency `record_demand_resident` would charge — a constant per
+  /// The latency `access` charges a demand hit — a constant per
   /// (tier, type) — so a block loop can hoist all four values and defer the
-  /// counter updates to one `record_demand_batch` per block.
+  /// counter updates to one `record_demand_batch` per block. For a write
+  /// the caller must also mark the entry dirty (or park the bit; see
+  /// HybridPolicy::publish_dirty) and, on NVM, call note_nvm_demand_write.
   Nanoseconds demand_latency(Tier tier, AccessType type) const {
     return device(tier).demand_latency(type);
   }

@@ -4,66 +4,42 @@
 
 namespace hymem::policy {
 
-ClockPolicy::ClockPolicy(std::size_t capacity) : capacity_(capacity) {
-  HYMEM_CHECK_MSG(capacity > 0, "CLOCK capacity must be positive");
-}
-
-void ClockPolicy::advance_hand() {
-  HYMEM_CHECK(!ring_.empty());
-  if (hand_ == ring_.end()) hand_ = ring_.begin();
-  ++hand_;
-  if (hand_ == ring_.end()) hand_ = ring_.begin();
-}
-
 void ClockPolicy::on_hit(PageId page, AccessType /*type*/) {
-  const auto it = index_.find(page);
-  HYMEM_CHECK_MSG(it != index_.end(), "hit on untracked page");
-  it->second->ref = true;
+  const Slot* slot = ring_.find(page);
+  HYMEM_CHECK_MSG(slot != nullptr, "hit on untracked page");
+  ring_.node(*slot).ref = true;
 }
 
 void ClockPolicy::insert(PageId page, AccessType /*type*/) {
-  HYMEM_CHECK_MSG(!contains(page), "insert of tracked page");
-  HYMEM_CHECK_MSG(size() < capacity_, "insert into full CLOCK");
-  // New pages enter just behind the hand (i.e. they are visited last).
-  Ring::iterator pos = hand_ == ring_.end() ? ring_.end() : hand_;
-  const auto it = ring_.insert(pos, Entry{page, false});
-  index_.emplace(page, it);
-  if (hand_ == ring_.end()) hand_ = it;
+  // New pages enter just behind the hand (i.e. they are visited last); the
+  // first page of an empty ring takes the hand.
+  const Slot slot = ring_.insert_before(hand_, page);
+  if (hand_ == ring_.sentinel()) hand_ = slot;
 }
 
 std::optional<PageId> ClockPolicy::select_victim() {
-  if (ring_.empty()) return std::nullopt;
-  if (hand_ == ring_.end()) hand_ = ring_.begin();
-  // Sweep: give referenced pages a second chance. Terminates within two
-  // laps because every visited page's bit is cleared.
-  for (std::size_t steps = 0; steps < 2 * ring_.size() + 1; ++steps) {
-    if (hand_->ref) {
-      hand_->ref = false;
-      advance_hand();
-    } else {
-      return hand_->page;
-    }
+  if (size() == 0) return std::nullopt;
+  // Sweep: give referenced pages a second chance. Terminates within one
+  // lap plus a step, because every visited page's bit is cleared.
+  while (ring_.node(hand_).ref) {
+    ring_.node(hand_).ref = false;
+    hand_ = after(hand_);
   }
-  HYMEM_CHECK_MSG(false, "CLOCK sweep failed to find a victim");
-  return std::nullopt;
+  return ring_.node(hand_).page;
 }
 
-void ClockPolicy::erase(PageId page) {
-  const auto it = index_.find(page);
-  HYMEM_CHECK_MSG(it != index_.end(), "erase of untracked page");
-  if (hand_ == it->second) {
-    ++hand_;
-    if (hand_ == ring_.end() && ring_.size() > 1) hand_ = ring_.begin();
-  }
-  ring_.erase(it->second);
-  index_.erase(it);
-  if (ring_.empty()) hand_ = ring_.end();
+bool ClockPolicy::erase(PageId page) {
+  const Slot slot = ring_.erase(page);
+  // The erased node keeps its links, so after() still names its successor;
+  // an emptied ring leaves the hand on the sentinel.
+  if (hand_ == slot) hand_ = after(slot);
+  return ring_.node(slot).dirty;
 }
 
 bool ClockPolicy::ref_bit(PageId page) const {
-  const auto it = index_.find(page);
-  HYMEM_CHECK_MSG(it != index_.end(), "ref_bit of untracked page");
-  return it->second->ref;
+  const Slot* slot = ring_.find(page);
+  HYMEM_CHECK_MSG(slot != nullptr, "ref_bit of untracked page");
+  return ring_.node(*slot).ref;
 }
 
 }  // namespace hymem::policy

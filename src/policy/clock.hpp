@@ -1,27 +1,39 @@
 // CLOCK (second-chance) replacement: the approximation of LRU used by real
-// kernels and the base algorithm of CLOCK-DWF's NVM module.
+// kernels and the base algorithm of both CLOCK-DWF modules.
 #pragma once
 
 #include <cstddef>
-#include <list>
+#include <cstdint>
 #include <optional>
-#include <unordered_map>
 
+#include "policy/page_ring.hpp"
 #include "util/types.hpp"
 
 namespace hymem::policy {
 
-/// Circular buffer of pages with reference bits and a sweeping hand.
+/// A ring of pages with reference bits and a sweeping hand, stored in a
+/// PageRing: ring order is list order from first() to last(), wrapping
+/// around, and the hand is a slot (the sentinel while the ring is empty).
 class ClockPolicy {
  public:
-  explicit ClockPolicy(std::size_t capacity);
+  using Slot = PageRing::Slot;
+
+  explicit ClockPolicy(std::size_t capacity)
+      : ring_(capacity), hand_(ring_.sentinel()) {}
 
   /// Maximum number of pages the policy may hold.
-  std::size_t capacity() const { return capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
   /// Pages currently tracked.
-  std::size_t size() const { return index_.size(); }
-  bool full() const { return size() >= capacity_; }
-  bool contains(PageId page) const { return index_.count(page) > 0; }
+  std::size_t size() const { return ring_.size(); }
+  bool full() const { return ring_.full(); }
+  bool contains(PageId page) const { return ring_.contains(page); }
+
+  /// Slot of a tracked page, probed with its memoized hash (must equal
+  /// util::hash_page_id(page)); nullptr when untracked.
+  const Slot* find(PageId page, std::uint64_t hash) const {
+    return ring_.find(page, hash);
+  }
+  PageRing::Node& node(Slot slot) { return ring_.node(slot); }
 
   /// Sets a tracked page's reference bit.
   void on_hit(PageId page, AccessType type);
@@ -31,8 +43,10 @@ class ClockPolicy {
   /// Sweeps the hand to the next unreferenced page, clearing reference bits
   /// on the way; the page is not yet removed. nullopt iff empty.
   std::optional<PageId> select_victim();
-  /// Stops tracking a page (eviction or migration elsewhere).
-  void erase(PageId page);
+  /// Stops tracking a page (eviction or migration elsewhere); a hand on it
+  /// moves on to the next page. Returns whether a dirty bit was parked on
+  /// it.
+  bool erase(PageId page);
 
   /// Reference bit of a tracked page (for tests).
   bool ref_bit(PageId page) const;
@@ -42,27 +56,29 @@ class ClockPolicy {
   /// src/check.
   template <typename Fn>
   void for_each_from_hand(Fn&& fn) const {
-    if (ring_.empty()) return;
-    Ring::const_iterator it = hand_;
-    for (std::size_t n = 0; n < ring_.size(); ++n) {
-      fn(it->page, it->ref);
-      if (++it == ring_.end()) it = ring_.begin();
+    Slot slot = hand_;
+    for (std::size_t n = 0; n < size(); ++n) {
+      fn(ring_.node(slot).page, ring_.node(slot).ref);
+      slot = after(slot);
     }
+  }
+  /// Calls fn(page) for every page with a parked dirty bit.
+  template <typename Fn>
+  void for_each_dirty(Fn&& fn) const {
+    ring_.for_each([&fn](const PageRing::Node& node) {
+      if (node.dirty) fn(node.page);
+    });
   }
 
  private:
-  struct Entry {
-    PageId page;
-    bool ref;
-  };
-  using Ring = std::list<Entry>;
+  /// The page after `slot` in ring order, wrapping past the sentinel.
+  Slot after(Slot slot) const {
+    const Slot next = ring_.node(slot).next;
+    return next == ring_.sentinel() ? ring_.first() : next;
+  }
 
-  void advance_hand();
-
-  std::size_t capacity_;
-  Ring ring_;           // circular order; hand_ sweeps towards end then wraps
-  Ring::iterator hand_ = ring_.end();
-  std::unordered_map<PageId, Ring::iterator> index_;
+  PageRing ring_;
+  Slot hand_;
 };
 
 }  // namespace hymem::policy

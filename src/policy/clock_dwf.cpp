@@ -12,6 +12,33 @@ ClockDwfPolicy::ClockDwfPolicy(os::Vmm& vmm)
                   "CLOCK-DWF needs both modules populated");
 }
 
+Served ClockDwfPolicy::serve(PageId page, std::uint64_t hash,
+                             AccessType type) {
+  if (const ClockPolicy::Slot* slot = dram_.find(page, hash)) {
+    if (type == AccessType::kWrite) {
+      // Write-history-aware: only writes refresh the DRAM reference bit, so
+      // read-dominant pages age out towards NVM.
+      PageRing::Node& node = dram_.node(*slot);
+      node.ref = true;
+      node.dirty = true;
+    }
+    return hit(Tier::kDram, type);
+  }
+  if (const ClockPolicy::Slot* slot = nvm_.find(page, hash)) {
+    if (type == AccessType::kRead) {
+      nvm_.node(*slot).ref = true;
+      return hit(Tier::kNvm, type);
+    }
+    // Write to an NVM page: forced promotion — NVM never serves writes.
+    return {promote_and_write(page), Demand::kNone};
+  }
+  return {fault_in_access(page, type), Demand::kNone};
+}
+
+void ClockDwfPolicy::leave_dram(PageId victim) {
+  if (dram_.erase(victim)) vmm_.touch_dirty(victim);
+}
+
 void ClockDwfPolicy::evict_nvm_victim() {
   const auto victim = nvm_.select_victim();
   HYMEM_CHECK_MSG(victim.has_value(), "NVM clock empty while full");
@@ -23,53 +50,32 @@ Nanoseconds ClockDwfPolicy::demote_dram_victim() {
   const auto victim = dram_.select_victim();
   HYMEM_CHECK_MSG(victim.has_value(), "DRAM clock empty while full");
   if (!vmm_.has_free_frame(Tier::kNvm)) evict_nvm_victim();
-  dram_.erase(*victim);
+  leave_dram(*victim);
   const Nanoseconds latency = vmm_.migrate(*victim, Tier::kNvm);
   nvm_.insert(*victim, AccessType::kRead);
   return latency;
 }
 
-Nanoseconds ClockDwfPolicy::on_access(PageId page, AccessType type) {
-  if (type == AccessType::kRead) {
-    // Reads are served wherever the page lives — one combined probe+access.
-    if (const auto hit = vmm_.access_if_resident(page, type)) {
-      if (hit->tier == Tier::kNvm) nvm_.on_hit(page, type);
-      return hit->latency;
-    }
-    return fault_in_access(page, type);
+Nanoseconds ClockDwfPolicy::promote_and_write(PageId page) {
+  Nanoseconds latency = 0;
+  if (vmm_.has_free_frame(Tier::kDram)) {
+    nvm_.erase(page);
+    latency += vmm_.migrate(page, Tier::kDram);
+  } else {
+    const auto victim = dram_.select_victim();
+    HYMEM_CHECK_MSG(victim.has_value(), "DRAM clock empty while full");
+    // Full memory: the promotion drags the DRAM victim down with it
+    // (one migration each way — the non-beneficial pattern the paper
+    // dissects in Section III).
+    leave_dram(*victim);
+    nvm_.erase(page);
+    latency += vmm_.swap(page, *victim);
+    nvm_.insert(*victim, AccessType::kRead);
   }
-  // Writes dispatch on the tier BEFORE serving: a write to an NVM page is
-  // forcibly promoted first and served by DRAM, never by NVM.
-  const auto tier = vmm_.tier_of(page);
-  if (tier == Tier::kDram) {
-    // Write-history-aware: only writes refresh the DRAM reference bit, so
-    // read-dominant pages age out towards NVM.
-    dram_.on_hit(page, type);
-    return vmm_.access(page, type);
-  }
-  if (tier == Tier::kNvm) {
-    // Write to an NVM page: forced promotion — NVM never serves writes.
-    Nanoseconds latency = 0;
-    if (vmm_.has_free_frame(Tier::kDram)) {
-      nvm_.erase(page);
-      latency += vmm_.migrate(page, Tier::kDram);
-    } else {
-      const auto victim = dram_.select_victim();
-      HYMEM_CHECK_MSG(victim.has_value(), "DRAM clock empty while full");
-      // Full memory: the promotion drags the DRAM victim down with it
-      // (one migration each way — the non-beneficial pattern the paper
-      // dissects in Section III).
-      dram_.erase(*victim);
-      nvm_.erase(page);
-      latency += vmm_.swap(page, *victim);
-      nvm_.insert(*victim, AccessType::kRead);
-    }
-    dram_.insert(page, type);
-    dram_.on_hit(page, type);  // the triggering write sets the bit
-    latency += vmm_.access(page, type);
-    return latency;
-  }
-  return fault_in_access(page, type);
+  dram_.insert(page, AccessType::kWrite);
+  dram_.on_hit(page, AccessType::kWrite);  // the triggering write sets the bit
+  latency += vmm_.access(page, AccessType::kWrite);
+  return latency;
 }
 
 // Page fault. Writes (and any fault while DRAM has spare frames) fill
@@ -92,6 +98,18 @@ Nanoseconds ClockDwfPolicy::fault_in_access(PageId page, AccessType type) {
     nvm_.insert(page, type);
   }
   return latency;
+}
+
+Nanoseconds ClockDwfPolicy::on_access(PageId page, AccessType type) {
+  return serve_one(*this, page, type);
+}
+
+Nanoseconds ClockDwfPolicy::on_block(const AccessBlock& block) {
+  return serve_block(*this, block);
+}
+
+void ClockDwfPolicy::publish_dirty() {
+  dram_.for_each_dirty([this](PageId page) { vmm_.touch_dirty(page); });
 }
 
 }  // namespace hymem::policy

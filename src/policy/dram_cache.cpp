@@ -27,16 +27,17 @@ Nanoseconds DramCachePolicy::make_dram_room() {
   return latency;
 }
 
-Nanoseconds DramCachePolicy::on_access(PageId page, AccessType type) {
+Served DramCachePolicy::serve(PageId page, std::uint64_t /*hash*/,
+                              AccessType type) {
   // One page-table probe classifies the access and serves resident hits.
-  const auto hit = vmm_.access_if_resident(page, type);
-  if (hit.has_value() && hit->tier == Tier::kDram) {
+  const auto resident = vmm_.access_if_resident(page, type);
+  if (resident.has_value() && resident->tier == Tier::kDram) {
     dram_.on_hit(page, type);
-    return hit->latency;
+    return {resident->latency, Demand::kNone};
   }
-  if (hit.has_value()) {
+  if (resident.has_value()) {
     // Served from NVM; promote unconditionally.
-    Nanoseconds latency = hit->latency;
+    Nanoseconds latency = resident->latency;
     if (vmm_.has_free_frame(Tier::kDram)) {
       nvm_.erase(page);
       latency += vmm_.migrate(page, Tier::kDram);
@@ -49,7 +50,7 @@ Nanoseconds DramCachePolicy::on_access(PageId page, AccessType type) {
       nvm_.insert(*victim, AccessType::kRead);
     }
     dram_.insert(page, type);
-    return latency;
+    return {latency, Demand::kNone};
   }
   // Page fault: fill DRAM (hot front), demoting as needed.
   Nanoseconds latency = 0;
@@ -57,7 +58,15 @@ Nanoseconds DramCachePolicy::on_access(PageId page, AccessType type) {
   latency += vmm_.fault_in(page, Tier::kDram);
   dram_.insert(page, type);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
-  return latency;
+  return {latency, Demand::kNone};
+}
+
+Nanoseconds DramCachePolicy::on_access(PageId page, AccessType type) {
+  return serve_one(*this, page, type);
+}
+
+Nanoseconds DramCachePolicy::on_block(const AccessBlock& block) {
+  return serve_block(*this, block);
 }
 
 }  // namespace hymem::policy

@@ -17,11 +17,11 @@ class DramCachePolicy final : public HybridPolicy {
 
   std::string_view name() const override { return "dram-cache"; }
   Nanoseconds on_access(PageId page, AccessType type) override;
-  void prefetch(PageId page) const override {
-    vmm_.prefetch_translation(page);
-    dram_.prefetch(page);
-    nvm_.prefetch(page);
-  }
+  Nanoseconds on_block(const AccessBlock& block) override;
+
+  /// serve_block's step (hits are served through Vmm::access_if_resident,
+  /// which records them itself).
+  Served serve(PageId page, std::uint64_t hash, AccessType type);
 
  private:
   /// Frees one DRAM frame by demoting the DRAM LRU victim to NVM (evicting

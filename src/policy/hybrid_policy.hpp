@@ -1,4 +1,5 @@
-// Hybrid-memory management policy interface.
+// Hybrid-memory management policy interface, and the one replay loop every
+// policy is served through.
 //
 // A HybridPolicy handles each main-memory request end-to-end by deciding
 // placement, migration and eviction, and executing those decisions through
@@ -6,24 +7,25 @@
 // by the same mechanism layer, so comparisons are apples-to-apples.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string_view>
 
 #include "os/vmm.hpp"
+#include "util/flat_page_map.hpp"
 #include "util/types.hpp"
 #include "util/units.hpp"
 
 namespace hymem::policy {
 
 /// One decoded block of the replay stream, the unit the block engine hands
-/// to a policy. `hashes` memoizes hash_page_id(pages[i]) — the decode stage
-/// computes it once per access so the policy's map probes (page table, LRU
-/// indexes) never rerun the mixer; it may be null when the producer does not
-/// precompute (policies must treat it as an optional acceleration).
-/// `latencies`, when non-null, receives each access's visible latency (the
-/// engine asks for them only when an epoch sampler is attached).
+/// to a policy. `hashes` memoizes hash_page_id(pages[i]): the decode stage
+/// computes it once per access, so the policy's map probes (page table,
+/// replacement indexes) never rerun the mixer. `latencies`, when non-null,
+/// receives each access's visible latency (the engine asks for them only
+/// when an epoch sampler is attached).
 struct AccessBlock {
   const PageId* pages = nullptr;
   const AccessType* types = nullptr;
@@ -32,11 +34,44 @@ struct AccessBlock {
   Nanoseconds* latencies = nullptr;
 };
 
+/// The demand-access counter a served access leaves to serve_block: the
+/// device and type of the hit, or kNone when serve() recorded everything
+/// itself (faults, forced migrations, policies that serve hits through
+/// Vmm::access).
+enum class Demand : std::uint8_t {
+  kNone = 0,
+  kDramRead,
+  kDramWrite,
+  kNvmRead,
+  kNvmWrite,
+};
+
+/// One access as a final policy's serve() returns it.
+struct Served {
+  /// Visible latency, including the device latency of a `demand` hit.
+  Nanoseconds latency;
+  /// The device counter serve_block still has to record.
+  Demand demand;
+};
+
 /// Base class of all hybrid-memory policies (and the single-module
 /// baselines, which simply leave one module empty).
+///
+/// Every final policy P implements one non-virtual step,
+/// `Served P::serve(PageId page, std::uint64_t hash, AccessType type)`,
+/// which serves one access with `hash == util::hash_page_id(page)` and may
+/// leave the hit's demand counter to its caller. Its `on_block` is
+/// `serve_block(*this, block)` and its `on_access` is
+/// `serve_one(*this, page, type)`, so both are the same loop.
 class HybridPolicy {
  public:
-  explicit HybridPolicy(os::Vmm& vmm) : vmm_(vmm) {}
+  explicit HybridPolicy(os::Vmm& vmm)
+      : vmm_(vmm),
+        demand_ns_{0,
+                   vmm.demand_latency(Tier::kDram, AccessType::kRead),
+                   vmm.demand_latency(Tier::kDram, AccessType::kWrite),
+                   vmm.demand_latency(Tier::kNvm, AccessType::kRead),
+                   vmm.demand_latency(Tier::kNvm, AccessType::kWrite)} {}
   virtual ~HybridPolicy() = default;
   HybridPolicy(const HybridPolicy&) = delete;
   HybridPolicy& operator=(const HybridPolicy&) = delete;
@@ -47,32 +82,9 @@ class HybridPolicy {
   /// (device hit latency, or disk latency plus any synchronous migrations).
   virtual Nanoseconds on_access(PageId page, AccessType type) = 0;
 
-  /// Hints that `page` will be accessed shortly: warms the cache lines the
-  /// policy's on_access will probe (page table, membership indexes). Replay
-  /// loops call this a fixed distance ahead of on_access; it must have no
-  /// architectural effect.
-  virtual void prefetch(PageId page) const { vmm_.prefetch_translation(page); }
-
   /// Serves a decoded block of accesses and returns the summed visible
-  /// latency. Semantically identical to calling on_access in sequence — the
-  /// block engine's differential gate holds every override to that contract
-  /// — but a policy may override it to batch the work: hoist per-access
-  /// dispatch, reuse the memoized hashes, and keep its inner loop free of
-  /// virtual calls. The default is the reference replay loop (prefetch a
-  /// fixed distance ahead, then serve).
-  virtual Nanoseconds on_block(const AccessBlock& block) {
-    constexpr std::size_t kPrefetchDistance = 8;
-    Nanoseconds total = 0;
-    for (std::size_t i = 0; i < block.size; ++i) {
-      if (i + kPrefetchDistance < block.size) {
-        prefetch(block.pages[i + kPrefetchDistance]);
-      }
-      const Nanoseconds latency = on_access(block.pages[i], block.types[i]);
-      if (block.latencies != nullptr) block.latencies[i] = latency;
-      total += latency;
-    }
-    return total;
-  }
+  /// latency, exactly as on_access in sequence would.
+  virtual Nanoseconds on_block(const AccessBlock& block) = 0;
 
   // Engine hooks for a policy with background work or run statistics of
   // its own (sampled-lru); each is a no-op (or a plain call) otherwise.
@@ -91,11 +103,76 @@ class HybridPolicy {
   /// them here, keeping its learned state.
   virtual void reset_stats() {}
 
+  /// Writes every dirty bit parked on the policy's own nodes into the page
+  /// table. A policy may park a DRAM write's dirty bit on its node instead
+  /// of probing the page table, because Vmm::evict is the bit's only reader
+  /// and the policy publishes it before the page leaves DRAM. A caller that
+  /// evicts pages behind the policy's back (a tenant flush) calls this
+  /// first.
+  virtual void publish_dirty() {}
+
   os::Vmm& vmm() { return vmm_; }
   const os::Vmm& vmm() const { return vmm_; }
 
  protected:
+  /// A demand hit on `tier`: its device latency, its counter left to
+  /// serve_block.
+  Served hit(Tier tier, AccessType type) const {
+    const auto demand = static_cast<Demand>(
+        1 + (tier == Tier::kNvm ? 2 : 0) + (type == AccessType::kWrite ? 1 : 0));
+    return {demand_ns_[static_cast<std::size_t>(demand)], demand};
+  }
+
   os::Vmm& vmm_;
+
+ private:
+  std::array<Nanoseconds, 5> demand_ns_;  // indexed by Demand
 };
+
+/// The replay loop of every policy: serves `block` access by access through
+/// the final policy's non-virtual P::serve with the decode-time hashes,
+/// stores each latency only when the caller asked for them, and records
+/// the block's demand hits with one Vmm::record_demand_batch per tier.
+/// Counters are integers, so recording them at block end leaves every
+/// ledger identical to recording them per access; the engine reads ledgers
+/// only between blocks. A policy that records its own hits (sampled-lru,
+/// whose threaded migrator shares the VMM) leaves no batch to record.
+template <typename P>
+Nanoseconds serve_block(P& policy, const AccessBlock& block) {
+  // Locals, so the policy's stores cannot force a reload per access.
+  const PageId* const pages = block.pages;
+  const AccessType* const types = block.types;
+  const std::uint64_t* const hashes = block.hashes;
+  Nanoseconds* const latencies = block.latencies;
+  std::array<std::uint64_t, 5> demands{};
+  Nanoseconds total = 0;
+  for (std::size_t i = 0, n = block.size; i < n; ++i) {
+    const Served served = policy.serve(pages[i], hashes[i], types[i]);
+    ++demands[static_cast<std::size_t>(served.demand)];
+    if (latencies != nullptr) latencies[i] = served.latency;
+    total += served.latency;
+  }
+  os::Vmm& vmm = policy.vmm();
+  const auto count = [&demands](Demand d) {
+    return demands[static_cast<std::size_t>(d)];
+  };
+  if (count(Demand::kDramRead) + count(Demand::kDramWrite) > 0) {
+    vmm.record_demand_batch(Tier::kDram, count(Demand::kDramRead),
+                            count(Demand::kDramWrite));
+  }
+  if (count(Demand::kNvmRead) + count(Demand::kNvmWrite) > 0) {
+    vmm.record_demand_batch(Tier::kNvm, count(Demand::kNvmRead),
+                            count(Demand::kNvmWrite));
+  }
+  return total;
+}
+
+/// serve_block over the one-access block {page, type}: every final
+/// policy's on_access.
+template <typename P>
+Nanoseconds serve_one(P& policy, PageId page, AccessType type) {
+  const std::uint64_t hash = util::hash_page_id(page);
+  return serve_block(policy, AccessBlock{&page, &type, &hash, 1, nullptr});
+}
 
 }  // namespace hymem::policy

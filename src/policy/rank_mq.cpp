@@ -91,21 +91,22 @@ Nanoseconds RankMqPolicy::try_promote(Node& node) {
   return latency;
 }
 
-Nanoseconds RankMqPolicy::on_access(PageId page, AccessType type) {
+Served RankMqPolicy::serve(PageId page, std::uint64_t /*hash*/,
+                           AccessType type) {
   ++clock_;
   age_step();
   const auto it = nodes_.find(page);
   if (it != nodes_.end()) {
     Node& node = *it->second;
-    const Nanoseconds serve = vmm_.access(page, type);
+    const Nanoseconds device = vmm_.access(page, type);
     dequeue(node);
     ++node.count;
     node.last_access = clock_;
     enqueue(node);
     if (node.tier == Tier::kNvm && node.level >= promote_level_) {
-      return serve + try_promote(node);
+      return {device + try_promote(node), Demand::kNone};
     }
-    return serve;
+    return {device, Demand::kNone};
   }
   // Page fault: new pages enter the slow tier (RaPP's conservative
   // placement) and earn DRAM through rank.
@@ -120,7 +121,15 @@ Nanoseconds RankMqPolicy::on_access(PageId page, AccessType type) {
   node->tier = Tier::kNvm;
   nodes_.emplace(page, std::move(owned));
   enqueue(*node);
-  return latency;
+  return {latency, Demand::kNone};
+}
+
+Nanoseconds RankMqPolicy::on_access(PageId page, AccessType type) {
+  return serve_one(*this, page, type);
+}
+
+Nanoseconds RankMqPolicy::on_block(const AccessBlock& block) {
+  return serve_block(*this, block);
 }
 
 }  // namespace hymem::policy

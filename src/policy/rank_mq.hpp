@@ -29,6 +29,11 @@ class RankMqPolicy final : public HybridPolicy {
 
   std::string_view name() const override { return "rank-mq"; }
   Nanoseconds on_access(PageId page, AccessType type) override;
+  Nanoseconds on_block(const AccessBlock& block) override;
+
+  /// serve_block's step (hits are served through Vmm::access, which
+  /// records them itself).
+  Served serve(PageId page, std::uint64_t hash, AccessType type);
 
   static constexpr unsigned kLevels = 8;
 

@@ -18,12 +18,20 @@ class SingleTierPolicy final : public HybridPolicy {
     return tier_ == Tier::kDram ? "dram-only-lru" : "nvm-only-lru";
   }
   Nanoseconds on_access(PageId page, AccessType type) override;
-  void prefetch(PageId page) const override {
-    vmm_.prefetch_translation(page);
-    lru_.prefetch(page);
-  }
+  Nanoseconds on_block(const AccessBlock& block) override;
+  void publish_dirty() override;
+
+  /// serve_block's step. Residency is LRU membership, so a hit classifies
+  /// with one index probe. A DRAM write parks its dirty bit on the LRU node
+  /// until the page is evicted; only an NVM write fetches the page-table
+  /// entry, whose frame the wear ledger needs. Defined in the .cpp, where
+  /// on_block and on_access instantiate serve_block and inline it.
+  [[gnu::always_inline]] inline Served serve(PageId page, std::uint64_t hash,
+                                             AccessType type);
 
  private:
+  Served fault(PageId page, AccessType type);
+
   Tier tier_;
   LruPolicy lru_;
 };

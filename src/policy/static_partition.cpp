@@ -20,12 +20,13 @@ Tier StaticPartitionPolicy::home(PageId page) const {
   return splitmix64(s) % 1000 < dram_share_permille_ ? Tier::kDram : Tier::kNvm;
 }
 
-Nanoseconds StaticPartitionPolicy::on_access(PageId page, AccessType type) {
+Served StaticPartitionPolicy::serve(PageId page, std::uint64_t /*hash*/,
+                                    AccessType type) {
   const Tier tier = home(page);
   LruPolicy& lru = tier == Tier::kDram ? dram_ : nvm_;
-  if (const auto hit = vmm_.access_if_resident(page, type)) {
+  if (const auto resident = vmm_.access_if_resident(page, type)) {
     lru.on_hit(page, type);
-    return hit->latency;
+    return {resident->latency, Demand::kNone};
   }
   if (lru.full()) {
     const auto victim = lru.select_victim();
@@ -36,7 +37,15 @@ Nanoseconds StaticPartitionPolicy::on_access(PageId page, AccessType type) {
   const Nanoseconds latency = vmm_.fault_in(page, tier);
   lru.insert(page, type);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
-  return latency;
+  return {latency, Demand::kNone};
+}
+
+Nanoseconds StaticPartitionPolicy::on_access(PageId page, AccessType type) {
+  return serve_one(*this, page, type);
+}
+
+Nanoseconds StaticPartitionPolicy::on_block(const AccessBlock& block) {
+  return serve_block(*this, block);
 }
 
 }  // namespace hymem::policy

@@ -15,11 +15,11 @@ class StaticPartitionPolicy final : public HybridPolicy {
 
   std::string_view name() const override { return "static-partition"; }
   Nanoseconds on_access(PageId page, AccessType type) override;
-  void prefetch(PageId page) const override {
-    vmm_.prefetch_translation(page);
-    dram_.prefetch(page);
-    nvm_.prefetch(page);
-  }
+  Nanoseconds on_block(const AccessBlock& block) override;
+
+  /// serve_block's step (hits are served through Vmm::access_if_resident,
+  /// which records them itself).
+  Served serve(PageId page, std::uint64_t hash, AccessType type);
 
   /// Module a page is permanently assigned to.
   Tier home(PageId page) const;

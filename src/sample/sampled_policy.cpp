@@ -34,6 +34,15 @@ void SampledLruPolicy::stop_background() {
 }
 
 Nanoseconds SampledLruPolicy::on_access(PageId page, AccessType type) {
+  return policy::serve_one(*this, page, type);
+}
+
+Nanoseconds SampledLruPolicy::on_block(const policy::AccessBlock& block) {
+  return policy::serve_block(*this, block);
+}
+
+policy::Served SampledLruPolicy::serve(PageId page, std::uint64_t /*hash*/,
+                                       AccessType type) {
   ++accesses_;
   // Virtual time: the "background" migrator runs at access-count
   // boundaries, before the access is served — deterministic for any
@@ -44,18 +53,18 @@ Nanoseconds SampledLruPolicy::on_access(PageId page, AccessType type) {
   Nanoseconds latency;
   if (config_.threaded) {
     const std::lock_guard<std::recursive_mutex> lock(mu_);
-    latency = serve(page, type);
+    latency = serve_demand(page, type);
     if (audit_hook_) audit_hook_(*this, page, type);
     accesses_shared_.store(accesses_, std::memory_order_release);
   } else {
-    latency = serve(page, type);
+    latency = serve_demand(page, type);
     if (audit_hook_) audit_hook_(*this, page, type);
   }
   tap_.on_access(page);
-  return latency;
+  return {latency, policy::Demand::kNone};
 }
 
-Nanoseconds SampledLruPolicy::serve(PageId page, AccessType type) {
+Nanoseconds SampledLruPolicy::serve_demand(PageId page, AccessType type) {
   // Demand handling only — hits never reorder the FIFO queues (a sampling
   // OS does not see per-access recency), migrations never happen inline.
   if (const auto hit = vmm_.access_if_resident(page, type)) {

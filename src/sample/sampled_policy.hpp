@@ -53,8 +53,13 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   ~SampledLruPolicy() override;
 
   std::string_view name() const override { return "sampled-lru"; }
-  /// Serves the access, then feeds it to the sampling tap.
   Nanoseconds on_access(PageId page, AccessType type) override;
+  Nanoseconds on_block(const policy::AccessBlock& block) override;
+
+  /// serve_block's step: runs a due virtual-time drain, serves the access
+  /// (recording its hit itself, under the serving mutex in threaded mode),
+  /// then feeds it to the sampling tap.
+  policy::Served serve(PageId page, std::uint64_t hash, AccessType type);
 
   /// Stops the background migrator thread (threaded mode; no-op otherwise).
   /// Idempotent; also called by the destructor. The engine calls it when
@@ -107,7 +112,9 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   void set_audit_hook(AuditHook hook) { audit_hook_ = std::move(hook); }
 
  private:
-  Nanoseconds serve(PageId page, AccessType type);
+  /// Demand handling for one access: hits where the page sits, faults
+  /// into the first tier with a free frame.
+  Nanoseconds serve_demand(PageId page, AccessType type);
   void drain_virtual();
   /// Applies one candidate; returns 1 if it consumed budget, 0 if stale.
   std::uint64_t apply_promotion(PageId page);

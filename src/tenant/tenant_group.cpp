@@ -250,6 +250,9 @@ std::uint64_t TenantGroup::evict_tenant(std::uint32_t tenant) {
 void TenantGroup::flush_shard(unsigned index) {
   Shard& shard = shards_[index];
   if (shard.vmm == nullptr) return;
+  // The evictions below bypass the policy, so the dirty bits it parked on
+  // its own nodes must reach the page table first.
+  shard.policy->publish_dirty();
   for (std::size_t i = 0; i < known_.size(); ++i) {
     TenantState& state = *states_[i];
     if (state.shard != index || state.touched_list.empty()) continue;

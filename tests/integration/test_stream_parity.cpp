@@ -1,8 +1,9 @@
 // End-to-end parity of the block engine against a per-access reference:
 //
-//   * every ingest mode (decoded trace windows, HYTS stream with and
-//     without readahead) reproduces the reference RunResult and timeline
-//     bytes on hostile fuzz scenarios, for any block size and epoch length;
+//   * for every policy, every ingest mode (decoded trace windows, HYTS
+//     stream with and without readahead) reproduces the reference RunResult
+//     and timeline bytes on hostile fuzz scenarios, for any block size and
+//     epoch length;
 //   * replaying a stream far larger than the block budget keeps peak RSS
 //     O(block), not O(trace).
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "core/migration_scheme.hpp"
 #include "os/vmm.hpp"
 #include "sim/engine.hpp"
+#include "sim/policy_factory.hpp"
 #include "trace/block_source.hpp"
 #include "trace/stream_io.hpp"
 
@@ -25,11 +27,16 @@ namespace {
 TEST(StreamParity, FuzzScenariosMatchAcrossEveryIngestMode) {
   // Same scenario family as the differential fuzzer: thrash loops, write
   // bursts, capacity-1 modules. Block size and epoch length derive from the
-  // seed, covering one-access blocks through whole-trace blocks.
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    const auto report = check::run_stream_parity_case(seed, 2000);
-    EXPECT_TRUE(report.ok()) << "seed " << seed << ": " << report.divergence;
-    EXPECT_GT(report.accesses, 0u);
+  // seed, covering one-access blocks through whole-trace blocks. Every
+  // policy name runs, so every serve_block instantiation is diffed against
+  // per-access serving (sampled-lru in its default virtual-time mode).
+  for (const std::string& policy : sim::policy_names()) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      const auto report = check::run_stream_parity_case(policy, seed, 2000);
+      EXPECT_TRUE(report.ok())
+          << policy << " seed " << seed << ": " << report.divergence;
+      EXPECT_GT(report.accesses, 0u);
+    }
   }
 }
 

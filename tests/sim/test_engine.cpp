@@ -150,7 +150,10 @@ RunResult per_access(policy::HybridPolicy& policy, const trace::Trace& trace,
       policy.on_access(trace::page_of(a.addr, page_size), a.type);
     }
   }
-  if (warmup_passes > 0) policy.vmm().reset_accounting();
+  if (warmup_passes > 0) {
+    policy.vmm().reset_accounting();
+    policy.reset_stats();
+  }
   RunResult result;
   result.policy = std::string(policy.name());
   result.workload = trace.name();
@@ -163,27 +166,50 @@ RunResult per_access(policy::HybridPolicy& policy, const trace::Trace& trace,
   return result;
 }
 
+/// hybrid_config() with a single-tier policy's frames all in its module.
+os::VmmConfig config_for(const std::string& policy) {
+  os::VmmConfig cfg = hybrid_config();
+  if (policy == "dram-only") {
+    cfg.dram_frames += cfg.nvm_frames;
+    cfg.nvm_frames = 0;
+  } else if (policy == "nvm-only") {
+    cfg.nvm_frames += cfg.dram_frames;
+    cfg.dram_frames = 0;
+  }
+  return cfg;
+}
+
 TEST(Engine, BlockRunMatchesReferenceRunExactly) {
   const auto trace = tiny_trace();
-  for (const unsigned warmup : {0u, 1u, 2u}) {
-    os::Vmm vmm_a(hybrid_config());
-    const auto policy_a = make_policy("two-lru", vmm_a);
-    const auto reference = per_access(*policy_a, trace, warmup);
+  for (const std::string& name : policy_names()) {
+    for (const unsigned warmup : {0u, 1u, 2u}) {
+      const std::string where = name + " warmup " + std::to_string(warmup);
+      os::Vmm vmm_a(config_for(name));
+      const auto policy_a = make_policy(name, vmm_a);
+      const auto reference = per_access(*policy_a, trace, warmup);
 
-    os::Vmm vmm_b(hybrid_config());
-    const auto policy_b = make_policy("two-lru", vmm_b);
-    trace::TraceBlockSource source(trace, vmm_b.config().page_size, 97);
-    const auto blocked = run_blocks(*policy_b, source, &source, warmup, 1.0);
+      os::Vmm vmm_b(config_for(name));
+      const auto policy_b = make_policy(name, vmm_b);
+      trace::TraceBlockSource source(trace, vmm_b.config().page_size, 97);
+      const auto blocked = run_blocks(*policy_b, source, &source, warmup, 1.0);
 
-    EXPECT_EQ(blocked.accesses, reference.accesses) << warmup;
-    EXPECT_EQ(blocked.counts.page_faults, reference.counts.page_faults)
-        << warmup;
-    EXPECT_EQ(blocked.counts.migrations(), reference.counts.migrations())
-        << warmup;
-    EXPECT_DOUBLE_EQ(blocked.visible_latency_ns, reference.visible_latency_ns)
-        << warmup;
-    EXPECT_EQ(blocked.workload, reference.workload);
-    EXPECT_EQ(blocked.policy, reference.policy);
+      EXPECT_EQ(blocked.accesses, reference.accesses) << where;
+      EXPECT_EQ(blocked.counts.hits(), reference.counts.hits()) << where;
+      EXPECT_EQ(blocked.counts.dram_write_hits, reference.counts.dram_write_hits)
+          << where;
+      EXPECT_EQ(blocked.counts.nvm_write_hits, reference.counts.nvm_write_hits)
+          << where;
+      EXPECT_EQ(blocked.counts.page_faults, reference.counts.page_faults)
+          << where;
+      EXPECT_EQ(blocked.counts.migrations(), reference.counts.migrations())
+          << where;
+      EXPECT_EQ(blocked.counts.dirty_evictions, reference.counts.dirty_evictions)
+          << where;
+      EXPECT_DOUBLE_EQ(blocked.visible_latency_ns, reference.visible_latency_ns)
+          << where;
+      EXPECT_EQ(blocked.workload, reference.workload);
+      EXPECT_EQ(blocked.policy, reference.policy);
+    }
   }
 }
 
