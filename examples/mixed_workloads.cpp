@@ -4,6 +4,7 @@
 // memory — the interference case single-workload figures cannot show.
 //
 //   $ mixed_workloads [--a ferret] [--b canneal] [--scale 128] [--burst 64]
+#include <exception>
 #include <iostream>
 
 #include "sim/experiment.hpp"
@@ -24,9 +25,7 @@ trace::Trace offset_pages(const trace::Trace& in, Addr offset_bytes) {
   return out;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string name_a = args.get("a", "ferret");
   const std::string name_b = args.get("b", "canneal");
@@ -73,4 +72,17 @@ int main(int argc, char** argv) {
                "\nscheme degrades the least because its windows filter the"
                " co-runner's churn.\n";
   return 0;
+}
+
+}  // namespace
+
+// Bad input (an unknown --a or --b workload) ends the run with one line on
+// stderr and exit code 2, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "mixed_workloads: " << e.what() << "\n";
+    return 2;
+  }
 }

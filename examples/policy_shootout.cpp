@@ -5,6 +5,7 @@
 // threads; the table is identical for any `--jobs` value.
 //
 //   $ policy_shootout [--workload bodytrack] [--scale 64] [--jobs N]
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -16,18 +17,19 @@
 
 using namespace hymem;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
   const std::string workload = args.get("workload", "bodytrack");
   const std::uint64_t scale = args.get_uint("scale", 64);
   const auto jobs = static_cast<unsigned>(
       args.get_uint("jobs", runner::ThreadPool::default_threads()));
 
-  std::cout << "Policy comparison on " << workload << " (scale 1/" << scale
-            << ", memory = 75% of footprint, DRAM = 10% of memory)\n\n";
-
   runner::SweepSpec spec;
   spec.workloads = {synth::parsec_profile(workload)};
+  std::cout << "Policy comparison on " << workload << " (scale 1/" << scale
+            << ", memory = 75% of footprint, DRAM = 10% of memory)\n\n";
   spec.policies = {"dram-only", "nvm-only", "static-partition", "dram-cache",
                    "rank-mq",   "clock-dwf", "two-lru", "two-lru-adaptive"};
   spec.scale = scale;
@@ -60,4 +62,17 @@ int main(int argc, char** argv) {
                " 'dram-only'\nwhile keeping AMAT near 'dram-only' and NVM"
                " writes far below 'nvm-only'.\n";
   return sweep.failures() == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+// Bad input (an unknown --workload) ends the run with one line on stderr
+// and exit code 2, not an uncaught exception.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "policy_shootout: " << e.what() << "\n";
+    return 2;
+  }
 }
