@@ -152,17 +152,13 @@ Nanoseconds serve_block(P& policy, const AccessBlock& block) {
     if (latencies != nullptr) latencies[i] = served.latency;
     total += served.latency;
   }
-  os::Vmm& vmm = policy.vmm();
-  const auto count = [&demands](Demand d) {
-    return demands[static_cast<std::size_t>(d)];
-  };
-  if (count(Demand::kDramRead) + count(Demand::kDramWrite) > 0) {
-    vmm.record_demand_batch(Tier::kDram, count(Demand::kDramRead),
-                            count(Demand::kDramWrite));
+  // demands[d] counts Demand d: {none, DRAM read, DRAM write, NVM read,
+  // NVM write}.
+  if (demands[1] + demands[2] > 0) {
+    policy.vmm().record_demand_batch(Tier::kDram, demands[1], demands[2]);
   }
-  if (count(Demand::kNvmRead) + count(Demand::kNvmWrite) > 0) {
-    vmm.record_demand_batch(Tier::kNvm, count(Demand::kNvmRead),
-                            count(Demand::kNvmWrite));
+  if (demands[3] + demands[4] > 0) {
+    policy.vmm().record_demand_batch(Tier::kNvm, demands[3], demands[4]);
   }
   return total;
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "check/fuzzer.hpp"
 #include "check/tenant_invariants.hpp"
@@ -172,6 +173,25 @@ TEST(TenantGroup, DepartedTenantsHoldNoPages) {
   const TenantGroupResult result = group.finish("depart");
   EXPECT_GT(result.reconfig_evictions, 0u);
   EXPECT_GT(result.reconfigurations, 0u);
+}
+
+// A DRAM write hit parks its dirty bit on the policy's node. A departure
+// flush evicts behind the policy's back, so the group must publish those
+// bits first, or the flush would page out nothing.
+TEST(TenantGroup, DepartureFlushPagesOutParkedDirtyPages) {
+  for (const std::string policy : {"two-lru", "clock-dwf", "dram-only"}) {
+    TenantGroupConfig config = small_config();
+    config.policy = policy;
+    if (policy == "dram-only") config.nvm_frames = 0;
+    TenantGroup group(config);
+    for (PageId p = 0; p < 5; ++p) group.serve(1, read_of(p, config.page_size));
+    for (PageId p = 0; p < 5; ++p) {
+      group.serve(1, {p * config.page_size, AccessType::kWrite});
+    }
+    EXPECT_EQ(group.counters(1).counts.dirty_evictions, 0u) << policy;
+    group.depart(1);
+    EXPECT_EQ(group.counters(1).counts.dirty_evictions, 5u) << policy;
+  }
 }
 
 TEST(TenantGroup, FinishIsOneShot) {
