@@ -33,6 +33,8 @@ class ClockPolicy {
   const Slot* find(PageId page, std::uint64_t hash) const {
     return ring_.find(page, hash);
   }
+  /// The node at `slot`, whose reference and parked dirty bits a caller
+  /// that found the page may set.
   PageRing::Node& node(Slot slot) { return ring_.node(slot); }
 
   /// Sets a tracked page's reference bit.
