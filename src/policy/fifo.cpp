@@ -4,38 +4,18 @@
 
 namespace hymem::policy {
 
-FifoPolicy::FifoPolicy(std::size_t capacity)
-    : capacity_(capacity), pool_(capacity) {
-  HYMEM_CHECK_MSG(capacity > 0, "FIFO capacity must be positive");
-  index_.reserve(capacity);
-}
-
 void FifoPolicy::on_hit(PageId page, AccessType /*type*/) {
   HYMEM_CHECK_MSG(contains(page), "hit on untracked page");
   // FIFO ignores recency.
 }
 
 void FifoPolicy::insert(PageId page, AccessType /*type*/) {
-  HYMEM_CHECK_MSG(size() < capacity_, "insert into full FIFO");
-  const auto [slot, inserted] = index_.try_emplace(page);
-  HYMEM_CHECK_MSG(inserted, "insert of tracked page");
-  Node* node = pool_.allocate();
-  node->page = page;
-  *slot = node;
-  list_.push_front(*node);
+  ring_.insert_before(ring_.first(), page);
 }
 
-std::optional<PageId> FifoPolicy::select_victim() {
-  const Node* victim = list_.back();
-  if (victim == nullptr) return std::nullopt;
-  return victim->page;
-}
-
-void FifoPolicy::erase(PageId page) {
-  const std::optional<Node*> node = index_.take(page);
-  HYMEM_CHECK_MSG(node.has_value(), "erase of untracked page");
-  list_.erase(**node);
-  pool_.release(*node);
+std::optional<PageId> FifoPolicy::select_victim() const {
+  if (size() == 0) return std::nullopt;
+  return ring_.node(ring_.last()).page;
 }
 
 }  // namespace hymem::policy

@@ -5,39 +5,30 @@
 #include <cstddef>
 #include <optional>
 
-#include "util/flat_page_map.hpp"
-#include "util/intrusive_list.hpp"
-#include "util/slab_pool.hpp"
+#include "policy/page_ring.hpp"
 #include "util/types.hpp"
 
 namespace hymem::policy {
 
-/// FIFO queue of pages (slab-allocated nodes, flat-map index).
+/// FIFO queue of pages on a PageRing, running from the newest page at
+/// first() to the oldest at last().
 class FifoPolicy {
  public:
-  explicit FifoPolicy(std::size_t capacity);
+  explicit FifoPolicy(std::size_t capacity) : ring_(capacity) {}
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return index_.size(); }
-  bool full() const { return size() >= capacity_; }
-  bool contains(PageId page) const { return index_.contains(page); }
+  std::size_t capacity() const { return ring_.capacity(); }
+  std::size_t size() const { return ring_.size(); }
+  bool full() const { return ring_.full(); }
+  bool contains(PageId page) const { return ring_.contains(page); }
 
   void on_hit(PageId page, AccessType type);
   void insert(PageId page, AccessType type);
   /// The oldest page, not yet removed. nullopt iff empty.
-  std::optional<PageId> select_victim();
-  void erase(PageId page);
+  std::optional<PageId> select_victim() const;
+  void erase(PageId page) { ring_.erase(page); }
 
  private:
-  struct Node {
-    PageId page;
-    ListHook hook;
-  };
-
-  std::size_t capacity_;
-  IntrusiveList<Node, &Node::hook> list_;  // front = newest
-  util::SlabPool<Node> pool_;
-  util::FlatPageMap<Node*> index_;
+  PageRing ring_;
 };
 
 }  // namespace hymem::policy

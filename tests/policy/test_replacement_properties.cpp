@@ -1,10 +1,11 @@
-// Property suite run over both replacement algorithms: invariants that must
+// Property suite run over every replacement algorithm: invariants that must
 // hold regardless of the algorithm.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "policy/clock.hpp"
+#include "policy/fifo.hpp"
 #include "policy/lru.hpp"
 #include "util/random.hpp"
 
@@ -13,11 +14,14 @@ namespace {
 
 // Runs `body` on a fresh policy of the named algorithm. The algorithms are
 // concrete classes with no common base, so the suite dispatches on the name
-// (which keeps the case names "lru" and "clock").
+// (which keeps the case names "lru", "fifo" and "clock").
 template <typename Body>
 void with_policy(const std::string& name, std::size_t capacity, Body&& body) {
   if (name == "lru") {
     LruPolicy policy(capacity);
+    body(policy);
+  } else if (name == "fifo") {
+    FifoPolicy policy(capacity);
     body(policy);
   } else if (name == "clock") {
     ClockPolicy policy(capacity);
@@ -127,7 +131,7 @@ TEST_P(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementProperties,
-                         ::testing::Values("lru", "clock"),
+                         ::testing::Values("lru", "fifo", "clock"),
                          [](const auto& param_info) {
                            return std::string(param_info.param);
                          });
