@@ -13,7 +13,13 @@ namespace hymem::trace {
 /// `core` identifies the issuing core (used by the cache-hierarchy substrate
 /// and ignored by the memory policies, which are core-agnostic like the
 /// paper's OS-level scheme).
-struct MemAccess {
+///
+/// Packed, so a record is its 10 bytes and a trace in memory is the record
+/// payload of both binary trace formats (trace/record_codec.hpp asserts the
+/// layout). Members are read and written by value; the compiler emits the
+/// unaligned loads, and taking a member's address is an error under -Werror
+/// (-Waddress-of-packed-member).
+struct [[gnu::packed]] MemAccess {
   Addr addr = 0;
   AccessType type = AccessType::kRead;
   std::uint8_t core = 0;

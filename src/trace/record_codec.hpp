@@ -2,12 +2,11 @@
 //
 // trace_io's HYTR and stream_io's HYTS store a MemAccess as the same
 // 10-byte little-endian record, `u64 addr | u8 type | u8 core`, and their
-// headers as little-endian integers. This codec is the one place that knows
-// that layout. It moves records through one buffer of at most
-// kBufferRecords records per stream read or write, instead of three stream
-// calls per record. The buffer is bounded rather than file-sized: a read or
-// write holds at most 640 KiB of encoded bytes however large the trace, so
-// the decoded records stay the only copy whose size follows the file.
+// headers as little-endian integers. MemAccess is packed to that layout, so
+// records move between a stream and memory as they are: a write is one
+// stream call over the records, and a read lands straight in the trace's
+// vector, at most kBufferRecords records a call, and checks the type bytes
+// where they landed. No second copy of the records exists at any time.
 #pragma once
 
 #include <bit>
@@ -32,7 +31,14 @@ static_assert(std::endian::native == std::endian::little,
 /// Encoded size of one record.
 inline constexpr std::size_t kRecordBytes = sizeof(std::uint64_t) + 2;
 
-/// Most records one read or write call moves.
+static_assert(sizeof(MemAccess) == kRecordBytes &&
+                  offsetof(MemAccess, type) == 8 &&
+                  offsetof(MemAccess, core) == 9,
+              "MemAccess must be the record `u64 addr | u8 type | u8 core`");
+static_assert(std::is_trivially_copyable_v<MemAccess>);
+
+/// Most records one read call moves, which bounds how far a corrupt count
+/// grows the destination before the stream runs out.
 inline constexpr std::size_t kBufferRecords = std::size_t{1} << 16;
 
 /// Writes one header field.
@@ -42,36 +48,23 @@ void put(std::ostream& out, T value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
 }
 
-/// How far RecordCodec::read got.
+/// How far read_records got.
 struct RecordsRead {
-  std::uint64_t records = 0;  ///< Records decoded and appended.
-  /// Type byte of record `records` when decoding stopped at a bad type.
+  std::uint64_t records = 0;  ///< Records read and appended.
+  /// Type byte of record `records` when reading stopped at a bad type.
   std::optional<std::uint8_t> bad_type;
 };
 
-/// Moves records between a stream and memory through one encoded-byte
-/// buffer, kept across calls so a chunked stream reuses it chunk after
-/// chunk. The buffer grows to the largest call's size, capped at
-/// kBufferRecords records.
-class RecordCodec {
- public:
-  /// Encodes and writes `records`, at most kBufferRecords per write call.
-  void write(std::ostream& out, std::span<const MemAccess> records);
+/// Writes `records` in one stream call.
+void write_records(std::ostream& out, std::span<const MemAccess> records);
 
-  /// Reads and decodes up to `count` records onto the end of `out`, at
-  /// most kBufferRecords per read call. Stops early at the end of the
-  /// stream or at a record with a bad type byte. `out` grows only by the
-  /// records the stream delivers, so a corrupt count costs at most one
-  /// buffer.
-  RecordsRead read(std::istream& in, std::uint64_t count,
-                   std::vector<MemAccess>& out);
-
- private:
-  /// The buffer, grown to hold min(records, kBufferRecords) records.
-  char* buffer_for(std::uint64_t records);
-
-  std::vector<char> bytes_;
-};
+/// Reads up to `count` records onto the end of `out`, at most
+/// kBufferRecords per read call. Stops early at the end of the stream or at
+/// a record whose type byte is neither 0 (read) nor 1 (write). `out` grows
+/// by at most kBufferRecords records past what the stream delivers, so a
+/// corrupt count costs at most one buffer.
+RecordsRead read_records(std::istream& in, std::uint64_t count,
+                         std::vector<MemAccess>& out);
 
 /// Reads `length` bytes into `bytes`, growing it as they arrive (a corrupt
 /// length allocates no more than the stream holds plus one buffer). Returns

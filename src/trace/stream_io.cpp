@@ -34,7 +34,7 @@ StreamTraceWriter::~StreamTraceWriter() {
 void StreamTraceWriter::flush_chunk() {
   if (pending_.empty()) return;
   put<std::uint32_t>(out_, static_cast<std::uint32_t>(pending_.size()));
-  codec_.write(out_, pending_);
+  write_records(out_, pending_);
   pending_.clear();
 }
 
@@ -110,7 +110,7 @@ bool StreamTraceReader::load_chunk() {
                       " remain");
   }
   chunk_.clear();
-  const RecordsRead got = codec_.read(in_, count, chunk_);
+  const RecordsRead got = read_records(in_, count, chunk_);
   offset_ += got.records * kRecordBytes;
   if (got.bad_type) {
     throw chunk_error("bad access type " + std::to_string(*got.bad_type) +
@@ -123,11 +123,9 @@ bool StreamTraceReader::load_chunk() {
   return true;
 }
 
-std::optional<MemAccess> StreamTraceReader::next() {
-  if (done_) return std::nullopt;
-  if (cursor_ >= chunk_.size() && !load_chunk()) return std::nullopt;
-  ++read_;
-  return chunk_[cursor_++];
+std::optional<MemAccess> StreamTraceReader::next_in_new_chunk() {
+  if (done_ || !load_chunk()) return std::nullopt;
+  return next();
 }
 
 void StreamTraceReader::rewind() {

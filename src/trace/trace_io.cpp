@@ -78,7 +78,7 @@ void write_binary(const Trace& trace, std::ostream& out) {
   out.write(trace.name().data(),
             static_cast<std::streamsize>(trace.name().size()));
   put<std::uint64_t>(out, trace.size());
-  RecordCodec().write(out, trace.accesses());
+  write_records(out, trace.accesses());
 }
 
 Trace read_binary(std::istream& in) {
@@ -112,7 +112,7 @@ Trace read_binary(std::istream& in) {
     }
     accesses.reserve(count);
   }
-  const RecordsRead got = RecordCodec().read(in, count, accesses);
+  const RecordsRead got = read_records(in, count, accesses);
   if (got.bad_type) {
     const std::uint64_t record_offset =
         count_offset + sizeof(count) + got.records * kRecordBytes;

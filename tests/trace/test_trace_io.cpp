@@ -3,15 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <string>
 #include <typeinfo>
 
 #include "io_support.hpp"
 #include "trace/record_codec.hpp"
+#include "trace/stream_io.hpp"
 
 namespace hymem::trace {
 namespace {
@@ -207,6 +211,44 @@ TEST(TraceIo, SaveLoadTextFile) {
   ASSERT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded[0], original[0]);
   std::remove(path.c_str());
+}
+
+// MemAccess is packed to the record layout, so the records trace::save
+// writes after the HYTR header are the trace's own bytes, and so is the
+// payload of a HYTS chunk.
+TEST(TraceIo, InMemoryRecordsAreTheFileRecords) {
+  const Trace trace = random_trace(1000, 19);
+  const std::span<const std::byte> image = std::as_bytes(trace.accesses());
+  ASSERT_EQ(image.size(), trace.size() * kRecordBytes);
+
+  const std::string path = ::testing::TempDir() + "/hymem_record_image.trc";
+  save(trace, path);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  std::string file(static_cast<std::size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(file.data(), static_cast<std::streamsize>(file.size()));
+  ASSERT_TRUE(in);
+  in.close();
+  std::remove(path.c_str());
+  // 4 magic + 4 version + 4 name_len + name + 8 count.
+  const std::size_t hytr_header = 20 + trace.name().size();
+  ASSERT_EQ(file.size(), hytr_header + image.size());
+  EXPECT_TRUE(std::ranges::equal(
+      std::as_bytes(std::span(file)).subspan(hytr_header), image));
+
+  std::stringstream stream;
+  {
+    StreamTraceWriter writer(stream, trace.name(), trace.size());
+    for (const MemAccess& a : trace) writer.append(a);
+  }
+  const std::string hyts = stream.str();
+  // 4 magic + 4 version + 4 name_len + name + one u32 chunk count, then the
+  // chunk's records and the u32 terminator.
+  const std::size_t chunk_records = 16 + trace.name().size();
+  ASSERT_EQ(hyts.size(), chunk_records + image.size() + 4);
+  EXPECT_TRUE(std::ranges::equal(std::as_bytes(std::span(hyts))
+                                     .subspan(chunk_records, image.size()),
+                                 image));
 }
 
 TEST(TraceIo, MissingFileThrows) {
