@@ -113,7 +113,7 @@ policy::Served TwoLruMigrationPolicy::serve(PageId page, std::uint64_t hash,
   if (DramLruQueue::Node* node = dram_.find_node_hashed(page, hash)) {
     // Algorithm 1 lines 2-3: plain LRU housekeeping. The node also carries
     // the open-promotion score and the parked dirty bit.
-    if (type == AccessType::kWrite) node->mark_dirty();
+    node->mark_dirty_if(type == AccessType::kWrite);
     dram_.on_hit_node(*node);
     return hit(Tier::kDram, type);
   }

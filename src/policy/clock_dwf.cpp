@@ -15,13 +15,13 @@ ClockDwfPolicy::ClockDwfPolicy(os::Vmm& vmm)
 Served ClockDwfPolicy::serve(PageId page, std::uint64_t hash,
                              AccessType type) {
   if (const ClockPolicy::Slot* slot = dram_.find(page, hash)) {
-    if (type == AccessType::kWrite) {
-      // Write-history-aware: only writes refresh the DRAM reference bit, so
-      // read-dominant pages age out towards NVM.
-      PageRing::Node& node = dram_.node(*slot);
-      node.ref = true;
-      node.dirty = true;
-    }
+    // Write-history-aware: only writes refresh the DRAM reference bit, so
+    // read-dominant pages age out towards NVM. A write also parks the dirty
+    // bit; both are set without a branch on the access type.
+    const bool write = type == AccessType::kWrite;
+    PageRing::Node& node = dram_.node(*slot);
+    node.ref |= write;
+    node.dirty |= write;
     return hit(Tier::kDram, type);
   }
   if (const ClockPolicy::Slot* slot = nvm_.find(page, hash)) {

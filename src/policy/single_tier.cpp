@@ -17,15 +17,14 @@ Served SingleTierPolicy::serve(PageId page, std::uint64_t hash,
   const LruPolicy::Slot* slot = lru_.find(page, hash);
   if (slot == nullptr) return fault(page, type);
   PageRing::Node& node = lru_.touch(*slot);
-  if (type == AccessType::kWrite) {
-    if (tier_ == Tier::kDram) {
-      node.dirty = true;
-    } else {
-      os::PageTableEntry* entry = vmm_.entry_hashed(page, hash);
-      HYMEM_CHECK_MSG(entry != nullptr, "LRU-tracked page is not resident");
-      entry->mark_dirty();
-      vmm_.note_nvm_demand_write(entry->frame());
-    }
+  const bool write = type == AccessType::kWrite;
+  if (tier_ == Tier::kDram) {
+    node.dirty |= write;  // parked without a branch on the access type
+  } else if (write) {
+    os::PageTableEntry* entry = vmm_.entry_hashed(page, hash);
+    HYMEM_CHECK_MSG(entry != nullptr, "LRU-tracked page is not resident");
+    entry->mark_dirty();
+    vmm_.note_nvm_demand_write(entry->frame());
   }
   return hit(tier_, type);
 }
