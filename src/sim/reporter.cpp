@@ -36,8 +36,21 @@ double FigureTable::geomean_total(std::size_t series_index) const {
   HYMEM_CHECK(series_index < series_.size());
   std::vector<double> totals;
   totals.reserve(rows_.size());
-  for (const Row& r : rows_) totals.push_back(r.stacks[series_index].total());
+  for (const Row& r : rows_) {
+    const double total = r.stacks[series_index].total();
+    if (total > 0.0) totals.push_back(total);
+  }
   return geometric_mean(totals);
+}
+
+std::vector<std::string> FigureTable::geomean_left_out(
+    std::size_t series_index) const {
+  HYMEM_CHECK(series_index < series_.size());
+  std::vector<std::string> left_out;
+  for (const Row& r : rows_) {
+    if (!(r.stacks[series_index].total() > 0.0)) left_out.push_back(r.workload);
+  }
+  return left_out;
 }
 
 double FigureTable::amean_total(std::size_t series_index) const {
@@ -74,6 +87,21 @@ void FigureTable::print(std::ostream& out) const {
     table.add_row(row);
   }
   out << table.to_string();
+  std::string left_out;
+  for (std::size_t s = 0; s < series_.size(); ++s) {
+    const std::vector<std::string> rows = geomean_left_out(s);
+    if (rows.empty()) continue;
+    left_out += left_out.empty() ? " " : "; ";
+    left_out += series_[s] + " (";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      left_out += (i == 0 ? "" : ", ") + rows[i];
+    }
+    left_out += ")";
+  }
+  if (!left_out.empty()) {
+    out << "G-Mean leaves out totals that are not positive:" << left_out
+        << "\n";
+  }
 }
 
 std::vector<std::string> FigureTable::csv_header() const {

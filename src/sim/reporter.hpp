@@ -32,7 +32,8 @@ class FigureTable {
   void add(const std::string& workload, const std::vector<Stack>& stacks);
 
   /// Renders: header, one row per workload with per-component columns and a
-  /// total per series, then G-Mean/A-Mean rows over totals.
+  /// total per series, then G-Mean/A-Mean rows over totals. When a G-Mean
+  /// leaves rows out, one line after the table names them per series.
   void print(std::ostream& out) const;
 
   /// Machine-readable dump of the same data.
@@ -48,8 +49,13 @@ class FigureTable {
   const std::vector<std::string>& components() const { return components_; }
   const std::vector<std::string>& series() const { return series_; }
 
-  /// Geometric mean of one series' totals.
+  /// Geometric mean of one series' positive totals. A total that is zero,
+  /// or NaN where a figure normalizes 0 by 0 (a workload that writes nothing
+  /// to NVM at a small scale), has no logarithm, so its row is left out; 0
+  /// when no total is positive.
   double geomean_total(std::size_t series_index) const;
+  /// The workloads geomean_total(series_index) leaves out, in row order.
+  std::vector<std::string> geomean_left_out(std::size_t series_index) const;
   /// Arithmetic mean of one series' totals.
   double amean_total(std::size_t series_index) const;
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace hymem::sim {
 namespace {
@@ -50,6 +53,44 @@ TEST(FigureTable, CsvRowPerWorkload) {
   // header + 2 workloads = 3 lines.
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 3);
   EXPECT_NE(s.find("workload,a:static"), std::string::npos);
+}
+
+// A zero total has no logarithm, nor has the NaN of a 0/0 normalization (a
+// workload that writes nothing to NVM at a small scale): the G-Mean is taken
+// over the positive totals, the text names the rows it left out, and the CSV
+// keeps every row.
+TEST(FigureTable, GeomeanLeavesOutZeroTotalsAndNamesThem) {
+  FigureTable t("zeros", {"c"}, {"a", "b"});
+  t.add("w1", {Stack{{2.0}}, Stack{{1.0}}});
+  t.add("w2", {Stack{{0.0}}, Stack{{4.0}}});
+  t.add("w3", {Stack{{8.0}}, Stack{{0.0}}});
+  t.add("w4", {Stack{{0.0}}, Stack{{16.0}}});
+  EXPECT_DOUBLE_EQ(t.geomean_total(0), 4.0);
+  EXPECT_DOUBLE_EQ(t.geomean_total(1), 4.0);
+  EXPECT_EQ(t.geomean_left_out(0), (std::vector<std::string>{"w2", "w4"}));
+  EXPECT_EQ(t.geomean_left_out(1), (std::vector<std::string>{"w3"}));
+  EXPECT_DOUBLE_EQ(t.amean_total(0), 2.5);
+
+  std::ostringstream text;
+  t.print(text);
+  const std::string s = text.str();
+  EXPECT_TRUE(s.ends_with("\nG-Mean leaves out totals that are not positive: "
+                          "a (w2, w4); b (w3)\n"))
+      << s;
+
+  std::ostringstream csv_out;
+  t.print_csv(csv_out);
+  const std::string csv = csv_out.str();
+  EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 5);
+  EXPECT_NE(csv.find("\nw2,0.000000,0.000000,4.000000,4.000000\n"),
+            std::string::npos)
+      << csv;
+
+  FigureTable none("none", {"c"}, {"a"});
+  none.add("w", {Stack{{0.0}}});
+  none.add("nan", {Stack{{std::nan("")}}});
+  EXPECT_DOUBLE_EQ(none.geomean_total(0), 0.0);
+  EXPECT_EQ(none.geomean_left_out(0), (std::vector<std::string>{"w", "nan"}));
 }
 
 TEST(FigureTable, ArityMismatchRejected) {
