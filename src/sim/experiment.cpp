@@ -43,21 +43,6 @@ MemorySizing size_memory(std::uint64_t footprint_pages,
   return s;
 }
 
-os::VmmConfig vmm_config_for(const MemorySizing& sizing,
-                             const ExperimentConfig& config) {
-  os::VmmConfig vmm_config;
-  vmm_config.dram_frames = sizing.dram_frames;
-  vmm_config.nvm_frames = sizing.nvm_frames;
-  vmm_config.page_size = config.page_size;
-  vmm_config.access_granularity = config.access_granularity;
-  vmm_config.dram = config.dram;
-  vmm_config.nvm = config.nvm;
-  vmm_config.disk = config.disk;
-  vmm_config.transfer_mode = config.transfer_mode;
-  vmm_config.wear_leveling = config.wear_leveling;
-  return vmm_config;
-}
-
 RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
                     unsigned warmup_passes, const trace::Trace& measured,
                     double duration_s, const ExperimentConfig& config) {

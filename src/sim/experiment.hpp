@@ -64,8 +64,23 @@ MemorySizing size_memory(std::uint64_t footprint_pages,
 
 /// The VMM one experiment runs on: `sizing`'s frame counts plus the
 /// config's page shape, device technologies and transfer/wear options.
+/// `Config` is an ExperimentConfig or any config carrying those fields under
+/// the same names (a tenant group's shards are built from theirs).
+template <typename Config>
 os::VmmConfig vmm_config_for(const MemorySizing& sizing,
-                             const ExperimentConfig& config);
+                             const Config& config) {
+  os::VmmConfig vmm_config;
+  vmm_config.dram_frames = sizing.dram_frames;
+  vmm_config.nvm_frames = sizing.nvm_frames;
+  vmm_config.page_size = config.page_size;
+  vmm_config.access_granularity = config.access_granularity;
+  vmm_config.dram = config.dram;
+  vmm_config.nvm = config.nvm;
+  vmm_config.disk = config.disk;
+  vmm_config.transfer_mode = config.transfer_mode;
+  vmm_config.wear_leveling = config.wear_leveling;
+  return vmm_config;
+}
 
 /// Builds the VMM and policy of one run on `sizing`, then replays `measured`
 /// through the engine: `warmup_passes` warm-up passes over `warmup` (null:

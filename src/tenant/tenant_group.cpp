@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/experiment.hpp"
 #include "sim/policy_factory.hpp"
 #include "trace/access.hpp"
 #include "util/budget.hpp"
@@ -268,17 +269,9 @@ void TenantGroup::flush_shard(unsigned index) {
 void TenantGroup::build_shard(unsigned index) {
   Shard& shard = shards_[index];
   if (shard.dram_frames + shard.nvm_frames == 0) return;
-  os::VmmConfig vc;
-  vc.dram_frames = shard.dram_frames;
-  vc.nvm_frames = shard.nvm_frames;
-  vc.page_size = config_.page_size;
-  vc.access_granularity = config_.access_granularity;
-  vc.dram = config_.dram;
-  vc.nvm = config_.nvm;
-  vc.disk = config_.disk;
-  vc.transfer_mode = config_.transfer_mode;
-  vc.wear_leveling = config_.wear_leveling;
-  shard.vmm = std::make_unique<os::Vmm>(vc);
+  const sim::MemorySizing sizing{shard.dram_frames + shard.nvm_frames,
+                                 shard.dram_frames, shard.nvm_frames};
+  shard.vmm = std::make_unique<os::Vmm>(sim::vmm_config_for(sizing, config_));
   shard.policy = sim::make_policy(config_.policy, *shard.vmm, config_.migration);
   shard.last = RawCounters{};
 }

@@ -21,10 +21,6 @@ constexpr double kTolAmat = 0.45;
 constexpr double kTolAppr = 0.45;
 constexpr double kTolNvmWrites = 0.95;
 
-// The ISSUE's speed floor for the prescreen to make sense; measured
-// throughput is well above (thousands per second).
-constexpr double kMinEvalsPerSecond = 1000.0;
-
 // One full default-grid run shared by the assertions below (each run costs
 // 96 simulations).
 const ParityReport& default_report() {
@@ -74,8 +70,11 @@ TEST(AnalyticParity, SingleTierCellsAreExact) {
   EXPECT_EQ(single_tier_cells, 2 * 8 * 2);
 }
 
+// The report measures the analytic throughput over its cells. The >= 1000/s
+// floor on it is AnalyticParityFloor.AnalyticThroughputAtLeast1000PerSecond
+// (test_floors), kept out of sanitizer builds.
 TEST(AnalyticParity, AnalyticThroughputClearsPrescreenFloor) {
-  EXPECT_GE(default_report().analytic_evals_per_second, kMinEvalsPerSecond);
+  EXPECT_GT(default_report().analytic_evals_per_second, 0.0);
 }
 
 TEST(AnalyticParity, EveryPredictionIsConsistent) {

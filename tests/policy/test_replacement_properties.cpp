@@ -5,7 +5,6 @@
 #include <string>
 
 #include "policy/clock.hpp"
-#include "policy/fifo.hpp"
 #include "policy/lru.hpp"
 #include "util/random.hpp"
 
@@ -14,14 +13,11 @@ namespace {
 
 // Runs `body` on a fresh policy of the named algorithm. The algorithms are
 // concrete classes with no common base, so the suite dispatches on the name
-// (which keeps the case names "lru", "fifo" and "clock").
+// (which keeps the case names "lru" and "clock").
 template <typename Body>
 void with_policy(const std::string& name, std::size_t capacity, Body&& body) {
   if (name == "lru") {
     LruPolicy policy(capacity);
-    body(policy);
-  } else if (name == "fifo") {
-    FifoPolicy policy(capacity);
     body(policy);
   } else if (name == "clock") {
     ClockPolicy policy(capacity);
@@ -131,7 +127,7 @@ TEST_P(ReplacementProperties, SelectVictimIsStableWithoutMutation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, ReplacementProperties,
-                         ::testing::Values("lru", "fifo", "clock"),
+                         ::testing::Values("lru", "clock"),
                          [](const auto& param_info) {
                            return std::string(param_info.param);
                          });

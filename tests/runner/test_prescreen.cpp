@@ -134,15 +134,16 @@ TEST(Prescreen, OutputIsByteIdenticalForAnyWorkerCount) {
 
 TEST(Prescreen, CharacterizationIsSharedAcrossTheGrid) {
   // 8 cells, one workload/seed/page-size: the ranking pass must cost one
-  // characterization and one estimate per supported cell, and the analytic
-  // throughput must clear the ISSUE's >= 1000 configs/s floor.
+  // characterization and one estimate per supported cell. The >= 1000/s
+  // throughput floor is PrescreenFloor.AnalyticThroughputAtLeast1000PerSecond
+  // (test_floors), kept out of sanitizer builds.
   PrescreenOptions options;
   options.refine_top = 1;
   options.run.jobs = 1;
   const PrescreenResults screened =
       run_prescreened_sweep(screen_spec(), options);
   EXPECT_EQ(screened.analytic_evals, 4u);
-  EXPECT_GE(screened.analytic_evals_per_second(), 1000.0);
+  EXPECT_GT(screened.analytic_seconds, 0.0);
 }
 
 }  // namespace
