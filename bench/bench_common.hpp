@@ -24,14 +24,19 @@
 //
 // Unknown flags are rejected: every harness parses through util::cli and
 // errors out listing the full flag set, so a typo ("--job 4") fails loudly
-// instead of silently running the default configuration.
+// instead of silently running the default configuration. So are malformed
+// values ("--scale abc", "--scale 0", "--csv maybe"): one stderr line
+// naming the flag and the value, then exit code 2.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -99,20 +104,57 @@ inline void reject_unknown_flags(const CliArgs& args,
   std::exit(2);
 }
 
+/// Exits with code 2 after one stderr line naming the flag, what it takes
+/// and the value it got.
+[[noreturn]] inline void reject_flag_value(const CliArgs& args,
+                                           const std::string& name,
+                                           const char* expected) {
+  std::cerr << args.program() << ": --" << name << " takes " << expected
+            << ", got '" << args.get(name) << "'\n";
+  std::exit(2);
+}
+
+/// An unsigned integer flag, or `def` when absent. Anything but a plain
+/// decimal number of at least `min` (a sign, trailing text, an overflow)
+/// exits through reject_flag_value.
+inline std::uint64_t uint_flag(const CliArgs& args, const std::string& name,
+                               std::uint64_t def, std::uint64_t min = 0) {
+  if (!args.has(name)) return def;
+  const std::string value = args.get(name);
+  const char* const end = value.data() + value.size();
+  std::uint64_t parsed = 0;
+  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
+  if (error != std::errc() || stop != end || parsed < min) {
+    reject_flag_value(args, name,
+                      min > 0 ? "a positive integer" : "an unsigned integer");
+  }
+  return parsed;
+}
+
+/// A boolean flag (true/false, 1/0, yes/no, on/off; bare = true), or `def`
+/// when absent; any other value exits through reject_flag_value.
+inline bool bool_flag(const CliArgs& args, const std::string& name, bool def) {
+  try {
+    return args.get_bool(name, def);
+  } catch (const std::invalid_argument&) {
+    reject_flag_value(args, name, "true or false");
+  }
+}
+
 inline BenchContext parse_args(
     int argc, char** argv, std::uint64_t default_scale = 64,
     const std::vector<std::string>& extra_flags = {}) {
   const CliArgs args(argc, argv);
   reject_unknown_flags(args, extra_flags);
   BenchContext ctx;
-  ctx.scale = args.get_uint("scale", default_scale);
-  ctx.seed = args.get_uint("seed", 42);
-  ctx.csv = args.get_bool("csv", false);
+  ctx.scale = uint_flag(args, "scale", default_scale, /*min=*/1);
+  ctx.seed = uint_flag(args, "seed", 42);
+  ctx.csv = bool_flag(args, "csv", false);
   ctx.jobs = static_cast<unsigned>(
-      args.get_uint("jobs", runner::ThreadPool::default_threads()));
+      uint_flag(args, "jobs", runner::ThreadPool::default_threads()));
   ctx.timeline = args.get("timeline");
-  ctx.timeline_epoch = args.get_uint("epoch", 1024);
-  ctx.partitions = static_cast<unsigned>(args.get_uint("partitions", 1));
+  ctx.timeline_epoch = uint_flag(args, "epoch", 1024);
+  ctx.partitions = static_cast<unsigned>(uint_flag(args, "partitions", 1));
   return ctx;
 }
 

@@ -16,7 +16,7 @@ using namespace hymem;
 int main(int argc, char** argv) {
   const auto ctx = bench::parse_args(argc, argv, 64, {"json"});
   const CliArgs args(argc, argv);
-  const bool json = args.get_bool("json", false);
+  const bool json = bench::bool_flag(args, "json", false);
   bench::print_header("Policy x workload matrix", ctx);
 
   const std::vector<std::string> policies = {

@@ -339,6 +339,7 @@ BENCHMARK_CAPTURE(BM_RunTrace, two_lru_adaptive, "two-lru-adaptive");
 BENCHMARK_CAPTURE(BM_RunTrace, clock_dwf, "clock-dwf");
 BENCHMARK_CAPTURE(BM_RunTrace, dram_only, "dram-only");
 BENCHMARK_CAPTURE(BM_RunTrace, nvm_only, "nvm-only");
+BENCHMARK_CAPTURE(BM_RunTrace, rank_mq, "rank-mq");
 BENCHMARK_CAPTURE(BM_RunTrace, two_lru_timeline, "two-lru", 1024u);
 BENCHMARK_CAPTURE(BM_RunTrace, clock_dwf_timeline, "clock-dwf", 1024u);
 

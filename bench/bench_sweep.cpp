@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   const auto ctx =
       bench::parse_args(argc, argv, 64, {"json", "prescreen", "refine-top"});
   const CliArgs args(argc, argv);
-  const bool json = args.get_bool("json", false);
+  const bool json = bench::bool_flag(args, "json", false);
   const std::string prescreen = args.get("prescreen");
   if (!prescreen.empty() && prescreen != "analytic") {
     std::cerr << args.program()
@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::size_t refine_top =
-      static_cast<std::size_t>(args.get_uint("refine-top", 0));
+      static_cast<std::size_t>(bench::uint_flag(args, "refine-top", 0));
 
   runner::SweepSpec spec;
   const auto profiles = synth::parsec_profiles();

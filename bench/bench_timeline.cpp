@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   auto ctx = bench::parse_args(argc, argv, 64,
                                {"json", "workload", "policy"});
   const CliArgs args(argc, argv);
-  const bool json = args.get_bool("json", false);
+  const bool json = bench::bool_flag(args, "json", false);
 
   std::vector<synth::WorkloadProfile> workloads;
   const std::string workload = args.get("workload");

@@ -4,52 +4,32 @@
 
 namespace hymem::core {
 
-DramLruQueue::DramLruQueue(std::size_t capacity)
-    : capacity_(capacity), pool_(capacity) {
-  HYMEM_CHECK_MSG(capacity > 0, "DRAM queue capacity must be positive");
-  index_.reserve(capacity);
-}
-
 void DramLruQueue::on_hit(PageId page) {
-  Node* const* found = index_.find(page);
-  HYMEM_CHECK_MSG(found != nullptr, "hit on untracked page");
-  Node* node = *found;
-  on_hit_node(*node);
+  const Slot* slot = ring_.find(page);
+  HYMEM_CHECK_MSG(slot != nullptr, "hit on untracked page");
+  touch(*slot);
 }
 
 void DramLruQueue::insert(PageId page, bool promoted) {
-  HYMEM_CHECK_MSG(size() < capacity_, "insert into full DRAM queue");
-  const auto [slot, inserted] = index_.try_emplace(page);
-  HYMEM_CHECK_MSG(inserted, "insert of tracked page");
-  Node* node = pool_.allocate();
-  node->page = page;
-  node->score = promoted ? Node::kPromotedBit : 0;
-  *slot = node;
-  list_.push_front(*node);
+  const Slot slot = ring_.insert_before(ring_.first(), page);
+  if (promoted) ring_.node(slot).score = PromotionScore::kPromotedBit;
 }
 
 std::optional<PageId> DramLruQueue::lru_victim() const {
-  const Node* victim = list_.back();
-  if (victim == nullptr) return std::nullopt;
-  return victim->page;
+  if (size() == 0) return std::nullopt;
+  return ring_.node(ring_.last()).page;
 }
 
 std::optional<std::uint64_t> DramLruQueue::erase(PageId page) {
-  const std::optional<Node*> found = index_.take(page);
-  HYMEM_CHECK_MSG(found.has_value(), "erase of untracked page");
-  Node* node = *found;
-  const std::optional<std::uint64_t> score =
-      node->promoted() ? std::optional<std::uint64_t>(node->hits())
-                       : std::nullopt;
-  list_.erase(*node);
-  pool_.release(node);
-  return score;
+  const Node& node = ring_.node(ring_.erase(page));
+  if (!node.promoted()) return std::nullopt;
+  return node.hits();
 }
 
 std::optional<std::uint64_t> DramLruQueue::promotion_hits(PageId page) const {
-  Node* const* found = index_.find(page);
-  if (found == nullptr || !(*found)->promoted()) return std::nullopt;
-  return (*found)->hits();
+  const Slot* slot = ring_.find(page);
+  if (slot == nullptr || !ring_.node(*slot).promoted()) return std::nullopt;
+  return ring_.node(*slot).hits();
 }
 
 }  // namespace hymem::core

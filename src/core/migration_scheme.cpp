@@ -36,8 +36,9 @@ void TwoLruMigrationPolicy::evict_from_dram(PageId page) {
   // Publish the dirty bit parked on the node (see serve) into the page
   // table before the page leaves DRAM: the migrated-to-NVM entry keeps the
   // bit, and eviction accounting reads it from there.
-  if (const DramLruQueue::Node* node = dram_.find_node(page);
-      node != nullptr && node->dirty()) {
+  if (const DramLruQueue::Slot* slot =
+          dram_.find(page, util::hash_page_id(page));
+      slot != nullptr && dram_.node(*slot).dirty()) {
     vmm_.touch_dirty(page);
   }
   const std::optional<std::uint64_t> score = dram_.erase(page);
@@ -92,10 +93,10 @@ bool TwoLruMigrationPolicy::admit_promotion() {
 }
 
 policy::Served TwoLruMigrationPolicy::nvm_hit(PageId page,
-                                              CountedLruQueue::Node& node,
+                                              CountedLruQueue::Slot slot,
                                               AccessType type) {
   policy::Served served = hit(Tier::kNvm, type);
-  const std::uint64_t counter = nvm_.record_hit_node(node, type);
+  const std::uint64_t counter = nvm_.record_hit_at(slot, type);
   const std::uint64_t threshold =
       type == AccessType::kRead ? read_threshold() : write_threshold();
   if (counter > threshold && admit_promotion()) served.latency += promote(page);
@@ -110,25 +111,24 @@ policy::Served TwoLruMigrationPolicy::serve(PageId page, std::uint64_t hash,
         static_cast<double>(config_.max_promotions_per_kacc),
         tokens_ + static_cast<double>(config_.max_promotions_per_kacc) / 1000.0);
   }
-  if (DramLruQueue::Node* node = dram_.find_node_hashed(page, hash)) {
+  if (const DramLruQueue::Slot* slot = dram_.find(page, hash)) {
     // Algorithm 1 lines 2-3: plain LRU housekeeping. The node also carries
     // the open-promotion score and the parked dirty bit.
-    node->mark_dirty_if(type == AccessType::kWrite);
-    dram_.on_hit_node(*node);
+    dram_.touch(*slot).mark_dirty_if(type == AccessType::kWrite);
     return hit(Tier::kDram, type);
   }
   if (type == AccessType::kRead) {
-    if (CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash)) {
-      return nvm_hit(page, *node, type);
+    if (const CountedLruQueue::Slot* slot = nvm_.find(page, hash)) {
+      return nvm_hit(page, *slot, type);
     }
   } else if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
     // Resident but not in the DRAM queue: must be NVM.
     HYMEM_CHECK_MSG(entry->tier() == Tier::kNvm, "hit on untracked page");
     entry->mark_dirty();
     vmm_.note_nvm_demand_write(entry->frame());
-    CountedLruQueue::Node* node = nvm_.find_node_hashed(page, hash);
-    HYMEM_CHECK_MSG(node != nullptr, "hit on untracked page");
-    return nvm_hit(page, *node, type);
+    const CountedLruQueue::Slot* slot = nvm_.find(page, hash);
+    HYMEM_CHECK_MSG(slot != nullptr, "hit on untracked page");
+    return nvm_hit(page, *slot, type);
   }
   return {fault(page, type), policy::Demand::kNone};
 }

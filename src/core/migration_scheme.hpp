@@ -93,7 +93,7 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   /// Lines 5-25 after an NVM hit: counts it in the page's windowed counter
   /// and promotes past the threshold (inlined into serve).
   [[gnu::always_inline]] inline policy::Served nvm_hit(
-      PageId page, CountedLruQueue::Node& node, AccessType type);
+      PageId page, CountedLruQueue::Slot slot, AccessType type);
   /// Lines 27-28: a page fault fills DRAM, demoting the DRAM LRU victim
   /// when needed.
   Nanoseconds fault(PageId page, AccessType type);

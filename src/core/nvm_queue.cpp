@@ -9,68 +9,53 @@ namespace hymem::core {
 
 CountedLruQueue::CountedLruQueue(std::size_t capacity, double read_perc,
                                  double write_perc)
-    : capacity_(capacity), pool_(capacity) {
-  HYMEM_CHECK_MSG(capacity > 0, "queue capacity must be positive");
-  index_.reserve(capacity);
-  read_win_ = Window{util::snap_ceil_fraction(read_perc, capacity), 0, nullptr,
-                     0, /*idx=*/0};
-  write_win_ = Window{util::snap_ceil_fraction(write_perc, capacity), 0,
-                      nullptr, 0, /*idx=*/1};
+    : ring_(capacity),
+      read_win_{util::snap_ceil_fraction(read_perc, capacity), 0,
+                ring_.sentinel(), 0, /*idx=*/0},
+      write_win_{util::snap_ceil_fraction(write_perc, capacity), 0,
+                 ring_.sentinel(), 0, /*idx=*/1} {}
+
+const CountedLruQueue::Node& CountedLruQueue::tracked(PageId page) const {
+  const Slot* slot = ring_.find(page);
+  HYMEM_CHECK(slot != nullptr);
+  return ring_.node(*slot);
 }
 
-CountedLruQueue::Node* CountedLruQueue::find(PageId page) const {
-  Node* const* found = index_.find(page);
-  return found == nullptr ? nullptr : *found;
-}
-
-void CountedLruQueue::leave(Window& w, Node& node) {
+void CountedLruQueue::leave(Window& w, Slot slot) {
+  Node& node = ring_.node(slot);
   if (!node.in_window(w.idx)) return;
-  if (w.boundary == &node) {
-    w.boundary = w.count > 1 ? list_.prev(node) : nullptr;
-  }
+  // A lone member was first, so its predecessor is the sentinel.
+  if (w.boundary == slot) w.boundary = node.prev;
   w.sum -= node.counter(w.idx);
   node.packed[w.idx] = 0;
   --w.count;
 }
 
 void CountedLruQueue::refill(Window& w) {
-  while (w.count < std::min(w.target, list_.size())) {
-    Node* next = w.boundary ? list_.next(*w.boundary) : list_.front();
-    if (next == nullptr) break;
-    next->packed[w.idx] = Node::kInWindowBit;
+  while (w.count < std::min(w.target, ring_.size())) {
+    const Slot next = ring_.node(w.boundary).next;
+    ring_.node(next).packed[w.idx] = Node::kInWindowBit;
     w.boundary = next;
     ++w.count;
   }
 }
 
 std::uint64_t CountedLruQueue::record_hit(PageId page, AccessType type) {
-  Node* node = find(page);
-  HYMEM_CHECK_MSG(node != nullptr, "hit on untracked page");
-  return record_hit_node(*node, type);
+  const Slot* slot = ring_.find(page);
+  HYMEM_CHECK_MSG(slot != nullptr, "hit on untracked page");
+  return record_hit_at(*slot, type);
 }
 
 void CountedLruQueue::insert_front(PageId page) {
-  HYMEM_CHECK_MSG(size() < capacity_, "insert into full queue");
-  const auto [slot, inserted] = index_.try_emplace(page);
-  HYMEM_CHECK_MSG(inserted, "insert of tracked page");
-  Node* node = pool_.allocate();
-  node->page = page;
-  node->packed[0] = 0;
-  node->packed[1] = 0;
-  *slot = node;
-  enter_front(read_win_, *node);
-  enter_front(write_win_, *node);
-  list_.push_front(*node);
+  const Slot slot = ring_.insert_before(ring_.first(), page);
+  enter_front(read_win_, slot);
+  enter_front(write_win_, slot);
 }
 
 void CountedLruQueue::erase(PageId page) {
-  const std::optional<Node*> found = index_.take(page);
-  HYMEM_CHECK_MSG(found.has_value(), "erase of untracked page");
-  Node* node = *found;
-  leave(read_win_, *node);
-  leave(write_win_, *node);
-  list_.erase(*node);
-  pool_.release(node);
+  const Slot slot = ring_.erase(page);
+  leave(read_win_, slot);
+  leave(write_win_, slot);
   refill(read_win_);
   refill(write_win_);
 }
@@ -85,44 +70,36 @@ CountedLruQueue::WindowStats CountedLruQueue::window_stats(
 }
 
 std::optional<PageId> CountedLruQueue::lru_victim() const {
-  const Node* victim = list_.back();
-  if (victim == nullptr) return std::nullopt;
-  return victim->page;
+  if (size() == 0) return std::nullopt;
+  return ring_.node(ring_.last()).page;
 }
 
 bool CountedLruQueue::in_read_window(PageId page) const {
-  const Node* node = find(page);
-  HYMEM_CHECK(node != nullptr);
-  return node->in_window(0);
+  return tracked(page).in_window(0);
 }
 
 bool CountedLruQueue::in_write_window(PageId page) const {
-  const Node* node = find(page);
-  HYMEM_CHECK(node != nullptr);
-  return node->in_window(1);
+  return tracked(page).in_window(1);
 }
 
 std::uint64_t CountedLruQueue::read_counter(PageId page) const {
-  const Node* node = find(page);
-  HYMEM_CHECK(node != nullptr);
-  return node->counter(0);
+  return tracked(page).counter(0);
 }
 
 std::uint64_t CountedLruQueue::write_counter(PageId page) const {
-  const Node* node = find(page);
-  HYMEM_CHECK(node != nullptr);
-  return node->counter(1);
+  return tracked(page).counter(1);
 }
 
 void CountedLruQueue::check_invariants() const {
   for (const Window* w : {&read_win_, &write_win_}) {
-    HYMEM_CHECK(w->count == std::min(w->target, list_.size()));
-    // The window must be exactly the first `count` nodes, ending at boundary.
+    HYMEM_CHECK(w->count == std::min(w->target, ring_.size()));
+    // The window must be exactly the first `count` nodes, ending at the
+    // boundary (the sentinel when empty).
     std::size_t seen = 0;
     std::uint64_t walked_sum = 0;
     bool prefix_over = false;
-    const Node* last_in = nullptr;
-    list_.for_each([&](const Node& n) {
+    const Node* last_in = &ring_.node(ring_.sentinel());
+    ring_.for_each([&](const Node& n) {
       if (n.in_window(w->idx)) {
         HYMEM_CHECK_MSG(!prefix_over, "window is not a prefix");
         ++seen;
@@ -137,8 +114,7 @@ void CountedLruQueue::check_invariants() const {
     HYMEM_CHECK(seen == w->count);
     HYMEM_CHECK_MSG(walked_sum == w->sum,
                     "incremental window counter sum drifted from the walk");
-    HYMEM_CHECK((w->count == 0) == (w->boundary == nullptr));
-    if (w->boundary != nullptr) HYMEM_CHECK(w->boundary == last_in);
+    HYMEM_CHECK(&ring_.node(w->boundary) == last_in);
   }
 }
 

@@ -13,54 +13,50 @@
 // LRU list with O(1) incremental boundary updates per operation (no scans).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 
-#include "util/check.hpp"
-#include "util/flat_page_map.hpp"
-#include "util/intrusive_list.hpp"
-#include "util/slab_pool.hpp"
+#include "policy/page_ring.hpp"
 #include "util/types.hpp"
 
 namespace hymem::core {
 
-/// LRU queue with windowed access counters.
+/// The fields the NVM queue keeps on each node: its two windowed counters.
+///
+/// Each counter packs its membership flag into the top bit of a 32-bit
+/// word, making the node 24 bytes: the NVM-hit and demotion paths splice a
+/// random node, so fewer node cache lines is fewer misses. Counters
+/// saturate at 2^31 - 1 — a promotion threshold at or above that is
+/// unreachable either way.
+struct WindowCounters {
+  std::uint32_t packed[2] = {0, 0};  // [kRead, kWrite]: flag<<31 | counter
+
+  static constexpr std::uint32_t kInWindowBit = 1u << 31;
+  static constexpr std::uint32_t kCounterMax = kInWindowBit - 1;
+  bool in_window(int idx) const { return (packed[idx] & kInWindowBit) != 0; }
+  std::uint32_t counter(int idx) const { return packed[idx] & kCounterMax; }
+};
+
+/// LRU queue with windowed access counters, in a policy::PageRing running
+/// from the MRU page at first() to the LRU page at last().
 class CountedLruQueue {
  public:
-  /// One tracked page. Public so the block-replay fast path can update a
-  /// found node directly; treat as opaque outside hymem::core.
-  ///
-  /// Each windowed counter packs its membership flag into the top bit of a
-  /// 32-bit word, making the node exactly 32 bytes (half the naive layout):
-  /// the NVM-hit and demotion paths chase a random node pointer, so fewer
-  /// node cache lines is fewer misses. Counters saturate at 2^31 - 1 — a
-  /// promotion threshold at or above that is unreachable either way.
-  struct Node {
-    PageId page = kInvalidPage;
-    ListHook hook;
-    std::uint32_t packed[2] = {0, 0};  // [kRead, kWrite]: flag<<31 | counter
-
-    static constexpr std::uint32_t kInWindowBit = 1u << 31;
-    static constexpr std::uint32_t kCounterMax = kInWindowBit - 1;
-    bool in_window(int idx) const {
-      return (packed[idx] & kInWindowBit) != 0;
-    }
-    std::uint32_t counter(int idx) const { return packed[idx] & kCounterMax; }
-  };
+  using Ring = policy::PageRing<WindowCounters>;
+  using Slot = Ring::Slot;
+  using Node = Ring::Node;
 
   /// `capacity` pages; window sizes are ceil(perc * capacity), clamped to
   /// [0, capacity].
   CountedLruQueue(std::size_t capacity, double read_perc, double write_perc);
 
-  std::size_t capacity() const { return capacity_; }
-  std::size_t size() const { return index_.size(); }
-  bool contains(PageId page) const { return index_.contains(page); }
-  bool full() const { return size() >= capacity_; }
+  std::size_t capacity() const { return ring_.capacity(); }
+  std::size_t size() const { return ring_.size(); }
+  bool contains(PageId page) const { return ring_.contains(page); }
+  bool full() const { return ring_.full(); }
 
   std::size_t read_window_target() const { return read_win_.target; }
   std::size_t write_window_target() const { return write_win_.target; }
-
-  /// Warms the membership-index cache line for an upcoming record_hit.
 
   /// Records a hit per Algorithm 1: promotes the page to MRU, maintains both
   /// windows (resetting counters that fall off), and updates the counter for
@@ -68,25 +64,24 @@ class CountedLruQueue {
   /// outside). Returns the new value of that counter.
   std::uint64_t record_hit(PageId page, AccessType type);
 
-  /// Node cursor for the block-replay fast path, probed with the
-  /// caller-memoized key hash; nullptr when the page is untracked. Valid
-  /// until the next insert/erase.
-  Node* find_node_hashed(PageId page, std::uint64_t hash) {
-    Node* const* found = index_.find_hashed(page, hash);
-    return found != nullptr ? *found : nullptr;
+  /// Slot of a tracked page, probed with the caller-memoized key hash (must
+  /// equal util::hash_page_id(page)); nullptr when untracked.
+  const Slot* find(PageId page, std::uint64_t hash) const {
+    return ring_.find(page, hash);
   }
 
-  /// The window/counter/splice body of record_hit, applied to an
-  /// already-found node. Header-inline: ~10% of replayed accesses land here,
-  /// and the whole body is a handful of pointer moves and counter updates —
-  /// an out-of-line call roughly doubled its measured cost.
-  std::uint64_t record_hit_node(Node& node, AccessType type) {
+  /// record_hit applied to a found slot. Header-inline: ~10% of replayed
+  /// accesses land here, and the whole body is a handful of link moves and
+  /// counter updates — an out-of-line call roughly doubled its measured
+  /// cost.
+  std::uint64_t record_hit_at(Slot slot, AccessType type) {
+    Node& node = ring_.node(slot);
     const int idx = type == AccessType::kRead ? 0 : 1;
     const bool was_in = node.in_window(idx);
 
-    enter_front(read_win_, node);
-    enter_front(write_win_, node);
-    list_.move_to_front(node);
+    enter_front(read_win_, slot);
+    enter_front(write_win_, slot);
+    ring_.move_to_front(slot);
 
     // Algorithm 1 lines 10-22: increment inside the window, restart at 1
     // when (re-)entering from outside. A zero-width window tracks nothing.
@@ -135,7 +130,7 @@ class CountedLruQueue {
   /// MRU-to-LRU traversal.
   template <typename Fn>
   void for_each_mru_to_lru(Fn&& fn) const {
-    list_.for_each([&fn](const Node& n) { fn(n.page); });
+    ring_.for_each([&fn](const Node& n) { fn(n.page); });
   }
   /// Validates all window invariants (prefix property, counts, resets);
   /// throws on violation. O(n) — test use only.
@@ -147,47 +142,48 @@ class CountedLruQueue {
   struct Window {
     std::size_t target = 0;
     std::size_t count = 0;
-    Node* boundary = nullptr;  // last node inside the window
-    std::uint64_t sum = 0;     // sum of member counters, kept incrementally
+    Slot boundary = 0;      // last slot inside the window; the sentinel
+                            // while the window is empty
+    std::uint64_t sum = 0;  // sum of member counters, kept incrementally
     int idx = 0;
   };
 
-  Node* find(PageId page) const;
+  const Node& tracked(PageId page) const;
   WindowStats window_stats(const Window& w) const;
-  /// Handles window membership for a node about to move to the front
-  /// (in-class so record_hit_node fuses into one inlined body).
-  void enter_front(Window& w, Node& node) {
+  /// Handles window membership for the node at `slot`, about to move to (or
+  /// just inserted at) the front (in-class so record_hit_at fuses into one
+  /// inlined body).
+  void enter_front(Window& w, Slot slot) {
     if (w.target == 0) return;
+    Node& node = ring_.node(slot);
     if (node.in_window(w.idx)) {
       // Already a member: membership is unchanged; only the boundary can
       // shift if the boundary node itself is moving to the front.
-      if (w.boundary == &node && w.count > 1) {
-        w.boundary = list_.prev(node);
-      }
+      if (w.boundary == slot && w.count > 1) w.boundary = node.prev;
       return;
     }
     if (w.count >= w.target) {
       // Window is full: the current boundary page drops out and its counter
-      // resets (Algorithm 1 lines 8-9).
-      Node* leaver = w.boundary;
-      w.sum -= leaver->counter(w.idx);
-      leaver->packed[w.idx] = 0;
-      w.boundary = w.count > 1 ? list_.prev(*leaver) : nullptr;
+      // resets (Algorithm 1 lines 8-9). Its predecessor becomes the
+      // boundary; where that is the sentinel (a lone member), the entering
+      // node takes it just below.
+      Node& leaver = ring_.node(w.boundary);
+      w.sum -= leaver.counter(w.idx);
+      leaver.packed[w.idx] = 0;
+      w.boundary = leaver.prev;
     } else {
       ++w.count;
     }
     node.packed[w.idx] |= Node::kInWindowBit;
-    if (w.boundary == nullptr) w.boundary = &node;
+    if (w.boundary == ring_.sentinel()) w.boundary = slot;
   }
   /// Re-fills a window after a removal shrank it below min(target, size).
   void refill(Window& w);
-  /// Removes a node from a window it belongs to (before list erase).
-  void leave(Window& w, Node& node);
+  /// Removes the node at `slot` from a window it belongs to (after the ring
+  /// erase, whose node keeps its links).
+  void leave(Window& w, Slot slot);
 
-  std::size_t capacity_;
-  IntrusiveList<Node, &Node::hook> list_;  // front = MRU
-  util::SlabPool<Node> pool_;
-  util::FlatPageMap<Node*> index_;
+  Ring ring_;
   Window read_win_;
   Window write_win_;
 };

@@ -16,7 +16,9 @@ namespace hymem::policy {
 /// around, and the hand is a slot (the sentinel while the ring is empty).
 class ClockPolicy {
  public:
-  using Slot = PageRing::Slot;
+  using Ring = PageRing<PageBits>;
+  using Slot = Ring::Slot;
+  using Node = Ring::Node;
 
   explicit ClockPolicy(std::size_t capacity)
       : ring_(capacity), hand_(ring_.sentinel()) {}
@@ -35,7 +37,7 @@ class ClockPolicy {
   }
   /// The node at `slot`, whose reference and parked dirty bits a caller
   /// that found the page may set.
-  PageRing::Node& node(Slot slot) { return ring_.node(slot); }
+  Node& node(Slot slot) { return ring_.node(slot); }
 
   /// Sets a tracked page's reference bit.
   void on_hit(PageId page, AccessType type);
@@ -67,7 +69,7 @@ class ClockPolicy {
   /// Calls fn(page) for every page with a parked dirty bit.
   template <typename Fn>
   void for_each_dirty(Fn&& fn) const {
-    ring_.for_each([&fn](const PageRing::Node& node) {
+    ring_.for_each([&fn](const Node& node) {
       if (node.dirty) fn(node.page);
     });
   }
@@ -79,7 +81,7 @@ class ClockPolicy {
     return next == ring_.sentinel() ? ring_.first() : next;
   }
 
-  PageRing ring_;
+  Ring ring_;
   Slot hand_;
 };
 

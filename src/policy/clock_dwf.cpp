@@ -19,7 +19,7 @@ Served ClockDwfPolicy::serve(PageId page, std::uint64_t hash,
     // read-dominant pages age out towards NVM. A write also parks the dirty
     // bit; both are set without a branch on the access type.
     const bool write = type == AccessType::kWrite;
-    PageRing::Node& node = dram_.node(*slot);
+    ClockPolicy::Node& node = dram_.node(*slot);
     node.ref |= write;
     node.dirty |= write;
     return hit(Tier::kDram, type);

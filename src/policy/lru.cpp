@@ -16,7 +16,7 @@ void LruPolicy::insert(PageId page, AccessType /*type*/) {
 
 std::optional<PageId> LruPolicy::select_victim() {
   if (size() == 0) return std::nullopt;
-  const PageRing::Node& victim = ring_.node(ring_.last());
+  const Node& victim = ring_.node(ring_.last());
   // The caller's next move is erase(victim): start pulling the victim's
   // index slot and list neighbour now — the LRU tail is cold by
   // definition, so both are otherwise guaranteed cache misses.

@@ -17,7 +17,9 @@ namespace hymem::policy {
 /// splice stays inside a compact, allocation-free working set.
 class LruPolicy {
  public:
-  using Slot = PageRing::Slot;
+  using Ring = PageRing<PageBits>;
+  using Slot = Ring::Slot;
+  using Node = Ring::Node;
 
   explicit LruPolicy(std::size_t capacity) : ring_(capacity) {}
 
@@ -34,8 +36,8 @@ class LruPolicy {
     return ring_.find(page, hash);
   }
   /// Moves the page at `slot` to the MRU position; returns its node.
-  PageRing::Node& touch(Slot slot) {
-    if (ring_.first() != slot) ring_.move_before(slot, ring_.first());
+  Node& touch(Slot slot) {
+    ring_.move_to_front(slot);
     return ring_.node(slot);
   }
 
@@ -53,18 +55,18 @@ class LruPolicy {
   /// MRU-to-LRU page order (for tests).
   template <typename Fn>
   void for_each_mru_to_lru(Fn&& fn) const {
-    ring_.for_each([&fn](const PageRing::Node& node) { fn(node.page); });
+    ring_.for_each([&fn](const Node& node) { fn(node.page); });
   }
   /// Calls fn(page) for every page with a parked dirty bit.
   template <typename Fn>
   void for_each_dirty(Fn&& fn) const {
-    ring_.for_each([&fn](const PageRing::Node& node) {
+    ring_.for_each([&fn](const Node& node) {
       if (node.dirty) fn(node.page);
     });
   }
 
  private:
-  PageRing ring_;
+  Ring ring_;
 };
 
 }  // namespace hymem::policy

@@ -1,6 +1,7 @@
-// The storage LruPolicy and ClockPolicy share: tracked pages on one circular
-// list, linked by 32-bit indexes over a node array sized at construction,
-// with a flat PageId -> node index.
+// The one page list of the simulator: tracked pages on circular lists,
+// linked by 32-bit indexes over a node array sized at construction, with a
+// flat PageId -> node index. Every page queue outside src/check keeps its
+// pages here; each owner chooses the fields its nodes carry.
 #pragma once
 
 #include <cstddef>
@@ -14,48 +15,65 @@
 
 namespace hymem::policy {
 
-/// A circular doubly linked list of pages over one contiguous node array,
-/// with the sentinel at slot `capacity`, indexed by a
-/// util::FlatPageMap<std::uint32_t>. Everything is sized once, so no
-/// operation allocates. Each node carries two bits for its owner: CLOCK's
+/// The fields LruPolicy and ClockPolicy keep on each node: CLOCK's
 /// reference bit, and a dirty bit parked by a DRAM write hit (see
 /// HybridPolicy::publish_dirty).
+struct PageBits {
+  bool ref = false;
+  bool dirty = false;
+};
+
+/// `lists` circular doubly linked lists of pages over one contiguous node
+/// array: one sentinel per list at slot `list`, then `capacity` nodes
+/// shared by all of them, indexed by a util::FlatPageMap<std::uint32_t>.
+/// A sentinel's slot is a constant, so reaching a list's ends never loads
+/// the capacity. Each node carries the owner's `Fields` (default-initialized
+/// on insert). Everything is sized once, so no operation allocates. Calls
+/// that take a list default to list 0.
+template <typename Fields>
 class PageRing {
  public:
   using Slot = std::uint32_t;
 
-  struct Node {
+  struct Node : Fields {
     PageId page;
     Slot prev;
     Slot next;
-    bool ref;
-    bool dirty;
   };
 
-  explicit PageRing(std::size_t capacity) : capacity_(capacity) {
+  explicit PageRing(std::size_t capacity, std::size_t lists = 1)
+      : capacity_(capacity) {
     HYMEM_CHECK_MSG(capacity > 0, "ring capacity must be positive");
-    HYMEM_CHECK_MSG(capacity < UINT32_MAX,
+    HYMEM_CHECK_MSG(lists > 0, "a ring needs at least one list");
+    HYMEM_CHECK_MSG(capacity + lists <= UINT32_MAX,
                     "ring capacity exceeds 32-bit indexing");
-    nodes_.resize(capacity + 1);
-    nodes_[sentinel()] = Node{kInvalidPage, sentinel(), sentinel(), false, false};
+    nodes_.reserve(lists + capacity);
+    for (std::size_t list = 0; list < lists; ++list) {
+      const Slot s = sentinel(list);
+      nodes_.push_back(Node{Fields{}, kInvalidPage, s, s});
+    }
+    nodes_.resize(lists + capacity);
     free_.reserve(capacity);
     // Pop order hands out low slots first, keeping the live prefix dense.
-    for (std::size_t i = capacity; i > 0; --i) {
+    for (std::size_t i = lists + capacity; i > lists; --i) {
       free_.push_back(static_cast<Slot>(i - 1));
     }
     index_.reserve(capacity);
   }
 
   std::size_t capacity() const { return capacity_; }
+  /// Pages tracked, over all lists.
   std::size_t size() const { return index_.size(); }
   bool full() const { return size() >= capacity_; }
   bool contains(PageId page) const { return index_.contains(page); }
 
-  /// The sentinel closes the ring: first() and last() are its neighbours,
-  /// and both equal sentinel() when the ring is empty.
-  Slot sentinel() const { return static_cast<Slot>(capacity_); }
-  Slot first() const { return nodes_[sentinel()].next; }
-  Slot last() const { return nodes_[sentinel()].prev; }
+  /// The sentinel closes its list: first() and last() are its neighbours,
+  /// and both equal sentinel() when the list is empty.
+  static Slot sentinel(std::size_t list = 0) {
+    return static_cast<Slot>(list);
+  }
+  Slot first(std::size_t list = 0) const { return nodes_[sentinel(list)].next; }
+  Slot last(std::size_t list = 0) const { return nodes_[sentinel(list)].prev; }
   Node& node(Slot slot) { return nodes_[slot]; }
   const Node& node(Slot slot) const { return nodes_[slot]; }
 
@@ -68,8 +86,8 @@ class PageRing {
   /// Warms the index slot a coming lookup of `page` will probe.
   void prefetch(PageId page) const { index_.prefetch(page); }
 
-  /// Tracks `page` (absent; the ring not full) in a node with both bits
-  /// clear, linked just before `pos`. Returns its slot.
+  /// Tracks `page` (absent; the ring not full) in a node with default
+  /// fields, linked just before `pos`. Returns its slot.
   Slot insert_before(Slot pos, PageId page) {
     HYMEM_CHECK_MSG(!full(), "insert into a full ring");
     const auto [index_slot, inserted] = index_.try_emplace(page);
@@ -77,7 +95,7 @@ class PageRing {
     const Slot slot = free_.back();
     free_.pop_back();
     *index_slot = slot;
-    nodes_[slot] = Node{page, 0, 0, false, false};
+    nodes_[slot] = Node{Fields{}, page, 0, 0};
     link_before(slot, pos);
     return slot;
   }
@@ -92,16 +110,25 @@ class PageRing {
     return *slot;
   }
 
-  /// Moves a linked node to just before `pos` (a different slot).
+  /// Moves a linked node to just before `pos` (a different slot), which
+  /// may lie on another list.
   void move_before(Slot slot, Slot pos) {
     unlink(slot);
     link_before(slot, pos);
   }
 
-  /// Calls fn(node) for every tracked page from first() to last().
+  /// Moves a linked node to the front of `list`; a no-op for its first
+  /// node.
+  void move_to_front(Slot slot, std::size_t list = 0) {
+    const Slot front = first(list);
+    if (front != slot) move_before(slot, front);
+  }
+
+  /// Calls fn(node) for every node of `list` from first() to last().
   template <typename Fn>
-  void for_each(Fn&& fn) const {
-    for (Slot i = first(); i != sentinel(); i = nodes_[i].next) fn(nodes_[i]);
+  void for_each(Fn&& fn, std::size_t list = 0) const {
+    const Slot end = sentinel(list);
+    for (Slot i = nodes_[end].next; i != end; i = nodes_[i].next) fn(nodes_[i]);
   }
 
  private:
@@ -118,7 +145,7 @@ class PageRing {
   }
 
   std::size_t capacity_;
-  std::vector<Node> nodes_;  // [0, capacity_) + the sentinel at the end
+  std::vector<Node> nodes_;  // one sentinel per list, then capacity_ nodes
   std::vector<Slot> free_;   // unused slots (stack)
   util::FlatPageMap<Slot> index_;
 };

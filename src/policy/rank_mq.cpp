@@ -9,7 +9,12 @@ namespace hymem::policy {
 
 RankMqPolicy::RankMqPolicy(os::Vmm& vmm, unsigned promote_level,
                            std::uint64_t lifetime)
-    : HybridPolicy(vmm), promote_level_(promote_level), lifetime_(lifetime) {
+    : HybridPolicy(vmm),
+      promote_level_(promote_level),
+      lifetime_(lifetime),
+      ring_(static_cast<std::size_t>(vmm.frames(Tier::kDram) +
+                                     vmm.frames(Tier::kNvm)),
+            2 * kLevels) {
   HYMEM_CHECK_MSG(vmm.frames(Tier::kDram) > 0 && vmm.frames(Tier::kNvm) > 0,
                   "rank-mq needs both modules populated");
   HYMEM_CHECK(promote_level < kLevels);
@@ -22,105 +27,92 @@ unsigned RankMqPolicy::level_of(std::uint64_t count) {
   return std::min(level, kLevels - 1);
 }
 
-void RankMqPolicy::enqueue(Node& node) {
-  // The caller must have dequeued the node from its previous (tier, level)
-  // queue before mutating either field — intrusive lists track size per
-  // list object, so unlinking through the wrong queue corrupts counts.
-  HYMEM_CHECK(!node.hook.is_linked());
+void RankMqPolicy::requeue(Slot slot) {
+  RankFields& node = ring_.node(slot);
   node.level = level_of(node.count);
-  queue(node.tier, node.level).push_front(node);
+  ring_.move_to_front(slot, queue(node.tier, node.level));
 }
 
-void RankMqPolicy::dequeue(Node& node) {
-  if (node.hook.is_linked()) queue(node.tier, node.level).erase(node);
-}
-
-RankMqPolicy::Node* RankMqPolicy::coldest(Tier tier) {
+std::optional<RankMqPolicy::Slot> RankMqPolicy::coldest(Tier tier) const {
   for (unsigned level = 0; level < kLevels; ++level) {
-    if (Node* victim = queue(tier, level).back()) return victim;
+    const std::size_t list = queue(tier, level);
+    if (ring_.last(list) != ring_.sentinel(list)) return ring_.last(list);
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 void RankMqPolicy::age_step() {
   // Lazy expiration: inspect one queue tail per access; a page untouched for
-  // `lifetime` accesses loses half its rank credit and drops a level.
+  // `lifetime` accesses loses half its rank credit and drops a level. The
+  // cursor walks the 2 * kLevels lists in ring order, DRAM's first.
   age_cursor_ = (age_cursor_ + 1) % (2 * kLevels);
-  const Tier tier = age_cursor_ < kLevels ? Tier::kDram : Tier::kNvm;
-  const unsigned level = age_cursor_ % kLevels;
-  if (level == 0) return;  // nothing below level 0
-  Node* stale = queue(tier, level).back();
-  if (stale == nullptr || clock_ - stale->last_access < lifetime_) return;
-  dequeue(*stale);
-  stale->count /= 2;
-  stale->last_access = clock_;
+  if (age_cursor_ % kLevels == 0) return;  // nothing below level 0
+  const Slot stale = ring_.last(age_cursor_);
+  if (stale == ring_.sentinel(age_cursor_)) return;
+  RankFields& node = ring_.node(stale);
+  if (clock_ - node.last_access < lifetime_) return;
+  node.count /= 2;
+  node.last_access = clock_;
   ++expirations_;
-  enqueue(*stale);
+  requeue(stale);
 }
 
 void RankMqPolicy::evict_coldest_nvm() {
-  Node* victim = coldest(Tier::kNvm);
-  HYMEM_CHECK_MSG(victim != nullptr, "NVM full but rank queues empty");
-  dequeue(*victim);
-  vmm_.evict(victim->page);
-  nodes_.erase(victim->page);
+  const std::optional<Slot> victim = coldest(Tier::kNvm);
+  HYMEM_CHECK_MSG(victim.has_value(), "NVM full but rank queues empty");
+  const PageId page = ring_.node(*victim).page;
+  vmm_.evict(page);
+  ring_.erase(page);
 }
 
-Nanoseconds RankMqPolicy::try_promote(Node& node) {
+Nanoseconds RankMqPolicy::try_promote(Slot slot) {
+  Ring::Node& node = ring_.node(slot);
   if (vmm_.has_free_frame(Tier::kDram)) {
     const Nanoseconds latency = vmm_.migrate(node.page, Tier::kDram);
-    dequeue(node);
     node.tier = Tier::kDram;
-    enqueue(node);
+    requeue(slot);
     ++promotions_;
     return latency;
   }
-  Node* victim = coldest(Tier::kDram);
-  HYMEM_CHECK(victim != nullptr);
+  const std::optional<Slot> victim = coldest(Tier::kDram);
+  HYMEM_CHECK(victim.has_value());
+  Ring::Node& cold = ring_.node(*victim);
   // Rank order decides: only displace a strictly colder page.
-  if (victim->level >= node.level) return 0;
-  const Nanoseconds latency = vmm_.swap(node.page, victim->page);
-  dequeue(node);
-  dequeue(*victim);
+  if (cold.level >= node.level) return 0;
+  const Nanoseconds latency = vmm_.swap(node.page, cold.page);
   node.tier = Tier::kDram;
-  victim->tier = Tier::kNvm;
-  enqueue(node);
-  enqueue(*victim);
+  cold.tier = Tier::kNvm;
+  requeue(slot);
+  requeue(*victim);
   ++promotions_;
   ++demotions_;
   return latency;
 }
 
-Served RankMqPolicy::serve(PageId page, std::uint64_t /*hash*/,
-                           AccessType type) {
+Served RankMqPolicy::serve(PageId page, std::uint64_t hash, AccessType type) {
   ++clock_;
   age_step();
-  const auto it = nodes_.find(page);
-  if (it != nodes_.end()) {
-    Node& node = *it->second;
+  if (const Slot* found = ring_.find(page, hash)) {
+    const Slot slot = *found;
     const Nanoseconds device = vmm_.access(page, type);
-    dequeue(node);
+    RankFields& node = ring_.node(slot);
     ++node.count;
     node.last_access = clock_;
-    enqueue(node);
+    requeue(slot);
     if (node.tier == Tier::kNvm && node.level >= promote_level_) {
-      return {device + try_promote(node), Demand::kNone};
+      return {device + try_promote(slot), Demand::kNone};
     }
     return {device, Demand::kNone};
   }
   // Page fault: new pages enter the slow tier (RaPP's conservative
-  // placement) and earn DRAM through rank.
+  // placement) and earn DRAM through rank. A count of 1 ranks at level 0.
   if (!vmm_.has_free_frame(Tier::kNvm)) evict_coldest_nvm();
   const Nanoseconds latency = vmm_.fault_in(page, Tier::kNvm);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
-  auto owned = std::make_unique<Node>();
-  Node* node = owned.get();
-  node->page = page;
-  node->count = 1;
-  node->last_access = clock_;
-  node->tier = Tier::kNvm;
-  nodes_.emplace(page, std::move(owned));
-  enqueue(*node);
+  const Slot slot =
+      ring_.insert_before(ring_.first(queue(Tier::kNvm, 0)), page);
+  ring_.node(slot).count = 1;
+  ring_.node(slot).last_access = clock_;
   return {latency, Demand::kNone};
 }
 

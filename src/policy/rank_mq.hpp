@@ -10,14 +10,23 @@
 // buys (and costs) relative to windowed recency counters.
 #pragma once
 
-#include <array>
-#include <memory>
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
 
 #include "policy/hybrid_policy.hpp"
-#include "util/intrusive_list.hpp"
+#include "policy/page_ring.hpp"
 
 namespace hymem::policy {
+
+/// The fields rank-mq keeps on each node: its access count, the clock of
+/// its last access, and the (tier, level) queue it sits on.
+struct RankFields {
+  std::uint64_t count = 0;
+  std::uint64_t last_access = 0;
+  unsigned level = 0;
+  Tier tier = Tier::kNvm;
+};
 
 /// RaPP-style rank-and-migrate hybrid.
 class RankMqPolicy final : public HybridPolicy {
@@ -45,40 +54,33 @@ class RankMqPolicy final : public HybridPolicy {
   std::uint64_t expirations() const { return expirations_; }
 
  private:
-  struct Node {
-    PageId page = kInvalidPage;
-    ListHook hook;
-    std::uint64_t count = 0;
-    std::uint64_t last_access = 0;
-    unsigned level = 0;
-    Tier tier = Tier::kNvm;
-  };
-  using Queue = IntrusiveList<Node, &Node::hook>;
+  using Ring = PageRing<RankFields>;
+  using Slot = Ring::Slot;
 
-  Queue& queue(Tier tier, unsigned level) {
-    return queues_[tier == Tier::kDram ? 0 : 1][level];
+  /// The ring list of a (tier, level) queue: DRAM's kLevels lists first.
+  static std::size_t queue(Tier tier, unsigned level) {
+    return (tier == Tier::kDram ? 0 : kLevels) + level;
   }
 
-  /// Inserts an unlinked node at the MRU position of its (tier, level) queue.
-  void enqueue(Node& node);
-  /// Unlinks a node from its current (tier, level) queue if linked.
-  void dequeue(Node& node);
-  /// Lowest-level LRU resident of a tier, or nullptr when the tier is empty.
-  Node* coldest(Tier tier);
+  /// Moves a node to the MRU position of the queue its tier and count rank
+  /// it on (callers update those fields first).
+  void requeue(Slot slot);
+  /// The LRU node of a tier's lowest non-empty level; nullopt when the tier
+  /// is empty.
+  std::optional<Slot> coldest(Tier tier) const;
   /// Ages one queue tail per call (round-robin lazy expiration).
   void age_step();
   /// Evicts the coldest NVM page to disk.
   void evict_coldest_nvm();
   /// Promotes an NVM node into DRAM (swapping with a colder DRAM page when
   /// DRAM is full). Returns the migration latency (0 if skipped).
-  Nanoseconds try_promote(Node& node);
+  Nanoseconds try_promote(Slot slot);
 
   unsigned promote_level_;
   std::uint64_t lifetime_;
   std::uint64_t clock_ = 0;
   unsigned age_cursor_ = 0;
-  std::array<std::array<Queue, kLevels>, 2> queues_;
-  std::unordered_map<PageId, std::unique_ptr<Node>> nodes_;
+  Ring ring_;  // every resident page, on 2 * kLevels (tier, level) lists
   std::uint64_t promotions_ = 0;
   std::uint64_t demotions_ = 0;
   std::uint64_t expirations_ = 0;

@@ -16,7 +16,7 @@ Served SingleTierPolicy::serve(PageId page, std::uint64_t hash,
                                AccessType type) {
   const LruPolicy::Slot* slot = lru_.find(page, hash);
   if (slot == nullptr) return fault(page, type);
-  PageRing::Node& node = lru_.touch(*slot);
+  LruPolicy::Node& node = lru_.touch(*slot);
   const bool write = type == AccessType::kWrite;
   if (tier_ == Tier::kDram) {
     node.dirty |= write;  // parked without a branch on the access type

@@ -4,74 +4,52 @@
 // does not see per-access recency (that is exactly the information the tap
 // only samples), so within a tier the only ordering available at zero cost
 // is insertion order; cross-tier movement is driven by sampled hotness.
-// Structurally this is DramLruQueue minus the recency splice and the
-// promotion scoring: slab-pooled nodes, intrusive list, flat index.
+// Structurally this is a policy::PageRing whose nodes carry no fields.
 #pragma once
 
 #include <cstddef>
 #include <optional>
 
-#include "util/check.hpp"
-#include "util/flat_page_map.hpp"
-#include "util/intrusive_list.hpp"
-#include "util/slab_pool.hpp"
+#include "policy/page_ring.hpp"
 #include "util/types.hpp"
 
 namespace hymem::sample {
 
-/// FIFO membership queue over one tier's resident pages. No per-operation
-/// allocation once warmed to `capacity_hint`.
+/// FIFO membership queue over one tier's resident pages, sized to the
+/// tier's frames (at least 1: a config may leave NVM empty). No
+/// per-operation allocation.
 class TierQueue {
  public:
-  explicit TierQueue(std::size_t capacity_hint)
-      : pool_(capacity_hint > 0 ? capacity_hint : 1) {
-    index_.reserve(capacity_hint);
-  }
+  explicit TierQueue(std::size_t frames) : ring_(frames > 0 ? frames : 1) {}
 
-  std::size_t size() const { return index_.size(); }
-  bool empty() const { return index_.empty(); }
-  bool contains(PageId page) const { return index_.contains(page); }
+  std::size_t size() const { return ring_.size(); }
+  bool empty() const { return size() == 0; }
+  bool contains(PageId page) const { return ring_.contains(page); }
 
-  /// Starts tracking `page` (must be absent). Newest pages sit at the front.
-  void insert(PageId page) {
-    const auto [slot, inserted] = index_.try_emplace(page);
-    HYMEM_CHECK_MSG(inserted, "insert of tracked page");
-    Node* node = pool_.allocate();
-    node->page = page;
-    *slot = node;
-    list_.push_front(*node);
-  }
+  /// Starts tracking `page` (must be absent, the queue not full). Newest
+  /// pages sit at the front.
+  void insert(PageId page) { ring_.insert_before(ring_.first(), page); }
 
   /// The oldest tracked page (FIFO victim); nullopt iff empty.
   std::optional<PageId> victim() const {
-    const Node* back = list_.back();
-    if (back == nullptr) return std::nullopt;
-    return back->page;
+    if (empty()) return std::nullopt;
+    return ring_.node(ring_.last()).page;
   }
 
   /// Stops tracking `page` (must be present).
-  void erase(PageId page) {
-    const std::optional<Node*> found = index_.take(page);
-    HYMEM_CHECK_MSG(found.has_value(), "erase of untracked page");
-    list_.erase(**found);
-    pool_.release(*found);
-  }
+  void erase(PageId page) { ring_.erase(page); }
 
   /// Newest-to-oldest traversal (invariant checking).
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    list_.for_each([&fn](const Node& n) { fn(n.page); });
+    ring_.for_each([&fn](const Ring::Node& n) { fn(n.page); });
   }
 
  private:
-  struct Node {
-    PageId page = kInvalidPage;
-    ListHook hook;
-  };
+  struct NoFields {};
+  using Ring = policy::PageRing<NoFields>;
 
-  IntrusiveList<Node, &Node::hook> list_;  // front = newest fault
-  util::SlabPool<Node> pool_;
-  util::FlatPageMap<Node*> index_;
+  Ring ring_;  // front = newest fault
 };
 
 }  // namespace hymem::sample

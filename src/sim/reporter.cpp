@@ -1,5 +1,6 @@
 #include "sim/reporter.hpp"
 
+#include <cmath>
 #include <numeric>
 
 #include "util/check.hpp"
@@ -32,33 +33,64 @@ void FigureTable::add(const std::string& workload,
   rows_.push_back(Row{workload, stacks});
 }
 
-double FigureTable::geomean_total(std::size_t series_index) const {
+namespace {
+
+bool positive(double total) { return total > 0.0; }
+bool finite(double total) { return std::isfinite(total); }
+
+}  // namespace
+
+FigureTable::Split FigureTable::split_totals(std::size_t series_index,
+                                             bool (*keep)(double)) const {
   HYMEM_CHECK(series_index < series_.size());
-  std::vector<double> totals;
-  totals.reserve(rows_.size());
+  Split split;
+  split.kept.reserve(rows_.size());
   for (const Row& r : rows_) {
     const double total = r.stacks[series_index].total();
-    if (total > 0.0) totals.push_back(total);
+    if (keep(total)) {
+      split.kept.push_back(total);
+    } else {
+      split.left_out.push_back(r.workload);
+    }
   }
-  return geometric_mean(totals);
+  return split;
+}
+
+double FigureTable::geomean_total(std::size_t series_index) const {
+  return geometric_mean(split_totals(series_index, positive).kept);
 }
 
 std::vector<std::string> FigureTable::geomean_left_out(
     std::size_t series_index) const {
-  HYMEM_CHECK(series_index < series_.size());
-  std::vector<std::string> left_out;
-  for (const Row& r : rows_) {
-    if (!(r.stacks[series_index].total() > 0.0)) left_out.push_back(r.workload);
-  }
-  return left_out;
+  return split_totals(series_index, positive).left_out;
 }
 
 double FigureTable::amean_total(std::size_t series_index) const {
-  HYMEM_CHECK(series_index < series_.size());
-  std::vector<double> totals;
-  totals.reserve(rows_.size());
-  for (const Row& r : rows_) totals.push_back(r.stacks[series_index].total());
-  return arithmetic_mean(totals);
+  return arithmetic_mean(split_totals(series_index, finite).kept);
+}
+
+std::vector<std::string> FigureTable::amean_left_out(
+    std::size_t series_index) const {
+  return split_totals(series_index, finite).left_out;
+}
+
+void FigureTable::print_left_out(std::ostream& out, const char* mean,
+                                 const char* what, bool (*keep)(double)) const {
+  std::string left_out;
+  for (std::size_t s = 0; s < series_.size(); ++s) {
+    const std::vector<std::string> rows = split_totals(s, keep).left_out;
+    if (rows.empty()) continue;
+    left_out += left_out.empty() ? " " : "; ";
+    left_out += series_[s] + " (";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      left_out += (i == 0 ? "" : ", ") + rows[i];
+    }
+    left_out += ")";
+  }
+  if (!left_out.empty()) {
+    out << mean << " leaves out totals that are not " << what << ":"
+        << left_out << "\n";
+  }
 }
 
 void FigureTable::print(std::ostream& out) const {
@@ -87,21 +119,8 @@ void FigureTable::print(std::ostream& out) const {
     table.add_row(row);
   }
   out << table.to_string();
-  std::string left_out;
-  for (std::size_t s = 0; s < series_.size(); ++s) {
-    const std::vector<std::string> rows = geomean_left_out(s);
-    if (rows.empty()) continue;
-    left_out += left_out.empty() ? " " : "; ";
-    left_out += series_[s] + " (";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      left_out += (i == 0 ? "" : ", ") + rows[i];
-    }
-    left_out += ")";
-  }
-  if (!left_out.empty()) {
-    out << "G-Mean leaves out totals that are not positive:" << left_out
-        << "\n";
-  }
+  print_left_out(out, "G-Mean", "positive", positive);
+  print_left_out(out, "A-Mean", "finite", finite);
 }
 
 std::vector<std::string> FigureTable::csv_header() const {

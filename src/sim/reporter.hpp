@@ -32,8 +32,9 @@ class FigureTable {
   void add(const std::string& workload, const std::vector<Stack>& stacks);
 
   /// Renders: header, one row per workload with per-component columns and a
-  /// total per series, then G-Mean/A-Mean rows over totals. When a G-Mean
-  /// leaves rows out, one line after the table names them per series.
+  /// total per series, then G-Mean/A-Mean rows over totals. When a mean
+  /// leaves rows out, one line after the table names them per series: the
+  /// G-Mean's first, then the A-Mean's.
   void print(std::ostream& out) const;
 
   /// Machine-readable dump of the same data.
@@ -56,14 +57,27 @@ class FigureTable {
   double geomean_total(std::size_t series_index) const;
   /// The workloads geomean_total(series_index) leaves out, in row order.
   std::vector<std::string> geomean_left_out(std::size_t series_index) const;
-  /// Arithmetic mean of one series' totals.
+  /// Arithmetic mean of one series' finite totals: a 0/0 row's NaN is left
+  /// out; 0 when no total is finite.
   double amean_total(std::size_t series_index) const;
+  /// The workloads amean_total(series_index) leaves out, in row order.
+  std::vector<std::string> amean_left_out(std::size_t series_index) const;
 
  private:
   struct Row {
     std::string workload;
     std::vector<Stack> stacks;
   };
+  /// One series' totals that `keep` accepts, and the workloads of the rest.
+  struct Split {
+    std::vector<double> kept;
+    std::vector<std::string> left_out;
+  };
+  Split split_totals(std::size_t series_index, bool (*keep)(double)) const;
+  /// Prints "<mean> leaves out totals that are not <what>: <series> (<rows>)
+  /// ..." when `keep` rejects any total; nothing otherwise.
+  void print_left_out(std::ostream& out, const char* mean, const char* what,
+                      bool (*keep)(double)) const;
 
   std::string title_;
   std::vector<std::string> components_;

@@ -115,15 +115,5 @@ TEST(TierQueue, DuplicateInsertAndUntrackedEraseRejected) {
   EXPECT_THROW(q.erase(2), std::logic_error);
 }
 
-TEST(TierQueue, ReusesSlotsPastTheCapacityHint) {
-  TierQueue q(2);
-  for (PageId p = 0; p < 100; ++p) {
-    q.insert(p);
-    if (p >= 3) q.erase(q.victim().value());
-  }
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_EQ(q.victim().value(), PageId{97});
-}
-
 }  // namespace
 }  // namespace hymem::sample

@@ -91,6 +91,14 @@ TEST(FigureTable, GeomeanLeavesOutZeroTotalsAndNamesThem) {
   none.add("nan", {Stack{{std::nan("")}}});
   EXPECT_DOUBLE_EQ(none.geomean_total(0), 0.0);
   EXPECT_EQ(none.geomean_left_out(0), (std::vector<std::string>{"w", "nan"}));
+  EXPECT_DOUBLE_EQ(none.amean_total(0), 0.0);
+  EXPECT_EQ(none.amean_left_out(0), (std::vector<std::string>{"nan"}));
+  std::ostringstream none_text;
+  none.print(none_text);
+  EXPECT_TRUE(none_text.str().ends_with(
+      "\nG-Mean leaves out totals that are not positive: a (w, nan)\n"
+      "A-Mean leaves out totals that are not finite: a (nan)\n"))
+      << none_text.str();
 }
 
 TEST(FigureTable, ArityMismatchRejected) {
