@@ -16,31 +16,23 @@
 //               stays uninstrumented.
 //   --epoch N   timeline epoch length in accesses (default 1024; only
 //               meaningful with --timeline).
-//   --partitions K
-//               hash-split each run's pages across K independent policy
-//               instances with proportional budgets, replayed in parallel
-//               (default 1 = the policy itself). Deterministic per K, but an
-//               approximation of the global policy.
 //
-// Unknown flags are rejected: every harness parses through util::cli and
-// errors out listing the full flag set, so a typo ("--job 4") fails loudly
-// instead of silently running the default configuration. So are malformed
-// values ("--scale abc", "--scale 0", "--csv maybe"): one stderr line
-// naming the flag and the value, then exit code 2.
+// Unknown flags are rejected through util::cli's check, and the harness
+// then lists the full flag set, so a typo ("--job 4") fails loudly instead
+// of silently running the default configuration. So are malformed values
+// ("--scale abc", "--scale 0", "--csv maybe"): one stderr line naming the
+// flag and the value, then exit code 2.
 #pragma once
 
-#include <charconv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
 #include <string>
-#include <system_error>
 #include <utility>
 #include <vector>
 
-#include "runner/sharded.hpp"
 #include "runner/sweep.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/experiment.hpp"
@@ -57,7 +49,6 @@ struct BenchContext {
   unsigned jobs = 1;  ///< Sweep worker threads.
   std::string timeline;  ///< --timeline PATH; empty = sampling off.
   std::uint64_t timeline_epoch = 1024;  ///< --epoch N.
-  unsigned partitions = 1;              ///< --partitions K inside each run.
 };
 
 /// The flags every harness accepts, with one-line help.
@@ -70,8 +61,6 @@ common_flag_help() {
       {"csv", "also dump the table as CSV to stdout"},
       {"timeline", "write the spliced epoch time-series CSV to PATH"},
       {"epoch", "timeline epoch length in accesses (default 1024)"},
-      {"partitions",
-       "hash-partition each run across K policy instances (approximate)"},
   };
   return help;
 }
@@ -80,64 +69,48 @@ common_flag_help() {
 /// common set plus `extra_flags` (harness-specific additions like --json).
 inline void reject_unknown_flags(const CliArgs& args,
                                  const std::vector<std::string>& extra_flags) {
-  std::vector<std::string> unknown;
-  for (const std::string& name : args.flag_names()) {
-    bool known = false;
+  std::vector<std::string> known = extra_flags;
+  for (const auto& [flag, help] : common_flag_help()) known.push_back(flag);
+  try {
+    args.reject_unknown(known);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << args.program() << ": " << e.what() << "\n\nAccepted flags:\n";
     for (const auto& [flag, help] : common_flag_help()) {
-      if (name == flag) known = true;
+      std::cerr << "  --" << flag << "  " << help << "\n";
     }
     for (const std::string& flag : extra_flags) {
-      if (name == flag) known = true;
+      std::cerr << "  --" << flag << "  (harness-specific)\n";
     }
-    if (!known) unknown.push_back(name);
+    std::exit(2);
   }
-  if (unknown.empty()) return;
-  std::cerr << args.program() << ": unknown flag";
-  for (const std::string& name : unknown) std::cerr << " --" << name;
-  std::cerr << "\n\nAccepted flags:\n";
-  for (const auto& [flag, help] : common_flag_help()) {
-    std::cerr << "  --" << flag << "  " << help << "\n";
-  }
-  for (const std::string& flag : extra_flags) {
-    std::cerr << "  --" << flag << "  (harness-specific)\n";
-  }
-  std::exit(2);
 }
 
 /// Exits with code 2 after one stderr line naming the flag, what it takes
-/// and the value it got.
+/// and the value it got (the CliArgs getter's message).
 [[noreturn]] inline void reject_flag_value(const CliArgs& args,
-                                           const std::string& name,
-                                           const char* expected) {
-  std::cerr << args.program() << ": --" << name << " takes " << expected
-            << ", got '" << args.get(name) << "'\n";
+                                           const std::invalid_argument& e) {
+  std::cerr << args.program() << ": " << e.what() << "\n";
   std::exit(2);
 }
 
-/// An unsigned integer flag, or `def` when absent. Anything but a plain
-/// decimal number of at least `min` (a sign, trailing text, an overflow)
-/// exits through reject_flag_value.
+/// CliArgs::get_uint, exiting through reject_flag_value on a malformed
+/// value.
 inline std::uint64_t uint_flag(const CliArgs& args, const std::string& name,
                                std::uint64_t def, std::uint64_t min = 0) {
-  if (!args.has(name)) return def;
-  const std::string value = args.get(name);
-  const char* const end = value.data() + value.size();
-  std::uint64_t parsed = 0;
-  const auto [stop, error] = std::from_chars(value.data(), end, parsed);
-  if (error != std::errc() || stop != end || parsed < min) {
-    reject_flag_value(args, name,
-                      min > 0 ? "a positive integer" : "an unsigned integer");
+  try {
+    return args.get_uint(name, def, min);
+  } catch (const std::invalid_argument& e) {
+    reject_flag_value(args, e);
   }
-  return parsed;
 }
 
-/// A boolean flag (true/false, 1/0, yes/no, on/off; bare = true), or `def`
-/// when absent; any other value exits through reject_flag_value.
+/// CliArgs::get_bool, exiting through reject_flag_value on a malformed
+/// value.
 inline bool bool_flag(const CliArgs& args, const std::string& name, bool def) {
   try {
     return args.get_bool(name, def);
-  } catch (const std::invalid_argument&) {
-    reject_flag_value(args, name, "true or false");
+  } catch (const std::invalid_argument& e) {
+    reject_flag_value(args, e);
   }
 }
 
@@ -154,21 +127,17 @@ inline BenchContext parse_args(
       uint_flag(args, "jobs", runner::ThreadPool::default_threads()));
   ctx.timeline = args.get("timeline");
   ctx.timeline_epoch = uint_flag(args, "epoch", 1024);
-  ctx.partitions = static_cast<unsigned>(uint_flag(args, "partitions", 1));
   return ctx;
 }
 
 /// Turns on epoch sampling in every grid cell when the harness was run with
-/// --timeline, and threads --partitions through every variant.
-/// Materializes the implicit default variant so the overrides have a config
-/// to land on.
+/// --timeline. Materializes the implicit default variant so the override has
+/// a config to land on.
 inline void apply_overrides(runner::SweepSpec& spec, const BenchContext& ctx) {
   if (spec.variants.empty()) spec.variants.emplace_back();
+  if (ctx.timeline.empty()) return;
   for (auto& variant : spec.variants) {
-    if (!ctx.timeline.empty()) {
-      variant.config.timeline_epoch = ctx.timeline_epoch;
-    }
-    variant.config.partitions = ctx.partitions;
+    variant.config.timeline_epoch = ctx.timeline_epoch;
   }
 }
 
@@ -201,8 +170,7 @@ inline sim::RunResult run(const synth::WorkloadProfile& profile,
                           const std::string& policy, const BenchContext& ctx,
                           sim::ExperimentConfig config = {}) {
   config.policy = policy;
-  config.partitions = ctx.partitions;
-  return runner::run_workload_dispatch(profile, ctx.scale, config, ctx.seed);
+  return sim::run_workload(profile, ctx.scale, config, ctx.seed);
 }
 
 /// Runs a (workload × policy × variant) grid through the sweep runner on

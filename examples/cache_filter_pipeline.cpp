@@ -4,6 +4,7 @@
 // of the paper in one program.
 //
 //   $ cache_filter_pipeline [--cores 4] [--accesses 200000] [--policy two-lru]
+//                           [--private-kb 8192] [--shared-kb 2048] [--seed 7]
 #include <exception>
 #include <iostream>
 
@@ -19,8 +20,10 @@ namespace {
 
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown(
+      {"cores", "accesses", "private-kb", "shared-kb", "seed", "policy"});
   synth::CpuStreamOptions cpu_opts;
-  cpu_opts.cores = static_cast<unsigned>(args.get_uint("cores", 4));
+  cpu_opts.cores = static_cast<unsigned>(args.get_uint("cores", 4, 1));
   cpu_opts.accesses_per_core = args.get_uint("accesses", 200000);
   cpu_opts.private_bytes = args.get_uint("private-kb", 8192) * 1024;
   cpu_opts.shared_bytes = args.get_uint("shared-kb", 2048) * 1024;
@@ -58,8 +61,8 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// Bad input (an unknown --policy) ends the run with one line on stderr and
-// exit code 2, not an uncaught exception.
+// Bad input (an unknown flag or --policy, a malformed number) ends the run
+// with one line on stderr and exit code 2, not an uncaught exception.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

@@ -4,6 +4,7 @@
 // memory — the interference case single-workload figures cannot show.
 //
 //   $ mixed_workloads [--a ferret] [--b canneal] [--scale 128] [--burst 64]
+//                     [--seed 42]
 #include <exception>
 #include <iostream>
 
@@ -27,10 +28,11 @@ trace::Trace offset_pages(const trace::Trace& in, Addr offset_bytes) {
 
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"a", "b", "scale", "burst", "seed"});
   const std::string name_a = args.get("a", "ferret");
   const std::string name_b = args.get("b", "canneal");
-  const std::uint64_t scale = args.get_uint("scale", 128);
-  const std::size_t burst = args.get_uint("burst", 64);
+  const std::uint64_t scale = args.get_uint("scale", 128, 1);
+  const std::size_t burst = args.get_uint("burst", 64, 1);
 
   const auto profile_a = synth::parsec_profile(name_a).scaled(scale);
   const auto profile_b = synth::parsec_profile(name_b).scaled(scale);
@@ -76,8 +78,9 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// Bad input (an unknown --a or --b workload) ends the run with one line on
-// stderr and exit code 2, not an uncaught exception.
+// Bad input (an unknown flag or --a/--b workload, a malformed number) ends
+// the run with one line on stderr and exit code 2, not an uncaught
+// exception.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

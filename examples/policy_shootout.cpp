@@ -21,8 +21,9 @@ namespace {
 
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"workload", "scale", "jobs"});
   const std::string workload = args.get("workload", "bodytrack");
-  const std::uint64_t scale = args.get_uint("scale", 64);
+  const std::uint64_t scale = args.get_uint("scale", 64, 1);
   const auto jobs = static_cast<unsigned>(
       args.get_uint("jobs", runner::ThreadPool::default_threads()));
 
@@ -66,8 +67,8 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// Bad input (an unknown --workload) ends the run with one line on stderr
-// and exit code 2, not an uncaught exception.
+// Bad input (an unknown flag or --workload, a malformed number) ends the
+// run with one line on stderr and exit code 2, not an uncaught exception.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

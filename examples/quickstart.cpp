@@ -19,9 +19,10 @@ namespace {
 
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"workload", "policy", "scale"});
   const std::string workload = args.get("workload", "facesim");
   const std::string policy = args.get("policy", "two-lru");
-  const std::uint64_t scale = args.get_uint("scale", 64);
+  const std::uint64_t scale = args.get_uint("scale", 64, 1);
 
   // 1. Pick a workload (Table III calibrated) and an experiment config
   //    (the paper's sizing: memory = 75% of footprint, DRAM = 10% of it).
@@ -58,8 +59,9 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// Bad input (an unknown --workload or --policy) ends the run with one line
-// on stderr and exit code 2, not an uncaught exception.
+// Bad input (an unknown flag, --workload or --policy, a malformed number)
+// ends the run with one line on stderr and exit code 2, not an uncaught
+// exception.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

@@ -21,8 +21,9 @@ namespace {
 
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"workload", "scale"});
   const std::string workload = args.get("workload", "raytrace");
-  const std::uint64_t scale = args.get_uint("scale", 128);
+  const std::uint64_t scale = args.get_uint("scale", 128, 1);
   const auto& profile = synth::parsec_profile(workload);
 
   std::cout << "Threshold sweep on " << workload << "\n\n";
@@ -65,8 +66,8 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// Bad input (an unknown --workload) ends the run with one line on stderr
-// and exit code 2, not an uncaught exception.
+// Bad input (an unknown flag or --workload, a malformed number) ends the
+// run with one line on stderr and exit code 2, not an uncaught exception.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

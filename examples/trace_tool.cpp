@@ -7,7 +7,14 @@
 //   trace_tool convert ferret.trc ferret.txt
 //   trace_tool downsample ferret.trc small.trc --stride 16
 //   trace_tool sim ferret.trc --policy two-lru [--duration 0.5]
+//
+// A missing operand prints the usage, and an unknown flag, a bad workload
+// or policy name or a malformed number prints one line; each exits with
+// code 2. A file that cannot be opened or parsed exits with code 1.
 #include <iostream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "sim/experiment.hpp"
 #include "sim/results_io.hpp"
@@ -38,7 +45,7 @@ int usage() {
 int cmd_gen(const CliArgs& args) {
   const auto profile =
       synth::parsec_profile(args.get("workload", "ferret"))
-          .scaled(args.get_uint("scale", 64));
+          .scaled(args.get_uint("scale", 64, 1));
   synth::GeneratorOptions options;
   options.seed = args.get_uint("seed", 42);
   const auto trace = synth::generate(profile, options);
@@ -80,7 +87,7 @@ int cmd_convert(const CliArgs& args) {
 
 int cmd_downsample(const CliArgs& args) {
   const auto trace = trace::load(args.positional().at(1));
-  const auto out = trace::downsample(trace, args.get_uint("stride", 16));
+  const auto out = trace::downsample(trace, args.get_uint("stride", 16, 1));
   trace::save(out, args.positional().at(2));
   std::cout << trace.size() << " -> " << out.size() << " accesses\n";
   return 0;
@@ -106,21 +113,43 @@ int cmd_sim(const CliArgs& args) {
   return 0;
 }
 
+/// A subcommand: how many operands follow its name, and the flags it reads.
+struct Command {
+  const char* name;
+  std::size_t operands;
+  std::vector<std::string> flags;
+  int (*run)(const CliArgs&);
+};
+
+const Command kCommands[] = {
+    {"gen", 0, {"workload", "scale", "seed", "out"}, cmd_gen},
+    {"info", 1, {}, cmd_info},
+    {"convert", 2, {}, cmd_convert},
+    {"downsample", 2, {"stride"}, cmd_downsample},
+    {"sim", 1, {"policy", "duration", "json"}, cmd_sim},
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
   const CliArgs args(argc, argv);
   if (args.positional().empty()) return usage();
-  const std::string& cmd = args.positional().front();
-  try {
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "info") return cmd_info(args);
-    if (cmd == "convert") return cmd_convert(args);
-    if (cmd == "downsample") return cmd_downsample(args);
-    if (cmd == "sim") return cmd_sim(args);
-  } catch (const std::exception& e) {
-    std::cerr << "trace_tool: " << e.what() << "\n";
-    return 1;
+  for (const Command& command : kCommands) {
+    if (args.positional().front() != command.name) continue;
+    if (args.positional().size() != command.operands + 1) return usage();
+    try {
+      args.reject_unknown(command.flags);
+      return command.run(args);
+    } catch (const std::exception& e) {
+      std::cerr << "trace_tool: " << e.what() << "\n";
+      // A bad flag, policy name (invalid_argument) or workload name
+      // (out_of_range) is a usage error; a file that cannot be opened or
+      // parsed is not.
+      const bool bad_argument =
+          dynamic_cast<const std::invalid_argument*>(&e) != nullptr ||
+          dynamic_cast<const std::out_of_range*>(&e) != nullptr;
+      return bad_argument ? 2 : 1;
+    }
   }
   return usage();
 }

@@ -3,7 +3,7 @@
 // the LRU miss-ratio curve that determines how the paper's 75%/10% memory
 // sizing will behave.
 //
-//   $ workload_explorer [--workload canneal] [--scale 256] [--csv]
+//   $ workload_explorer [--workload canneal] [--scale 256] [--seed 42]
 #include <exception>
 #include <iostream>
 
@@ -13,7 +13,6 @@
 #include "trace/reuse_distance.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/cli.hpp"
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 using namespace hymem;
@@ -22,8 +21,9 @@ namespace {
 
 int run(int argc, char** argv) {
   const CliArgs args(argc, argv);
+  args.reject_unknown({"workload", "scale", "seed"});
   const std::string workload = args.get("workload", "canneal");
-  const std::uint64_t scale = args.get_uint("scale", 256);
+  const std::uint64_t scale = args.get_uint("scale", 256, 1);
   const auto profile = synth::parsec_profile(workload).scaled(scale);
 
   synth::GeneratorOptions options;
@@ -90,8 +90,8 @@ int run(int argc, char** argv) {
 
 }  // namespace
 
-// Bad input (an unknown --workload) ends the run with one line on stderr
-// and exit code 2, not an uncaught exception.
+// Bad input (an unknown flag or --workload, a malformed number) ends the
+// run with one line on stderr and exit code 2, not an uncaught exception.
 int main(int argc, char** argv) {
   try {
     return run(argc, argv);

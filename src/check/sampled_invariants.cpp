@@ -88,7 +88,6 @@ sample::SampleConfig sample_config_for(std::uint64_t seed) {
   cfg.cooling_period = 16 + splitmix64(s) % 64;
   cfg.drain_period = 8 + splitmix64(s) % 64;
   cfg.migration_budget = splitmix64(s) % 4;  // 0 = unlimited
-  cfg.threaded = false;
   return cfg;
 }
 

@@ -1,15 +1,15 @@
 // Structural invariant checking for the sampled-hotness policy
 // (sample::SampledLruPolicy) — the src/check counterpart of invariants.hpp
-// for the async-migration subsystem.
+// for the deferred-migration subsystem.
 //
 // check_invariants() asserts, after any completed access boundary:
 //
 //   * no page is tracked by both tier queues, and each queue exactly covers
 //     the pages the VMM holds resident in the matching tier (so a page is
 //     never resident in both tiers);
-//   * ring occupancy never exceeds ring capacity (the SPSC rings reject
-//     pushes when full — drops are counted, not queued);
-//   * the most recent virtual-time drain applied at most migration_budget
+//   * ring occupancy never exceeds ring capacity (the candidate rings
+//     reject pushes when full — drops are counted, not queued);
+//   * the most recent drain applied at most migration_budget
 //     candidates (the rate bound is exact, not amortized);
 //   * the VMM's residency/allocator/endurance ledgers are self-consistent
 //     (Vmm::check_consistency).
@@ -17,8 +17,8 @@
 // run_sampled_fuzz_case() derives a scenario from a seed (memory shape and
 // trace from the shared fuzzer, sampling tunables from the same splitmix64
 // stream), replays it with the per-access audit hook installed, and then
-// replays it a second time from scratch to assert the virtual-time mode is
-// fully deterministic (identical final stats and event counts).
+// replays it a second time from scratch to assert the virtual-time migrator
+// is fully deterministic (identical final stats and event counts).
 #pragma once
 
 #include <cstdint>
@@ -30,14 +30,11 @@
 namespace hymem::check {
 
 /// Validates all structural invariants of `policy` and its VMM. Throws
-/// std::logic_error describing the first violation. Threaded-mode callers
-/// must quiesce the migrator (stop_background) first.
+/// std::logic_error describing the first violation.
 void check_invariants(const sample::SampledLruPolicy& policy);
 
 /// Installs check_invariants as `policy`'s audit hook, so every on_access
-/// is followed by a full structural audit. Virtual-time mode only: in
-/// threaded mode the hook would race the background migrator's mutations
-/// between the audit's reads.
+/// is followed by a full structural audit.
 void install_invariant_hook(sample::SampledLruPolicy& policy);
 
 /// What one sampled fuzz replay produced (for test assertions).

@@ -69,7 +69,6 @@ sim::RunResult reference_run(Stack& stack, const trace::Trace& trace) {
     result.visible_latency_ns += latency;
     stack.sampler.record(&latency, 1);
   }
-  stack.policy->stop_background();
   stack.sampler.finish();
   result.accesses = trace.size();
   result.timeline = stack.sampler.take_timeline();

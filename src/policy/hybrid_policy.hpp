@@ -10,7 +10,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string_view>
 
 #include "os/vmm.hpp"
@@ -86,18 +85,6 @@ class HybridPolicy {
   /// latency, exactly as on_access in sequence would.
   virtual Nanoseconds on_block(const AccessBlock& block) = 0;
 
-  // Engine hooks for a policy with background work or run statistics of
-  // its own (sampled-lru); each is a no-op (or a plain call) otherwise.
-
-  /// Runs `fn` while background work is held off, so `fn` sees (or resets)
-  /// consistent VMM ledgers. The engine's epoch snapshots and its
-  /// warm-up-end ledger reset go through here.
-  virtual void quiesced(const std::function<void()>& fn) const { fn(); }
-
-  /// Stops background work for good. The engine calls it after the measured
-  /// pass, before its final ledger reads. Must be idempotent.
-  virtual void stop_background() {}
-
   /// Called once at the end of warm-up, after the VMM ledgers are reset. A
   /// policy that reports run statistics of its own (sampled-lru) zeroes
   /// them here, keeping its learned state.
@@ -136,7 +123,7 @@ class HybridPolicy {
 /// Counters are integers, so recording them at block end leaves every
 /// ledger identical to recording them per access; the engine reads ledgers
 /// only between blocks. A policy that records its own hits (sampled-lru,
-/// whose threaded migrator shares the VMM) leaves no batch to record.
+/// dram-cache, static-partition) returns Demand::kNone for them.
 template <typename P>
 Nanoseconds serve_block(P& policy, const AccessBlock& block) {
   // Locals, so the policy's stores cannot force a reload per access.

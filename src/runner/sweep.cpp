@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "obs/timeline_io.hpp"
-#include "runner/sharded.hpp"
 #include "runner/thread_pool.hpp"
 #include "sim/results_io.hpp"
 #include "util/csv.hpp"
@@ -172,8 +171,8 @@ void execute_jobs(SweepResults& results, std::uint64_t scale,
     auto& slot = results.jobs[i];
     const auto start = std::chrono::steady_clock::now();
     try {
-      slot.result = run_workload_dispatch(slot.job.workload, scale,
-                                          slot.job.config, slot.job.seed);
+      slot.result = sim::run_workload(slot.job.workload, scale,
+                                      slot.job.config, slot.job.seed);
       slot.ok = true;
     } catch (const std::exception& e) {
       slot.error = e.what();

@@ -3,8 +3,8 @@
 // Three of these are the frontier axes bench_sampled_frontier sweeps:
 // `sample_period` (how much of the access stream the OS actually sees),
 // `ring_capacity` (how much staging memory the sampling channel gets), and
-// `migration_budget` (how much migration bandwidth the background migrator
-// may spend). The rest shape the hotness estimator itself, mirroring the
+// `migration_budget` (how much migration bandwidth the migrator may
+// spend). The rest shape the hotness estimator itself, mirroring the
 // knobs of HeMem-style PEBS managers (hot threshold, periodic cooling).
 #pragma once
 
@@ -18,8 +18,8 @@ struct SampleConfig {
   /// everything (the omniscient limit, useful for differential checks).
   std::uint64_t sample_period = 16;
 
-  /// Capacity of each SPSC ring (hot candidates, cold candidates), rounded
-  /// up to a power of two. A full ring drops the candidate and counts it.
+  /// Capacity of each candidate ring (hot candidates, cold candidates),
+  /// rounded up to a power of two. A full ring drops the candidate and counts it.
   std::uint64_t ring_capacity = 1024;
 
   /// A page whose sampled-access counter reaches this value while
@@ -35,21 +35,14 @@ struct SampleConfig {
   /// periodic cooling) and zeroed entries are pruned from the table.
   std::uint64_t cooling_period = 512;
 
-  /// Virtual-time mode: the migrator drains the rings when the policy's
-  /// access count crosses a multiple of this period. Threaded mode: the
-  /// token-bucket refill window for `migration_budget`.
+  /// The migrator drains the rings when the policy's access count crosses
+  /// a multiple of this period (virtual time).
   std::uint64_t drain_period = 1024;
 
   /// Max candidates applied per drain period (a promotion that forces a
   /// swap-demotion counts once; the copies are tracked separately).
   /// 0 = unlimited.
   std::uint64_t migration_budget = 64;
-
-  /// false (default): deterministic virtual-time mode — migrations apply at
-  /// access-count boundaries on the replaying thread, byte-identical for
-  /// any worker count. true: a real background thread drains the rings
-  /// (exercised under TSan; timing-dependent, not for sweeps).
-  bool threaded = false;
 };
 
 }  // namespace hymem::sample

@@ -1,7 +1,5 @@
 #include "sample/sampled_policy.hpp"
 
-#include <algorithm>
-#include <chrono>
 #include <optional>
 
 #include "util/check.hpp"
@@ -13,24 +11,10 @@ SampledLruPolicy::SampledLruPolicy(os::Vmm& vmm, const SampleConfig& config)
       config_(config),
       hot_ring_(static_cast<std::size_t>(config.ring_capacity)),
       cold_ring_(static_cast<std::size_t>(config.ring_capacity)),
-      // &mu_ is a stable address even though mu_ constructs later; the tap
-      // only locks it once accesses flow.
-      tap_(config, vmm, hot_ring_, cold_ring_,
-           config.threaded ? &mu_ : nullptr),
+      tap_(config, vmm, hot_ring_, cold_ring_),
       dram_queue_(static_cast<std::size_t>(vmm.frames(Tier::kDram))),
       nvm_queue_(static_cast<std::size_t>(vmm.frames(Tier::kNvm))) {
   HYMEM_CHECK_MSG(config.drain_period > 0, "drain period must be positive");
-  if (config_.threaded) {
-    background_ = std::thread([this] { background_loop(); });
-  }
-}
-
-SampledLruPolicy::~SampledLruPolicy() { stop_background(); }
-
-void SampledLruPolicy::stop_background() {
-  if (!background_.joinable()) return;
-  stop_.store(true, std::memory_order_release);
-  background_.join();
 }
 
 Nanoseconds SampledLruPolicy::on_access(PageId page, AccessType type) {
@@ -44,22 +28,12 @@ Nanoseconds SampledLruPolicy::on_block(const policy::AccessBlock& block) {
 policy::Served SampledLruPolicy::serve(PageId page, std::uint64_t /*hash*/,
                                        AccessType type) {
   ++accesses_;
-  // Virtual time: the "background" migrator runs at access-count
-  // boundaries, before the access is served — deterministic for any
-  // worker count because it never depends on wall-clock interleaving.
-  if (!config_.threaded && accesses_ % config_.drain_period == 0) {
-    drain_virtual();
-  }
-  Nanoseconds latency;
-  if (config_.threaded) {
-    const std::lock_guard<std::recursive_mutex> lock(mu_);
-    latency = serve_demand(page, type);
-    if (audit_hook_) audit_hook_(*this, page, type);
-    accesses_shared_.store(accesses_, std::memory_order_release);
-  } else {
-    latency = serve_demand(page, type);
-    if (audit_hook_) audit_hook_(*this, page, type);
-  }
+  // Virtual time: the migrator runs at access-count boundaries, before the
+  // access is served — deterministic for any worker count because it never
+  // depends on wall-clock interleaving.
+  if (accesses_ % config_.drain_period == 0) drain();
+  const Nanoseconds latency = serve_demand(page, type);
+  if (audit_hook_) audit_hook_(*this, page, type);
   tap_.on_access(page);
   return {latency, policy::Demand::kNone};
 }
@@ -92,7 +66,7 @@ Nanoseconds SampledLruPolicy::serve_demand(PageId page, AccessType type) {
   return latency;
 }
 
-void SampledLruPolicy::drain_virtual() {
+void SampledLruPolicy::drain() {
   ++drains_;
   const std::uint64_t budget = config_.migration_budget;
   std::uint64_t ops = 0;
@@ -171,50 +145,8 @@ std::uint64_t SampledLruPolicy::apply_demotion(PageId page) {
   return 1;
 }
 
-void SampledLruPolicy::background_loop() {
-  const std::uint64_t budget = config_.migration_budget;
-  std::uint64_t seen = 0;    // accesses already converted to tokens
-  std::uint64_t credit = 0;  // access remainder below one drain period
-  std::uint64_t tokens = 0;
-  while (!stop_.load(std::memory_order_acquire)) {
-    // Token bucket in access time: `budget` tokens accrue per
-    // `drain_period` served accesses, capped at one period's worth so an
-    // idle migrator cannot burst beyond the configured rate.
-    const std::uint64_t now = accesses_shared_.load(std::memory_order_acquire);
-    credit += now - seen;
-    seen = now;
-    if (budget > 0) {
-      tokens = std::min(budget,
-                        tokens + credit / config_.drain_period * budget);
-      credit %= config_.drain_period;
-    }
-    bool applied = false;
-    {
-      const std::lock_guard<std::recursive_mutex> lock(mu_);
-      while (budget == 0 || tokens > 0) {
-        std::optional<PageId> page = cold_ring_.pop();
-        const bool cold = page.has_value();
-        if (!cold) page = hot_ring_.pop();
-        if (!page) break;
-        const std::uint64_t ops =
-            cold ? apply_demotion(*page) : apply_promotion(*page);
-        if (ops > 0) {
-          applied = true;
-          if (budget > 0) tokens -= ops;
-        }
-      }
-      if (applied) ++drains_;
-    }
-    if (!applied) {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-}
-
 void SampledLruPolicy::reset_stats() {
   tap_.reset_stats();
-  std::unique_lock<std::recursive_mutex> lock;
-  if (config_.threaded) lock = std::unique_lock<std::recursive_mutex>(mu_);
   promotions_ = 0;
   demotions_ = 0;
   stale_candidates_ = 0;
@@ -230,8 +162,6 @@ obs::SampledStats SampledLruPolicy::sampled_stats() const {
   s.coolings = tap_.coolings();
   s.hot_ring_hwm = tap_.hot_ring_hwm();
   s.cold_ring_hwm = tap_.cold_ring_hwm();
-  std::unique_lock<std::recursive_mutex> lock;
-  if (config_.threaded) lock = std::unique_lock<std::recursive_mutex>(mu_);
   s.promotions = promotions_;
   s.demotions = demotions_;
   s.stale_candidates = stale_candidates_;

@@ -8,13 +8,11 @@ namespace hymem::sample {
 
 SamplingTap::SamplingTap(const SampleConfig& config, const os::Vmm& vmm,
                          util::SpscRing<PageId>& hot_ring,
-                         util::SpscRing<PageId>& cold_ring,
-                         std::recursive_mutex* mu)
+                         util::SpscRing<PageId>& cold_ring)
     : config_(config),
       vmm_(vmm),
       hot_ring_(hot_ring),
       cold_ring_(cold_ring),
-      mu_(mu),
       board_(config.hot_threshold, config.cold_threshold),
       countdown_(config.sample_period) {
   HYMEM_CHECK_MSG(config.sample_period > 0, "sample period must be positive");
@@ -25,11 +23,6 @@ void SamplingTap::sample(PageId page) {
   ++samples_;
   const bool crossed_hot = board_.record(page);
   const bool cooling_due = samples_ % config_.cooling_period == 0;
-
-  // Residency reads race the background migrator in threaded mode; the
-  // virtual-time mode passes no mutex and pays nothing here.
-  std::unique_lock<std::recursive_mutex> lock;
-  if (mu_ != nullptr) lock = std::unique_lock<std::recursive_mutex>(*mu_);
 
   if (crossed_hot && vmm_.tier_of(page) == Tier::kNvm) {
     if (hot_ring_.push(page)) {

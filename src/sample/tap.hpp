@@ -10,13 +10,10 @@
 // droppable by design.
 //
 // The tap mutates only its own sampling state (board, rings, counters),
-// never placement. In threaded mode it takes the policy's mutex around VMM
-// residency reads, because the background migrator mutates placement
-// concurrently.
+// never placement.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 
 #include "os/vmm.hpp"
 #include "sample/config.hpp"
@@ -26,18 +23,13 @@
 
 namespace hymem::sample {
 
-/// Per-run sampling tap. Single producer: lives on the thread replaying
-/// accesses (the engine thread), pushing candidates into rings it does not
-/// own — the policy owns them and is (or spawns) the consumer.
+/// Per-run sampling tap: the producer of candidates into rings it does not
+/// own — the policy owns them and its migrator consumes them.
 class SamplingTap {
  public:
-  /// `mu` is the policy's serving mutex in threaded mode (taken around VMM
-  /// reads so residency checks don't race the migrator); nullptr in
-  /// deterministic virtual-time mode.
   SamplingTap(const SampleConfig& config, const os::Vmm& vmm,
               util::SpscRing<PageId>& hot_ring,
-              util::SpscRing<PageId>& cold_ring,
-              std::recursive_mutex* mu = nullptr);
+              util::SpscRing<PageId>& cold_ring);
 
   /// Sees one served access; samples it when the period comes round.
   void on_access(PageId page) {
@@ -57,7 +49,7 @@ class SamplingTap {
 
   /// Zeroes the tap counters without touching the board or the rings (the
   /// learned sampling state *is* the steady state a warmup pass builds).
-  /// Restarts the cooling phase. Producer-thread only.
+  /// Restarts the cooling phase.
   void reset_stats() {
     samples_ = hot_drops_ = cold_drops_ = coolings_ = 0;
     hot_hwm_ = cold_hwm_ = 0;
@@ -70,7 +62,6 @@ class SamplingTap {
   const os::Vmm& vmm_;
   util::SpscRing<PageId>& hot_ring_;
   util::SpscRing<PageId>& cold_ring_;
-  std::recursive_mutex* mu_;
   HotnessBoard board_;
 
   std::uint64_t countdown_;  // accesses until the next sample

@@ -34,10 +34,7 @@ PassTotals replay(policy::HybridPolicy& policy, trace::BlockSource& source,
         part.latencies = latencies.data();
       }
       totals.visible_latency_ns += policy.on_block(part);
-      if (sampler != nullptr) {
-        policy.quiesced(
-            [&] { sampler->record(part.latencies, part.size); });
-      }
+      if (sampler != nullptr) sampler->record(part.latencies, part.size);
       done += part.size;
     }
     totals.accesses += block->size;
@@ -56,7 +53,7 @@ RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& measured,
       if (pass > 0) warmup->rewind();
       replay(policy, *warmup, nullptr);
     }
-    policy.quiesced([&vmm] { vmm.reset_accounting(); });
+    vmm.reset_accounting();
     policy.reset_stats();
     if (warmup == &measured) measured.rewind();
   }
@@ -71,9 +68,6 @@ RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& measured,
   }
   result.accesses = totals.accesses;
   result.visible_latency_ns = totals.visible_latency_ns;
-  // Threaded policies: the final ledger reads below (and the sampler's last
-  // flush) must happen-after the last background mutation.
-  policy.stop_background();
   if (sampler != nullptr) {
     sampler->finish();
     result.timeline = sampler->take_timeline();

@@ -56,7 +56,7 @@ struct RunResult {
 ///
 /// `sampler` (optional) records the measured pass only. The engine cuts
 /// blocks at its epoch boundaries and takes each boundary snapshot after
-/// the block is served, under HybridPolicy::quiesced().
+/// the block is served.
 ///
 /// Sources must be positioned at their start. Passes after the first over
 /// one source rewind it, so multi-pass replay needs a rewindable source; a

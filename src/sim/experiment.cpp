@@ -43,7 +43,13 @@ MemorySizing size_memory(std::uint64_t footprint_pages,
   return s;
 }
 
-RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
+namespace {
+
+/// Builds the VMM and policy of one run on `sizing`, then replays `measured`
+/// through the engine: `warmup_passes` warm-up passes over `warmup` (it may
+/// be `measured` itself), with the epoch sampler that `config.timeline_epoch`
+/// asks for. Both run_experiment forms end here.
+RunResult run_sized(const MemorySizing& sizing, const trace::Trace& warmup,
                     unsigned warmup_passes, const trace::Trace& measured,
                     double duration_s, const ExperimentConfig& config) {
   os::Vmm vmm(vmm_config_for(sizing, config));
@@ -51,11 +57,9 @@ RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
       make_policy(config.policy, vmm, config.migration, config.sample);
   trace::TraceBlockSource measured_source(measured, config.page_size);
   std::optional<trace::TraceBlockSource> warmup_source;
-  trace::BlockSource* warmup_blocks = nullptr;
-  if (warmup == &measured) {
-    warmup_blocks = &measured_source;
-  } else if (warmup != nullptr) {
-    warmup_blocks = &warmup_source.emplace(*warmup, config.page_size);
+  trace::BlockSource* warmup_blocks = &measured_source;
+  if (&warmup != &measured) {
+    warmup_blocks = &warmup_source.emplace(warmup, config.page_size);
   }
   std::optional<obs::EpochSampler> sampler;
   if (config.timeline_epoch > 0) {
@@ -72,11 +76,13 @@ RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
                     duration_s, sampler ? &*sampler : nullptr);
 }
 
+}  // namespace
+
 RunResult run_experiment(const trace::Trace& trace, double duration_s,
                          const ExperimentConfig& config) {
   const std::uint64_t footprint =
       trace::distinct_pages(trace, config.page_size);
-  return run_sized(size_memory(footprint, config), &trace,
+  return run_sized(size_memory(footprint, config), trace,
                    config.warmup_passes, trace, duration_s, config);
 }
 
@@ -85,7 +91,7 @@ RunResult run_experiment(const trace::Trace& warmup,
                          const ExperimentConfig& config) {
   const std::uint64_t footprint =
       trace::distinct_pages(warmup, config.page_size);
-  return run_sized(size_memory(footprint, config), &warmup,
+  return run_sized(size_memory(footprint, config), warmup,
                    std::max(1u, config.warmup_passes), measured, duration_s,
                    config);
 }

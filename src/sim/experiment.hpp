@@ -43,12 +43,6 @@ struct ExperimentConfig {
   /// `timeline_epoch` accesses into RunResult::timeline (obs::EpochSampler).
   /// Zero (the default) keeps the replay loop uninstrumented.
   std::uint64_t timeline_epoch = 0;
-  /// Above 1, pages are hash-partitioned across this many independent
-  /// policy instances, each with a proportional slice of the DRAM/NVM
-  /// budget (runner::run_sharded_experiment). Deterministic for a fixed
-  /// count, but an approximation of the global policy: partition-local LRU
-  /// cannot see cross-partition recency. 1 runs the policy itself.
-  unsigned partitions = 1;
 };
 
 /// Memory sizing derived from a trace's footprint.
@@ -81,15 +75,6 @@ os::VmmConfig vmm_config_for(const MemorySizing& sizing,
   vmm_config.wear_leveling = config.wear_leveling;
   return vmm_config;
 }
-
-/// Builds the VMM and policy of one run on `sizing`, then replays `measured`
-/// through the engine: `warmup_passes` warm-up passes over `warmup` (null:
-/// none; it may be `measured` itself), with the epoch sampler that
-/// `config.timeline_epoch` asks for. Both run_experiment forms and every
-/// partition of a partitioned run end here.
-RunResult run_sized(const MemorySizing& sizing, const trace::Trace* warmup,
-                    unsigned warmup_passes, const trace::Trace& measured,
-                    double duration_s, const ExperimentConfig& config);
 
 /// Runs one experiment over an existing memory trace, which is also its own
 /// warm-up (config.warmup_passes passes). `duration_s` feeds the Eq. 3

@@ -26,16 +26,16 @@ namespace hymem::sim {
 std::vector<std::string> policy_names();
 
 /// Names usable where one run is split across independent policy
-/// instances sharing a physical budget (partitioned shards, tenant groups):
-/// everything except the sampled-* family, whose hotness tap and background
-/// migrator are per-run global structures.
+/// instances sharing a physical budget (tenant groups): everything except
+/// the sampled-* family, whose hotness tap and migrator are per-run global
+/// structures.
 std::vector<std::string> shardable_policy_names();
 
 /// True if the name can run split across independent policy instances.
 bool is_shardable(const std::string& name);
 
 /// Rejects a policy a split-budget context cannot host. `context` names the
-/// caller ("partitioned sharding", "tenant groups"); the message enumerates
+/// caller ("tenant groups"); the message enumerates
 /// the supported names so CLI users do not have to go find them.
 [[noreturn]] void throw_unshardable_policy(const std::string& context,
                                            const std::string& name);

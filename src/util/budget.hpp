@@ -1,6 +1,6 @@
-// Integer budget splitting shared by every layer that carves one physical
-// frame budget into proportional shares: the partitioned-shard runner
-// (runner/sharded) and the multi-tenant group (src/tenant).
+// Integer budget splitting for carving one physical frame budget into
+// proportional shares: the multi-tenant group (src/tenant) splits its DRAM
+// and NVM frames across tenant shards with it.
 //
 // Largest-remainder rounding keeps the split exact in integer arithmetic
 // (shares always sum to the total) and deterministic (remainder ties break

@@ -1,6 +1,9 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace hymem {
 
@@ -26,11 +29,14 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
 
 bool CliArgs::has(const std::string& name) const { return flags_.count(name) > 0; }
 
-std::vector<std::string> CliArgs::flag_names() const {
-  std::vector<std::string> names;
-  names.reserve(flags_.size());
-  for (const auto& [name, value] : flags_) names.push_back(name);
-  return names;  // std::map iteration is already sorted.
+void CliArgs::reject_unknown(const std::vector<std::string>& known) const {
+  std::string unknown;
+  for (const auto& [name, value] : flags_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown += " --" + name;
+    }
+  }
+  if (!unknown.empty()) throw std::invalid_argument("unknown flag" + unknown);
 }
 
 std::string CliArgs::get(const std::string& name, const std::string& def) const {
@@ -38,19 +44,45 @@ std::string CliArgs::get(const std::string& name, const std::string& def) const 
   return it == flags_.end() ? def : it->second;
 }
 
-std::int64_t CliArgs::get_int(const std::string& name, std::int64_t def) const {
-  const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::stoll(it->second);
+void CliArgs::reject_value(const std::string& name,
+                           const std::string& expected) const {
+  throw std::invalid_argument("--" + name + " takes " + expected + ", got '" +
+                              flags_.at(name) + "'");
 }
 
-std::uint64_t CliArgs::get_uint(const std::string& name, std::uint64_t def) const {
+namespace {
+
+/// Parses the whole of `value` into `out`; false on any leftover text,
+/// a sign an unsigned type does not take, or a value out of range.
+template <typename T>
+bool parse_whole(const std::string& value, T& out) {
+  const char* const end = value.data() + value.size();
+  const auto [stop, error] = std::from_chars(value.data(), end, out);
+  return error == std::errc() && stop == end;
+}
+
+}  // namespace
+
+std::uint64_t CliArgs::get_uint(const std::string& name, std::uint64_t def,
+                                std::uint64_t min) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::stoull(it->second);
+  if (it == flags_.end()) return def;
+  std::uint64_t parsed = 0;
+  if (!parse_whole(it->second, parsed) || parsed < min) {
+    reject_value(name, min == 0   ? "an unsigned integer"
+                       : min == 1 ? "a positive integer"
+                                  : "an integer of at least " +
+                                        std::to_string(min));
+  }
+  return parsed;
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::stod(it->second);
+  if (it == flags_.end()) return def;
+  double parsed = 0.0;
+  if (!parse_whole(it->second, parsed)) reject_value(name, "a number");
+  return parsed;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {
@@ -59,7 +91,7 @@ bool CliArgs::get_bool(const std::string& name, bool def) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
   if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw std::invalid_argument("bad boolean flag --" + name + "=" + v);
+  reject_value(name, "true or false");
 }
 
 }  // namespace hymem

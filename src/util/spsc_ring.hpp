@@ -1,19 +1,14 @@
-// Fixed-capacity lock-free single-producer/single-consumer ring buffer —
-// the channel between the sampling tap (producer: the thread replaying
-// accesses) and the background migrator (consumer: the migrator thread in
-// threaded mode, or the same thread at virtual-time drain boundaries).
+// Fixed-capacity single-producer/single-consumer ring buffer — the channel
+// between the sampling tap (producer) and the sampled policy's migrator
+// (consumer), which runs on the replaying thread at drain boundaries.
 //
-// The design is the classic two-cursor SPSC queue (HeMem's pebs rings use
-// the same shape): monotonically increasing head/tail cursors, a
-// power-of-two slot array indexed by masking, and exactly one
-// acquire/release pair per operation. push() is wait-free for the single
-// producer, pop() for the single consumer; a full ring rejects the push
+// The design is the classic two-cursor ring (HeMem's pebs rings use the
+// same shape): monotonically increasing head/tail cursors and a
+// power-of-two slot array indexed by masking. A full ring rejects the push
 // (callers count the drop — samples are droppable by design, migrations
-// just happen later). Cursors live on separate cache lines so the producer
-// and consumer never false-share.
+// just happen later).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -24,10 +19,8 @@
 
 namespace hymem::util {
 
-/// SPSC ring over T (movable; trivially copyable in all hymem uses).
-/// Exactly one thread may call push() and exactly one thread may call
-/// pop(); size() and empty() are safe from either side but only
-/// approximate when both sides are live.
+/// Bounded FIFO ring over T (movable; trivially copyable in all hymem
+/// uses). One thread pushes and pops.
 template <typename T>
 class SpscRing {
  public:
@@ -43,44 +36,33 @@ class SpscRing {
 
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Producer side: enqueues `value` unless the ring is full. Returns
-  /// whether the value was accepted.
+  /// Enqueues `value` unless the ring is full. Returns whether the value
+  /// was accepted.
   bool push(const T& value) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail - head == slots_.size()) return false;
-    slots_[static_cast<std::size_t>(tail) & mask_] = value;
-    tail_.store(tail + 1, std::memory_order_release);
+    if (tail_ - head_ == slots_.size()) return false;
+    slots_[static_cast<std::size_t>(tail_) & mask_] = value;
+    ++tail_;
     return true;
   }
 
-  /// Consumer side: dequeues the oldest value, or nullopt when empty.
+  /// Dequeues the oldest value, or nullopt when empty.
   std::optional<T> pop() {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return std::nullopt;
-    std::optional<T> value(std::move(slots_[static_cast<std::size_t>(head) & mask_]));
-    head_.store(head + 1, std::memory_order_release);
+    if (head_ == tail_) return std::nullopt;
+    std::optional<T> value(
+        std::move(slots_[static_cast<std::size_t>(head_) & mask_]));
+    ++head_;
     return value;
   }
 
-  /// Occupancy. Exact when only one side is live (virtual-time mode);
-  /// a conservative snapshot when producer and consumer race.
-  std::size_t size() const {
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(tail - head);
-  }
+  std::size_t size() const { return static_cast<std::size_t>(tail_ - head_); }
 
   bool empty() const { return size() == 0; }
 
  private:
   std::vector<T> slots_;
   std::size_t mask_ = 0;
-  /// Consumer cursor; on its own cache line so pop() never invalidates the
-  /// producer's line and vice versa.
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
+  std::uint64_t head_ = 0;  ///< Consumer cursor.
+  std::uint64_t tail_ = 0;  ///< Producer cursor.
 };
 
 }  // namespace hymem::util

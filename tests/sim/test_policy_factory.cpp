@@ -107,9 +107,8 @@ TEST(PolicyFactory, UnknownNameErrorEnumeratesPolicies) {
   }
 }
 
-// Split-budget contexts (partitioned shards, tenant groups) cannot host the
-// sampled-* family: its hotness tap and background migrator are per-run
-// global structures. The classification and the rejection message are API.
+// Split-budget contexts (tenant groups) cannot host the sampled-* family:
+// its hotness tap and migrator are per-run global structures. The classification and the rejection message are API.
 TEST(PolicyFactory, ShardableNamesExcludeExactlyTheSampledFamily) {
   const auto shardable = shardable_policy_names();
   for (const auto& name : shardable) {

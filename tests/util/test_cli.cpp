@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace hymem {
 namespace {
 
@@ -44,7 +47,6 @@ TEST(Cli, Positionals) {
 TEST(Cli, DefaultsWhenAbsent) {
   const auto args = parse({"prog"});
   EXPECT_EQ(args.get("missing", "def"), "def");
-  EXPECT_EQ(args.get_int("missing", -3), -3);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
   EXPECT_FALSE(args.has("missing"));
 }
@@ -52,6 +54,56 @@ TEST(Cli, DefaultsWhenAbsent) {
 TEST(Cli, DoubleValues) {
   const auto args = parse({"prog", "--frac=0.75"});
   EXPECT_DOUBLE_EQ(args.get_double("frac", 0.0), 0.75);
+}
+
+/// The message `get` throws, or "" when it does not throw.
+template <typename Get>
+std::string error_of(Get get) {
+  try {
+    get();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Cli, MalformedNumbersThrowNamingTheFlag) {
+  const auto args =
+      parse({"prog", "--prefix=12abc", "--word=abc", "--negative=-1",
+             "--overflow=18446744073709551616", "--zero=0", "--max",
+             "18446744073709551615", "--frac=1.5x", "--bare"});
+  EXPECT_EQ(error_of([&] { args.get_uint("prefix", 1); }),
+            "--prefix takes an unsigned integer, got '12abc'");
+  EXPECT_EQ(error_of([&] { args.get_uint("word", 1, 1); }),
+            "--word takes a positive integer, got 'abc'");
+  EXPECT_EQ(error_of([&] { args.get_uint("negative", 1); }),
+            "--negative takes an unsigned integer, got '-1'");
+  EXPECT_EQ(error_of([&] { args.get_uint("overflow", 1); }),
+            "--overflow takes an unsigned integer, got "
+            "'18446744073709551616'");
+  EXPECT_EQ(error_of([&] { args.get_uint("zero", 1, 1); }),
+            "--zero takes a positive integer, got '0'");
+  EXPECT_EQ(error_of([&] { args.get_uint("zero", 1, 4); }),
+            "--zero takes an integer of at least 4, got '0'");
+  EXPECT_EQ(error_of([&] { args.get_uint("bare", 1); }),
+            "--bare takes an unsigned integer, got 'true'");
+  EXPECT_EQ(error_of([&] { args.get_double("frac", 0.0); }),
+            "--frac takes a number, got '1.5x'");
+  EXPECT_EQ(error_of([&] { args.get_bool("word"); }),
+            "--word takes true or false, got 'abc'");
+  // Valid values at the edges still parse.
+  EXPECT_EQ(args.get_uint("zero", 1), 0u);
+  EXPECT_EQ(args.get_uint("max", 0, 1), 18446744073709551615u);
+}
+
+TEST(Cli, UnknownFlagsAreNamed) {
+  const auto args = parse({"prog", "--scale=4", "--job", "2", "--verbose"});
+  EXPECT_NO_THROW(args.reject_unknown({"scale", "job", "verbose", "seed"}));
+  EXPECT_EQ(error_of([&] { args.reject_unknown({"scale", "jobs"}); }),
+            "unknown flag --job --verbose");
+  EXPECT_EQ(error_of([&] { args.reject_unknown({}); }),
+            "unknown flag --job --scale --verbose");
+  EXPECT_NO_THROW(parse({"prog", "positional"}).reject_unknown({}));
 }
 
 TEST(Cli, ProgramName) {

@@ -4,8 +4,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <thread>
-#include <vector>
 
 #include "util/random.hpp"
 
@@ -105,40 +103,6 @@ TEST(SpscRing, PropertyRandomInterleavingMatchesDeque) {
     }
     EXPECT_EQ(ring.size(), oracle.size());
   }
-}
-
-TEST(SpscRing, ThreadedProducerConsumerDeliversEverythingInOrder) {
-  // One producer thread, one consumer thread, a deliberately tiny ring so
-  // both full-ring spins and empty-ring spins happen constantly. Under
-  // TSan (the runner CI job) this is the data-race certificate for the
-  // acquire/release protocol.
-  constexpr std::uint64_t kCount = 200000;
-  SpscRing<std::uint64_t> ring(16);
-  std::vector<std::uint64_t> received;
-  received.reserve(kCount);
-
-  std::thread producer([&ring] {
-    for (std::uint64_t i = 0; i < kCount; ++i) {
-      while (!ring.push(i)) std::this_thread::yield();
-    }
-  });
-  std::thread consumer([&ring, &received] {
-    while (received.size() < kCount) {
-      if (const auto v = ring.pop()) {
-        received.push_back(*v);
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  producer.join();
-  consumer.join();
-
-  ASSERT_EQ(received.size(), kCount);
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    ASSERT_EQ(received[i], i) << "out-of-order delivery at index " << i;
-  }
-  EXPECT_TRUE(ring.empty());
 }
 
 }  // namespace
