@@ -196,7 +196,13 @@ trace::Trace capture_trace() {
 }
 
 void BM_Footprint(benchmark::State& state) {
-  const trace::Trace t = capture_trace();
+  // A loaded capture carries no footprint record, so its runs count the
+  // pages; a generated trace would answer from its record. Copy the
+  // accesses into a trace without one.
+  const trace::Trace generated = capture_trace();
+  const trace::Trace t(generated.name(),
+                       std::vector<trace::MemAccess>(generated.begin(),
+                                                     generated.end()));
   const std::uint64_t page_size = sim::ExperimentConfig().page_size;
   for (auto _ : state) {
     benchmark::DoNotOptimize(trace::distinct_pages(t, page_size));

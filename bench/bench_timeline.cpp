@@ -9,14 +9,17 @@
 //                    [--json]
 //
 // --workload / --policy take one name; omit them for a small default grid
-// (canneal, streamcluster × two-lru, clock-dwf). Stdout is byte-identical
-// for every --jobs value.
+// (canneal, streamcluster × two-lru, clock-dwf). An unknown name exits 2
+// with one stderr line before any job runs. Stdout is byte-identical for
+// every --jobs value.
+#include <algorithm>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "obs/timeline_io.hpp"
+#include "sim/policy_factory.hpp"
 #include "util/cli.hpp"
 
 using namespace hymem;
@@ -36,11 +39,23 @@ int main(int argc, char** argv) {
     try {
       workloads = {synth::parsec_profile(workload)};
     } catch (const std::out_of_range&) {
-      std::cerr << "unknown workload: " << workload << "\n";
+      std::cerr << args.program() << ": unknown workload: " << workload
+                << "\n";
       return 2;
     }
   }
   const std::string policy = args.get("policy");
+  const std::vector<std::string> known = sim::policy_names();
+  if (!policy.empty() &&
+      std::find(known.begin(), known.end(), policy) == known.end()) {
+    std::cerr << args.program() << ": unknown policy: " << policy
+              << " (known: ";
+    for (std::size_t i = 0; i < known.size(); ++i) {
+      std::cerr << (i > 0 ? ", " : "") << known[i];
+    }
+    std::cerr << ")\n";
+    return 2;
+  }
   const std::vector<std::string> policies =
       policy.empty() ? std::vector<std::string>{"two-lru", "clock-dwf"}
                      : std::vector<std::string>{policy};

@@ -1,7 +1,6 @@
 #include "synth/generator.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "util/check.hpp"
@@ -26,6 +25,7 @@ trace::Trace generate(const WorkloadProfile& profile,
   HYMEM_CHECK(options.line_size <= options.page_size);
   const std::uint64_t total = profile.total_accesses();
   const std::uint64_t n_pages = profile.footprint_pages(options.page_size);
+  const std::uint64_t lines_per_page = options.page_size / options.line_size;
 
   Rng rng(options.seed ^ mix_hash(n_pages));
   const std::uint64_t hot_pages =
@@ -43,26 +43,54 @@ trace::Trace generate(const WorkloadProfile& profile,
   ZipfSampler write_zipf(write_hot_pages, profile.zipf_alpha);
 
   // Burst continuation probability so the mean burst length matches.
-  const double burst_cont =
+  const GeometricSampler burst_length(
       profile.burst_mean > 0.0 ? profile.burst_mean / (1.0 + profile.burst_mean)
-                               : 0.0;
+                               : 0.0);
+
+  // Access modes by cut points on one uniform draw: scan, hot, cold, warm.
+  const double scan_hi = profile.scan_fraction;
+  const double hot_hi = scan_hi + profile.hot_locality;
+  const double cold_hi = hot_hi + profile.cold_fraction;
+
+  // Page = (offset + churn_offset) mod n_pages, with churn_offset < n_pages.
+  // Every offset is below region_pages or write_hot_pages, so when both fit
+  // in the footprint (fractions of at most 1, as in every Table III
+  // profile) the sum is below 2 * n_pages and one subtract reduces it.
+  const bool offsets_fit = std::max(region_pages, write_hot_pages) <= n_pages;
+  std::uint64_t churn_offset = 0;
+  const auto rotate = [&](std::uint64_t offset) {
+    const std::uint64_t sum = offset + churn_offset;
+    if (!offsets_fit) return sum % n_pages;
+    return sum >= n_pages ? sum - n_pages : sum;
+  };
 
   trace::Trace out(profile.name);
   out.reserve(total);
 
   std::uint64_t remaining_reads = profile.reads;
   std::uint64_t remaining_writes = profile.writes;
-  std::uint64_t churn_offset = 0;
   std::uint64_t scan_cursor = rng.next_below(region_pages);
 
-  // Footprint coverage machinery.
-  std::vector<bool> covered(options.ensure_full_footprint ? n_pages : 0, false);
-  std::uint64_t uncovered = options.ensure_full_footprint ? n_pages : 0;
+  // Hot-set rotation (canneal/fluidanimate churn behaviour) at every
+  // positive multiple of churn_period; never when it is 0.
+  const std::uint64_t churn_step = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(profile.churn_shift *
+                                    static_cast<double>(hot_pages)));
+  std::uint64_t next_churn =
+      profile.churn_period > 0 ? profile.churn_period : total;
+
+  // Pages touched so far, one byte each. Their count is the footprint the
+  // trace records. With ensure_full_footprint, every cover_stride-th access
+  // (and every access once no more remain than untouched pages) touches the
+  // lowest untouched page instead.
+  std::vector<std::uint8_t> touched(n_pages, 0);
+  std::uint64_t untouched = n_pages;
+  const bool cover = options.ensure_full_footprint;
   std::uint64_t cover_cursor = 0;
   const std::uint64_t cover_stride =
-      options.ensure_full_footprint && total > n_pages
-          ? std::max<std::uint64_t>(1, total / n_pages / 2)
-          : 1;
+      cover && total > n_pages ? std::max<std::uint64_t>(1, total / n_pages / 2)
+                               : 1;
+  std::uint64_t cover_phase = 0;  // i % cover_stride
 
   // Burst state: repeat last_page for burst_left further accesses.
   PageId last_page = 0;
@@ -70,11 +98,9 @@ trace::Trace generate(const WorkloadProfile& profile,
 
   for (std::uint64_t i = 0; i < total; ++i) {
     const std::uint64_t remaining = total - i;
-    // --- Hot-set rotation (canneal/fluidanimate churn behaviour). ---
-    if (profile.churn_period > 0 && i > 0 && i % profile.churn_period == 0) {
-      const auto shift = static_cast<std::uint64_t>(
-          profile.churn_shift * static_cast<double>(hot_pages));
-      churn_offset = (churn_offset + std::max<std::uint64_t>(1, shift)) % n_pages;
+    if (i == next_churn) {
+      next_churn += profile.churn_period;
+      churn_offset = (churn_offset + churn_step) % n_pages;
       burst_left = 0;
     }
 
@@ -82,9 +108,10 @@ trace::Trace generate(const WorkloadProfile& profile,
     PageId page;
     bool forced_coverage = false;
     bool in_burst = false;
-    if (uncovered > 0 && (remaining <= uncovered || i % cover_stride == 0)) {
+    if (cover && untouched > 0 &&
+        (remaining <= untouched || cover_phase == 0)) {
       // Forced coverage of a not-yet-touched page.
-      while (covered[cover_cursor]) ++cover_cursor;
+      while (touched[cover_cursor]) ++cover_cursor;
       page = cover_cursor;
       forced_coverage = true;
     } else if (burst_left > 0) {
@@ -93,18 +120,14 @@ trace::Trace generate(const WorkloadProfile& profile,
       in_burst = true;
     } else {
       const double mode = rng.next_double();
-      const double scan_hi = profile.scan_fraction;
-      const double hot_hi = scan_hi + profile.hot_locality;
-      const double cold_hi = hot_hi + profile.cold_fraction;
       if (mode < scan_hi) {
         // Sequential scan confined to the active region.
-        scan_cursor = (scan_cursor + 1) % region_pages;
-        page = (scan_cursor + churn_offset) % n_pages;
+        if (++scan_cursor == region_pages) scan_cursor = 0;
+        page = rotate(scan_cursor);
       } else if (mode < hot_hi) {
-        const std::uint64_t rank = zipf.sample(rng);
-        page = (rank + churn_offset) % n_pages;
+        page = rotate(zipf.sample(rng));
         if (rng.next_bool(profile.burst_prob)) {
-          burst_left = rng.next_geometric(burst_cont);
+          burst_left = burst_length.sample(rng);
         }
       } else if (mode < cold_hi) {
         // Cold access anywhere in the footprint: the steady-state fault
@@ -112,12 +135,13 @@ trace::Trace generate(const WorkloadProfile& profile,
         page = rng.next_below(n_pages);
       } else {
         // Warm access inside the active region.
-        page = (rng.next_below(region_pages) + churn_offset) % n_pages;
+        page = rotate(rng.next_below(region_pages));
         if (rng.next_bool(profile.warm_burst_prob)) {
-          burst_left = rng.next_geometric(burst_cont);
+          burst_left = burst_length.sample(rng);
         }
       }
     }
+    if (++cover_phase == cover_stride) cover_phase = 0;
 
     // --- Pick the type: feedback from the remaining budget keeps the totals
     // exact (Table III read/write counts are matched to the access). ---
@@ -138,23 +162,23 @@ trace::Trace generate(const WorkloadProfile& profile,
       // and burst repetitions keep their page.
       if (!forced_coverage && !in_burst &&
           rng.next_bool(profile.write_locality)) {
-        page = (write_zipf.sample(rng) + churn_offset) % n_pages;
+        page = rotate(write_zipf.sample(rng));
       }
     } else {
       --remaining_reads;
     }
     last_page = page;
-    if (!covered.empty() && !covered[page]) {
-      covered[page] = true;
-      --uncovered;
+    if (!touched[page]) {
+      touched[page] = 1;
+      --untouched;
     }
 
-    const std::uint64_t lines_per_page = options.page_size / options.line_size;
     const Addr addr = page * options.page_size +
                       rng.next_below(lines_per_page) * options.line_size;
     out.append(addr, type);
   }
   HYMEM_CHECK(remaining_reads == 0 && remaining_writes == 0);
+  out.record_footprint(options.page_size, n_pages - untouched);
   return out;
 }
 

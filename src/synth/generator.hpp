@@ -24,7 +24,9 @@ struct GeneratorOptions {
   bool ensure_full_footprint = true;
 };
 
-/// Generates one trace. Deterministic in (profile, options).
+/// Generates one trace. Deterministic in (profile, options). The trace
+/// carries a footprint record (its distinct pages at options.page_size), so
+/// trace::distinct_pages does not count them again.
 trace::Trace generate(const WorkloadProfile& profile,
                       const GeneratorOptions& options = {});
 

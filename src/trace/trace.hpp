@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -43,9 +44,28 @@ class Trace {
   std::uint64_t read_count() const;
   std::uint64_t write_count() const;
 
+  /// Records that the accesses touch `pages` distinct pages of `page_size`
+  /// bytes, for a producer that counted them while appending
+  /// (synth::generate does). trace::distinct_pages answers from the record
+  /// instead of counting.
+  void record_footprint(std::uint64_t page_size, std::uint64_t pages);
+  /// The recorded count at `page_size`, or nothing when no record was made
+  /// at that page size or an append has grown the trace since (append is
+  /// the only way to change the accesses).
+  std::optional<std::uint64_t> recorded_footprint(
+      std::uint64_t page_size) const;
+
  private:
+  /// page_size == 0: no record.
+  struct FootprintRecord {
+    std::uint64_t page_size = 0;
+    std::uint64_t pages = 0;
+    std::size_t size = 0;  ///< size() when recorded.
+  };
+
   std::string name_;
   std::vector<MemAccess> accesses_;
+  FootprintRecord footprint_;
 };
 
 }  // namespace hymem::trace

@@ -66,6 +66,9 @@ TraceStats characterize(const Trace& trace, std::uint64_t page_size) {
 
 std::uint64_t distinct_pages(const Trace& trace, std::uint64_t page_size) {
   HYMEM_CHECK_MSG(page_size > 0, "page size must be positive");
+  if (const auto recorded = trace.recorded_footprint(page_size)) {
+    return *recorded;
+  }
   util::FlatPageSet pages;
   // Decode as TraceBlockSource does: a shift for power-of-two page sizes.
   if (std::has_single_bit(page_size)) {

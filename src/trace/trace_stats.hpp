@@ -79,8 +79,10 @@ class TraceCharacterizer {
 TraceStats characterize(const Trace& trace, std::uint64_t page_size);
 
 /// The trace's footprint in pages: characterize(trace, page_size)
-/// .distinct_pages, counted in a util::FlatPageSet without the per-page
-/// profiles. The memory-sizing pass of every run (Section V.A).
+/// .distinct_pages. Answered from the trace's footprint record when it
+/// holds one at `page_size` (every synth::generate trace does), else
+/// counted in a util::FlatPageSet without the per-page profiles. The
+/// memory-sizing pass of every run (Section V.A).
 std::uint64_t distinct_pages(const Trace& trace, std::uint64_t page_size);
 
 }  // namespace hymem::trace

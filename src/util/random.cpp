@@ -11,67 +11,25 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-namespace {
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t sm = seed;
   for (auto& word : s_) word = splitmix64(sm);
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  if (bound <= 1) return 0;
-  // Lemire's nearly-divisionless bounded generation.
-  std::uint64_t x = next();
-  unsigned __int128 m = static_cast<unsigned __int128>(x) * bound;
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      x = next();
-      m = static_cast<unsigned __int128>(x) * bound;
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool Rng::next_bool(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
 }
 
 std::uint64_t Rng::next_in(std::uint64_t lo, std::uint64_t hi) {
   return lo + next_below(hi - lo + 1);
 }
 
-std::uint64_t Rng::next_geometric(double p) {
-  if (p <= 0.0) return 0;
-  if (p >= 1.0) p = 0.999999;
-  const double u = 1.0 - next_double();  // in (0, 1]
-  return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log(p)));
-}
-
 Rng Rng::split() { return Rng(next()); }
+
+GeometricSampler::GeometricSampler(double p)
+    : never_(p <= 0.0),
+      log_p_(never_ ? 0.0 : std::log(p >= 1.0 ? 0.999999 : p)) {}
+
+std::uint64_t GeometricSampler::sample(Rng& rng) const {
+  if (never_) return 0;
+  const double u = 1.0 - rng.next_double();  // in (0, 1]
+  return static_cast<std::uint64_t>(std::floor(std::log(u) / log_p_));
+}
 
 }  // namespace hymem

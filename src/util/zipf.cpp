@@ -16,8 +16,7 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha) : n_(n), alpha_(alpha) {
     norm_ += w[r];
   }
   // Walker alias construction.
-  prob_.assign(n, 0.0);
-  alias_.assign(n, 0);
+  table_.assign(n, Column{});
   std::deque<std::uint32_t> small, large;
   std::vector<double> scaled(n);
   for (std::uint64_t r = 0; r < n; ++r) {
@@ -28,21 +27,15 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha) : n_(n), alpha_(alpha) {
     const std::uint32_t s = small.front();
     small.pop_front();
     const std::uint32_t l = large.front();
-    prob_[s] = scaled[s];
-    alias_[s] = l;
+    table_[s] = {scaled[s], l};
     scaled[l] = (scaled[l] + scaled[s]) - 1.0;
     if (scaled[l] < 1.0) {
       large.pop_front();
       small.push_back(l);
     }
   }
-  for (std::uint32_t r : large) prob_[r] = 1.0;
-  for (std::uint32_t r : small) prob_[r] = 1.0;
-}
-
-std::uint64_t ZipfSampler::sample(Rng& rng) const {
-  const std::uint64_t col = rng.next_below(n_);
-  return rng.next_double() < prob_[col] ? col : alias_[col];
+  for (std::uint32_t r : large) table_[r].prob = 1.0;
+  for (std::uint32_t r : small) table_[r].prob = 1.0;
 }
 
 double ZipfSampler::pmf(std::uint64_t rank) const {

@@ -23,19 +23,28 @@ class ZipfSampler {
   std::uint64_t n() const { return n_; }
   double alpha() const { return alpha_; }
 
-  /// Draws one rank.
-  std::uint64_t sample(Rng& rng) const;
+  /// Draws one rank: a uniform column, kept with its probability, else its
+  /// alias.
+  std::uint64_t sample(Rng& rng) const {
+    const std::uint64_t col = rng.next_below(n_);
+    const Column& c = table_[col];
+    return rng.next_double() < c.prob ? col : c.alias;
+  }
 
   /// Probability mass of a given rank (for tests / analytics).
   double pmf(std::uint64_t rank) const;
 
  private:
+  /// One alias-table column; a draw reads both fields.
+  struct Column {
+    double prob = 0.0;
+    std::uint32_t alias = 0;
+  };
+
   std::uint64_t n_;
   double alpha_;
   double norm_ = 0.0;
-  // Alias tables.
-  std::vector<double> prob_;
-  std::vector<std::uint32_t> alias_;
+  std::vector<Column> table_;
 };
 
 }  // namespace hymem

@@ -48,6 +48,19 @@ TEST(Generator, ExactFootprint) {
   EXPECT_EQ(stats.working_set_kb(), profile.working_set_kb);
 }
 
+TEST(Generator, RecordsTheFootprintItCounted) {
+  for (const bool full : {true, false}) {
+    GeneratorOptions options = small_options();
+    options.ensure_full_footprint = full;
+    const auto trace = generate(tiny_profile(), options);
+    const auto stats = trace::characterize(trace, options.page_size);
+    EXPECT_EQ(trace.recorded_footprint(options.page_size),
+              stats.distinct_pages)
+        << "full footprint " << full;
+    EXPECT_FALSE(trace.recorded_footprint(2 * options.page_size));
+  }
+}
+
 TEST(Generator, DeterministicForSameSeed) {
   const auto a = generate(tiny_profile(), small_options());
   const auto b = generate(tiny_profile(), small_options());

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace hymem::trace {
 namespace {
 
@@ -49,6 +52,26 @@ TEST(Trace, SetName) {
   Trace t;
   t.set_name("renamed");
   EXPECT_EQ(t.name(), "renamed");
+}
+
+TEST(Trace, FootprintRecordHoldsUntilAnAppend) {
+  Trace t("t");
+  t.append(0x1000, AccessType::kRead);
+  t.append(0x5000, AccessType::kWrite);
+  EXPECT_FALSE(t.recorded_footprint(4096));
+  t.record_footprint(4096, 2);
+  EXPECT_EQ(t.recorded_footprint(4096), 2u);
+  EXPECT_FALSE(t.recorded_footprint(8192));
+  EXPECT_FALSE(t.recorded_footprint(0));
+  // A copy holds the same accesses, so it keeps the record; a trace built
+  // from the accesses alone has none.
+  const Trace copy = t;
+  EXPECT_EQ(copy.recorded_footprint(4096), 2u);
+  EXPECT_FALSE(Trace("t", std::vector<MemAccess>(t.begin(), t.end()))
+                   .recorded_footprint(4096));
+  t.append(0x9000, AccessType::kRead);
+  EXPECT_FALSE(t.recorded_footprint(4096));
+  EXPECT_THROW(t.record_footprint(0, 3), std::logic_error);
 }
 
 TEST(MemAccess, Equality) {

@@ -103,5 +103,18 @@ TEST(TraceStats, DistinctPagesMatchesCharacterizer) {
   EXPECT_EQ(distinct_pages(Trace(), 4096), 0u);
 }
 
+TEST(TraceStats, DistinctPagesAnswersFromTheRecordAtItsPageSize) {
+  Trace t;
+  t.append(0x0000, AccessType::kRead);
+  t.append(0x1000, AccessType::kRead);
+  t.append(0x3000, AccessType::kWrite);
+  // A deliberately wrong record shows which answer is returned.
+  t.record_footprint(4096, 99);
+  EXPECT_EQ(distinct_pages(t, 4096), 99u);
+  EXPECT_EQ(distinct_pages(t, 8192), 2u);
+  t.append(0x4000, AccessType::kRead);
+  EXPECT_EQ(distinct_pages(t, 4096), 4u);
+}
+
 }  // namespace
 }  // namespace hymem::trace

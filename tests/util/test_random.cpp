@@ -88,17 +88,20 @@ TEST(Rng, GeometricMeanMatchesContinuationProbability) {
   Rng rng(13);
   // E[k] = p / (1 - p) for P(k) = (1-p) p^k.
   const double p = 0.75;
+  const GeometricSampler geometric(p);
   double sum = 0;
   constexpr int kDraws = 50000;
   for (int i = 0; i < kDraws; ++i) {
-    sum += static_cast<double>(rng.next_geometric(p));
+    sum += static_cast<double>(geometric.sample(rng));
   }
   EXPECT_NEAR(sum / kDraws, p / (1 - p), 0.1);
 }
 
 TEST(Rng, GeometricZeroProbabilityIsZero) {
   Rng rng(13);
-  EXPECT_EQ(rng.next_geometric(0.0), 0u);
+  EXPECT_EQ(GeometricSampler(0.0).sample(rng), 0u);
+  // ...without a draw, so the stream continues where it was.
+  EXPECT_EQ(rng.next(), Rng(13).next());
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
