@@ -12,8 +12,8 @@
 // (canneal, streamcluster × two-lru, clock-dwf). An unknown name exits 2
 // with one stderr line before any job runs. Stdout is byte-identical for
 // every --jobs value.
-#include <algorithm>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,16 +45,13 @@ int main(int argc, char** argv) {
     }
   }
   const std::string policy = args.get("policy");
-  const std::vector<std::string> known = sim::policy_names();
-  if (!policy.empty() &&
-      std::find(known.begin(), known.end(), policy) == known.end()) {
-    std::cerr << args.program() << ": unknown policy: " << policy
-              << " (known: ";
-    for (std::size_t i = 0; i < known.size(); ++i) {
-      std::cerr << (i > 0 ? ", " : "") << known[i];
+  if (!policy.empty()) {
+    try {
+      sim::check_policy_name(policy);
+    } catch (const std::invalid_argument& e) {
+      std::cerr << args.program() << ": " << e.what() << "\n";
+      return 2;
     }
-    std::cerr << ")\n";
-    return 2;
   }
   const std::vector<std::string> policies =
       policy.empty() ? std::vector<std::string>{"two-lru", "clock-dwf"}

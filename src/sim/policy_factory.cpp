@@ -1,5 +1,6 @@
 #include "sim/policy_factory.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/migration_scheme.hpp"
@@ -34,6 +35,13 @@ namespace {
 }
 
 }  // namespace
+
+void check_policy_name(const std::string& name) {
+  const std::vector<std::string> known = policy_names();
+  if (std::find(known.begin(), known.end(), name) == known.end()) {
+    throw_unknown_policy(name);
+  }
+}
 
 std::vector<std::string> shardable_policy_names() {
   std::vector<std::string> names;

@@ -31,6 +31,10 @@ std::vector<std::string> policy_names();
 /// structures.
 std::vector<std::string> shardable_policy_names();
 
+/// Throws std::invalid_argument, listing the known names, unless `name` is
+/// one of policy_names(); make_policy throws the same message.
+void check_policy_name(const std::string& name);
+
 /// True if the name can run split across independent policy instances.
 bool is_shardable(const std::string& name);
 

@@ -83,16 +83,24 @@ TEST(PolicyFactory, AdaptiveVariantHasController) {
   EXPECT_NE(scheme->controller(), nullptr);
 }
 
+// check_policy_name lets a CLI reject a name before it builds anything.
 TEST(PolicyFactory, UnknownNamesRejected) {
   os::Vmm vmm(config_for("two-lru"));
   EXPECT_THROW(make_policy("nope", vmm), std::invalid_argument);
   EXPECT_THROW(make_policy("dram-onlyx", vmm), std::invalid_argument);
   os::Vmm vmm2(config_for("dram-only"));
   EXPECT_THROW(make_policy("dram-only:bogus", vmm2), std::invalid_argument);
+  for (const char* name : {"nope", "dram-onlyx", "dram-only:bogus"}) {
+    EXPECT_THROW(check_policy_name(name), std::invalid_argument) << name;
+  }
+  for (const auto& name : policy_names()) {
+    EXPECT_NO_THROW(check_policy_name(name)) << name;
+  }
 }
 
 // The error message must enumerate every registered name, so a typo'd
-// --policy flag tells the user what would have worked.
+// --policy flag tells the user what would have worked. check_policy_name
+// throws the same message.
 TEST(PolicyFactory, UnknownNameErrorEnumeratesPolicies) {
   os::Vmm vmm(config_for("two-lru"));
   try {
@@ -104,6 +112,12 @@ TEST(PolicyFactory, UnknownNameErrorEnumeratesPolicies) {
       EXPECT_NE(msg.find(name), std::string::npos) << "missing " << name;
     }
     EXPECT_NE(msg.find("sampled-lru"), std::string::npos);
+    try {
+      check_policy_name("nope");
+      ADD_FAILURE() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& checked) {
+      EXPECT_EQ(msg, checked.what());
+    }
   }
 }
 

@@ -5,22 +5,23 @@ Run from anywhere inside the repository:
 
     tools/perf_ab.py --parent REV [--workloads fig-grid,capture-replay-timeline]
                      [--pairs 10] [--seconds S] [--seed N] [--json FILE]
-                     [--workdir DIR]
 
-Exports REV with `git archive` into a temporary directory and runs each
-tree's own perfbench/run.py (so each side builds and measures its own
-source) for every workload, `--pairs` times, alternating which side goes
-first. The working tree, uncommitted edits included, is the change side.
-Workloads, metrics, their direction and their regression bounds come from
-BENCHMARK.json; `--seconds` defaults to its run_seconds.
+Exports REV with `git archive` into a fresh temporary directory, removed
+at exit, and runs each tree's own perfbench/run.py (so each side builds and
+measures its own source) for every workload, `--pairs` times, alternating
+which side goes first. Pass several workloads to one call to build the
+parent once. The working tree, uncommitted edits included, is the change
+side. Workloads, metrics, their direction and their regression bounds come
+from BENCHMARK.json; `--seconds` defaults to its run_seconds.
 
 For each workload and end-to-end metric it prints both sides' median and
 quartiles, the pairs the change won (ties count for neither side) and a
 verdict:
 
   identical     every run of both sides gave the same value
-  gain          the change won at least 9/10 of the pairs and the medians
-                differ, in its favour, by more than the parent's
+  gain          at least 10 pairs ran, the change won at least 9/10 of
+                them (a pair with a failed run is not a win) and the
+                medians differ, in its favour, by more than the parent's
                 interquartile range
   worse         the change's median is worse than the parent's by more than
                 the metric's bound
@@ -28,20 +29,20 @@ verdict:
                 bound (or every change run beats every parent run)
   unresolved    neither, and the spread is wider than the bound
 
-A run that fails, prints no result or reports `"correct": false` is listed
-and ends the script with exit code 1. `--json FILE` also writes every run's
-metrics and the summary. `--workdir DIR` exports REV into DIR and keeps
-it, so a later call with the same DIR reuses the parent's build.
+A run that fails, prints no result or reports `"correct": false` leaves
+its pair out of the statistics; it is listed with the last lines of its
+standard error and ends the script with exit code 1. `--json FILE` also
+writes every run's metrics and the summary.
 """
 import argparse
 import json
 import os
-import shutil
 import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STDERR_TAIL = 10  # lines of a failed run's standard error to report
 
 
 def quartiles(values):
@@ -58,23 +59,35 @@ def quartiles(values):
 
 
 def run_side(tree, workload, seed, seconds):
-    """Runs one perfbench workload in `tree`; returns its result or None."""
+    """Runs one perfbench workload in `tree`.
+
+    Returns (result, None) for a correct run and (None, why) otherwise,
+    where `why` ends with the last lines of the run's standard error (the
+    build's output goes there too).
+    """
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
                "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds)]
     proc = subprocess.run(command, cwd=tree, stdout=subprocess.PIPE,
-                          stderr=subprocess.DEVNULL, text=True)
+                          stderr=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        return None
-    try:
-        return json.loads(lines[-1])
-    except json.JSONDecodeError:
-        return None
+    result = None
+    if proc.returncode == 0 and lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    if result is not None and result.get("correct"):
+        return result, None
+    why = (f"exit code {proc.returncode}, " +
+           (f"result {lines[-1]}" if lines else "no result"))
+    tail = proc.stderr.strip().splitlines()[-STDERR_TAIL:]
+    return None, "\n".join([why] + ["    " + line for line in tail])
 
 
-def verdict(metric, parent, change):
-    """Summary of one metric's runs; see the module docstring."""
+def verdict(metric, parent, change, pairs):
+    """Summary of one metric over its complete pairs; see the module
+    docstring. `pairs` counts every pair run, complete or not."""
     higher = metric["better"] == "higher"
     bound = metric["bound"]
     pq1, pmed, pq3 = quartiles(parent)
@@ -87,7 +100,7 @@ def verdict(metric, parent, change):
     worse_by = (pmed - cmed) if higher else (cmed - pmed)
     if len(set(parent) | set(change)) == 1:
         word = "identical"
-    elif wins * 10 >= 9 * len(parent) and -worse_by > spread:
+    elif pairs >= 10 and wins * 10 >= 9 * pairs and -worse_by > spread:
         word = "gain"
     elif worse_by > limit:
         word = "worse"
@@ -99,7 +112,8 @@ def verdict(metric, parent, change):
     return {"parent": {"q1": pq1, "median": pmed, "q3": pq3},
             "change": {"q1": cq1, "median": cmed, "q3": cq3},
             "ratio": cmed / pmed if pmed else None,
-            "wins": wins, "losses": losses, "pairs": len(parent),
+            "wins": wins, "losses": losses, "pairs": pairs,
+            "complete": len(parent),
             "verdict": word}
 
 
@@ -118,9 +132,6 @@ def main():
                         help="run length; default: BENCHMARK.json's")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--json", metavar="FILE")
-    parser.add_argument("--workdir", metavar="DIR",
-                        help="export REV here and keep it (default: a "
-                             "temporary directory, removed at exit)")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -133,12 +144,12 @@ def main():
                else benchmark["run_seconds"])
     metrics = benchmark["end_to_end"]
 
-    temp = args.workdir or tempfile.mkdtemp(prefix="perf_ab-")
-    try:
-        # git archive stamps every file with the commit time, so exporting
-        # over a kept tree leaves its build up to date.
+    # A fresh directory every call: git archive stamps every file with the
+    # commit time, so an export over an older build would leave that build
+    # looking up to date.
+    with tempfile.TemporaryDirectory(prefix="perf_ab-") as temp:
         parent_tree = os.path.join(temp, "parent")
-        os.makedirs(parent_tree, exist_ok=True)
+        os.makedirs(parent_tree)
         archive = subprocess.run(["git", "-C", ROOT, "archive", args.parent],
                                  stdout=subprocess.PIPE, check=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_tree], input=archive,
@@ -153,22 +164,23 @@ def main():
                 order = (["parent", "change"] if pair % 2 == 0
                          else ["change", "parent"])
                 for side in order:
-                    result = run_side(sides[side], workload, args.seed,
-                                      seconds)
-                    if result is None or not result.get("correct"):
+                    result, why = run_side(sides[side], workload, args.seed,
+                                           seconds)
+                    if why is not None:
                         problems.append(f"{workload} pair {pair + 1} {side}: "
-                                        f"{result or 'no result'}")
+                                        f"{why}")
                     runs[side].append(result)
                 print(f"{workload}: pair {pair + 1}/{args.pairs} done",
                       file=sys.stderr)
             summary = {}
             complete = [i for i in range(args.pairs)
                         if runs["parent"][i] and runs["change"][i]]
-            print(f"\n{workload}: {len(complete)} pairs, seed {args.seed}, "
-                  f"{seconds:g} s per run")
-            print(f"{'metric':26s} {'parent median [q1, q3]':36s} "
-                  f"{'change median [q1, q3]':36s} {'ratio':>7s} "
-                  f"{'wins':>6s}  verdict")
+            print(f"\n{workload}: {len(complete)} of {args.pairs} pairs "
+                  f"complete, seed {args.seed}, {seconds:g} s per run")
+            if complete:
+                print(f"{'metric':26s} {'parent median [q1, q3]':36s} "
+                      f"{'change median [q1, q3]':36s} {'ratio':>7s} "
+                      f"{'wins':>6s}  verdict")
             for metric in metrics:
                 name = metric["name"]
                 parent = [runs["parent"][i]["metrics"][name]["value"]
@@ -179,7 +191,7 @@ def main():
                           if name in runs["change"][i]["metrics"]]
                 if not parent or len(parent) != len(change):
                     continue
-                v = verdict(metric, parent, change)
+                v = verdict(metric, parent, change, args.pairs)
                 v["runs"] = {"parent": parent, "change": change}
                 summary[name] = v
                 p, c = v["parent"], v["change"]
@@ -197,9 +209,6 @@ def main():
                 json.dump(report, f, indent=2)
                 f.write("\n")
         return 1 if problems else 0
-    finally:
-        if not args.workdir:
-            shutil.rmtree(temp, ignore_errors=True)
 
 
 if __name__ == "__main__":
