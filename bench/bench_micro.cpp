@@ -100,8 +100,11 @@ void BM_CacheHierarchy(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// One x264/4 trace (4.97M accesses) per iteration, so the per-call set-up
+// (the Zipf alias tables, the page map, the output allocation) is a small
+// share and items/s follows the per-access loop.
 void BM_TraceGenerator(benchmark::State& state) {
-  synth::WorkloadProfile profile = synth::parsec_profile("bodytrack").scaled(64);
+  synth::WorkloadProfile profile = synth::parsec_profile("x264").scaled(4);
   synth::GeneratorOptions options;
   for (auto _ : state) {
     options.seed++;
@@ -126,9 +129,8 @@ void BM_EndToEndSimulation(benchmark::State& state,
   state.SetItemsProcessed(static_cast<std::int64_t>(accesses));
 }
 
-// Shared fixture of the replay benchmarks: the dedup/4 trace (a ~32k-page
-// footprint, so the page table and policy indexes see realistic cache
-// pressure instead of fitting in L1) plus its Section V.A memory shape.
+// Shared fixture of the replay benchmarks: one generated trace (seed 42)
+// plus its Section V.A memory shape.
 struct ReplayFixture {
   trace::Trace trace;
   os::VmmConfig vmm_config;
@@ -136,9 +138,11 @@ struct ReplayFixture {
   sim::ExperimentConfig config;
 };
 
-ReplayFixture make_replay_fixture(const std::string& policy) {
+ReplayFixture make_replay_fixture(const std::string& policy,
+                                  const std::string& workload,
+                                  std::uint32_t scale) {
   ReplayFixture fx;
-  const auto profile = synth::parsec_profile("dedup").scaled(4);
+  const auto profile = synth::parsec_profile(workload).scaled(scale);
   synth::GeneratorOptions options;
   options.seed = 42;
   fx.trace = synth::generate(profile, options);
@@ -160,9 +164,9 @@ ReplayFixture make_replay_fixture(const std::string& policy) {
 // `timeline_epoch` nonzero attaches an obs::EpochSampler with that epoch
 // length, so the `_timeline` captures measure the instrumentation-on cost
 // against their plain counterparts.
-void BM_RunTrace(benchmark::State& state, const std::string& policy,
-                 std::uint64_t timeline_epoch = 0) {
-  const ReplayFixture fx = make_replay_fixture(policy);
+void replay(benchmark::State& state, const ReplayFixture& fx,
+            std::uint64_t timeline_epoch) {
+  const std::string& policy = fx.config.policy;
   std::uint64_t replayed = 0;
   for (auto _ : state) {
     os::Vmm vmm(fx.vmm_config);
@@ -183,6 +187,21 @@ void BM_RunTrace(benchmark::State& state, const std::string& policy,
     replayed += 2 * fx.trace.size();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(replayed));
+}
+
+// dedup/4: a ~32k-page footprint, so the page table and policy indexes see
+// cache pressure instead of fitting in L1; all but the DRAM-sized indexes
+// are reserved above FlatPageMap's sparse-table cap.
+void BM_RunTrace(benchmark::State& state, const std::string& policy,
+                 std::uint64_t timeline_epoch = 0) {
+  replay(state, make_replay_fixture(policy, "dedup", 4), timeline_epoch);
+}
+
+// streamcluster/64: one fig-grid cell (61 pages, 2.64M accesses), whose
+// indexes sit in L1 as those of every fig-grid footprint sit in L1/L2.
+void BM_RunTraceFigGridCell(benchmark::State& state,
+                            const std::string& policy) {
+  replay(state, make_replay_fixture(policy, "streamcluster", 64), 0);
 }
 
 // The side stages of a capture replay (perfbench's capture-replay-timeline:
@@ -316,7 +335,7 @@ BENCHMARK_CAPTURE(BM_EndToEndSimulation, clock_dwf, "clock-dwf");
 // trace takes.
 void BM_RunTraceStreamedIo(benchmark::State& state, const std::string& policy,
                            std::size_t chunk) {
-  const ReplayFixture fx = make_replay_fixture(policy);
+  const ReplayFixture fx = make_replay_fixture(policy, "dedup", 4);
   std::stringstream bytes;
   {
     trace::StreamTraceWriter writer(bytes, fx.trace.name(), chunk);
@@ -348,6 +367,10 @@ BENCHMARK_CAPTURE(BM_RunTrace, nvm_only, "nvm-only");
 BENCHMARK_CAPTURE(BM_RunTrace, rank_mq, "rank-mq");
 BENCHMARK_CAPTURE(BM_RunTrace, two_lru_timeline, "two-lru", 1024u);
 BENCHMARK_CAPTURE(BM_RunTrace, clock_dwf_timeline, "clock-dwf", 1024u);
+BENCHMARK_CAPTURE(BM_RunTraceFigGridCell, dram_only, "dram-only");
+BENCHMARK_CAPTURE(BM_RunTraceFigGridCell, nvm_only, "nvm-only");
+BENCHMARK_CAPTURE(BM_RunTraceFigGridCell, clock_dwf, "clock-dwf");
+BENCHMARK_CAPTURE(BM_RunTraceFigGridCell, two_lru, "two-lru");
 
 }  // namespace
 

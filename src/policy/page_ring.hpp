@@ -118,10 +118,21 @@ class PageRing {
   }
 
   /// Moves a linked node to the front of `list`; a no-op for its first
-  /// node.
+  /// node. This is every LRU hit's splice, so it links the node between
+  /// the sentinel (a constant slot) and the old front, read before the
+  /// unlink, which cannot change it. Going through move_before(slot, front)
+  /// would reload the front's `prev` right behind unlink's stores, a load
+  /// that waits on them: linking after the sentinel halved the splice on
+  /// x264/4's page sequence (6.4 to 3.4 ns).
   void move_to_front(Slot slot, std::size_t list = 0) {
-    const Slot front = first(list);
-    if (front != slot) move_before(slot, front);
+    const Slot head = sentinel(list);
+    const Slot front = nodes_[head].next;
+    if (front == slot) return;
+    unlink(slot);
+    nodes_[slot].prev = head;
+    nodes_[slot].next = front;
+    nodes_[head].next = slot;
+    nodes_[front].prev = slot;
   }
 
   /// Calls fn(node) for every node of `list` from first() to last().

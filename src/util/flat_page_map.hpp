@@ -13,6 +13,22 @@
 // empty value type, for "which pages were seen" (footprint counts, first
 // touch).
 //
+// Load factor. A table never runs above 1/2: linear probing without
+// per-slot metadata clusters quickly, and the backward-shift erase pays for
+// every extra cluster entry. A table sized up front by reserve() — the page
+// table and every PageRing index, which never grow — goes further, to at
+// most 1/8 while it has fewer than 2^15 slots. At the replay footprints the
+// paper's workloads have (tens to a few thousand pages) those tables sit
+// in L1/L2, so what a probe costs is not a miss but a mispredicted branch
+// each time a hit lands past its home slot or a miss scans a cluster; at
+// 1/8 most probes end at the home slot. Past 2^15 slots the trade turns: an
+// uncapped 1/8 table slowed dedup/1's two-LRU replay (128,115 pages) from
+// 21.5 to 29.1 ns per access, because beyond L2 a sparse table buys
+// predictable branches with cache misses. So a table reserved for more
+// than 16,384 entries keeps its 1/2 sizing. Tables that grow through
+// try_emplace stay at 1/2 as well: sample::HotnessBoard::cool reports pages
+// in table order, and sampled-lru's output bytes depend on that order.
+//
 // Contract: PageId `kInvalidPage` is reserved as the empty-slot sentinel and
 // must never be inserted into the map (nothing in hymem uses it as a real
 // page — it is already the "no page" sentinel everywhere else). The set
@@ -53,14 +69,14 @@ class FlatPageMap {
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots in the table (0 before the first insert or reserve).
+  std::size_t capacity() const { return keys_.size(); }
 
-  /// Grows the table so `n` entries fit without rehashing.
+  /// Grows the table so `n` entries fit without rehashing, at a load of at
+  /// most 1/2, and at most 1/8 below kSparseSlots (see the header comment).
   void reserve(std::size_t n) {
     std::size_t cap = kMinCapacity;
-    // Max load factor 1/2: linear probing without per-slot metadata clusters
-    // quickly, and the backward-shift erase pays for every extra cluster
-    // entry, so trade memory for uniformly short probe chains.
-    while (cap / 2 < n) cap *= 2;
+    while (cap / 2 < n || (cap < kSparseSlots && cap / 8 < n)) cap *= 2;
     if (cap > keys_.size()) rehash(cap);
   }
 
@@ -183,6 +199,7 @@ class FlatPageMap {
 
  private:
   static constexpr std::size_t kMinCapacity = 16;
+  static constexpr std::size_t kSparseSlots = std::size_t{1} << 15;
 
   void rehash(std::size_t new_capacity) {
     std::vector<PageId> old_keys = std::move(keys_);

@@ -21,6 +21,16 @@ std::vector<PageId> pages(const Ring& ring, std::size_t list = 0) {
   return out;
 }
 
+// The list from last() back to first(), over the prev links.
+std::vector<PageId> pages_backward(const Ring& ring, std::size_t list = 0) {
+  std::vector<PageId> out;
+  for (Ring::Slot i = ring.last(list); i != ring.sentinel(list);
+       i = ring.node(i).prev) {
+    out.push_back(ring.node(i).page);
+  }
+  return out;
+}
+
 TEST(PageRing, StartsEmptyWithEachListClosedOnItsSentinel) {
   const Ring ring(4, 3);
   EXPECT_EQ(ring.capacity(), 4u);
@@ -55,7 +65,7 @@ TEST(PageRing, MovesNodesBetweenListsOfOneRing) {
   Ring ring(4, 2);
   const Ring::Slot one = ring.insert_before(ring.first(0), 1);
   const Ring::Slot two = ring.insert_before(ring.first(0), 2);
-  ring.insert_before(ring.first(1), 3);
+  const Ring::Slot three = ring.insert_before(ring.first(1), 3);
   EXPECT_EQ(pages(ring, 0), (std::vector<PageId>{2, 1}));
   EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{3}));
 
@@ -68,6 +78,25 @@ TEST(PageRing, MovesNodesBetweenListsOfOneRing) {
   EXPECT_EQ(ring.first(0), ring.sentinel(0));
   EXPECT_EQ(ring.last(0), ring.sentinel(0));
   EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 3, 2}));
+  EXPECT_EQ(ring.size(), 3u);
+
+  // move_to_front writes the sentinel's links itself, so check both
+  // directions. A list's last node moves to its front.
+  ring.move_to_front(two, 1);
+  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{2, 1, 3}));
+  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{3, 1, 2}));
+  // A list's second node moves to its front.
+  ring.move_to_front(one, 1);
+  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 2, 3}));
+  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{3, 2, 1}));
+  // A node moves to the front of an empty list.
+  ring.move_to_front(three, 0);
+  EXPECT_EQ(ring.first(0), three);
+  EXPECT_EQ(ring.last(0), three);
+  EXPECT_EQ(ring.node(three).prev, ring.sentinel(0));
+  EXPECT_EQ(ring.node(three).next, ring.sentinel(0));
+  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 2}));
+  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{2, 1}));
   EXPECT_EQ(ring.size(), 3u);
 }
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "util/random.hpp"
@@ -56,6 +57,25 @@ TEST(FlatPageMap, TakeReturnsValue) {
 TEST(FlatPageMap, RejectsSentinelKey) {
   FlatPageMap<int> map;
   EXPECT_THROW(map.try_emplace(kInvalidPage), std::logic_error);
+}
+
+// reserve() sizes a table that is not expected to grow: at most 1/8 full
+// while it has fewer than 2^15 slots, never above 1/2, and above 16,384
+// entries exactly the 1/2 sizing (the smallest power of two of at least 2n).
+TEST(FlatPageMap, ReserveIsSparseBelowTheSlotCap) {
+  constexpr std::size_t kSparseSlots = std::size_t{1} << 15;
+  const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+      {1, 16},        {8, 64},        {4096, 32768},   {4097, 32768},
+      {16384, 32768}, {16385, 65536}, {100000, 262144}};
+  for (const auto& [n, capacity] : expected) {
+    FlatPageMap<std::uint32_t> map;
+    map.reserve(n);
+    EXPECT_EQ(map.capacity(), capacity) << n;
+    EXPECT_LE(2 * n, map.capacity()) << n;
+    if (map.capacity() < kSparseSlots) {
+      EXPECT_LE(8 * n, map.capacity()) << n;
+    }
+  }
 }
 
 TEST(FlatPageMap, ReserveAvoidsGrowth) {
@@ -247,12 +267,14 @@ TEST(FlatPageMap, EraseAcrossSeamKeepsHomeSlotEntriesPut) {
 
 // The table rehashes when an insert would push the load factor past 1/2.
 // Hover around exactly that boundary with churn: entries must never be lost
-// or duplicated on either side of the growth.
+// or duplicated on either side of the growth. The table grows from empty
+// (reserve would size it sparser than the boundary).
 TEST(FlatPageMap, ChurnAtExactlyHalfLoadFactor) {
   FlatPageMap<std::uint64_t> map;
-  map.reserve(8);  // capacity 16; 8 entries fit, the 9th insert rehashes
   for (PageId k = 0; k < 8; ++k) *map.try_emplace(k).first = k;
   ASSERT_EQ(map.size(), 8u);
+  // Capacity 16: 8 entries fit, the 9th insert rehashes.
+  ASSERT_EQ(map.capacity(), 16u);
   // Replace one entry at the boundary several times: erase + reinsert keeps
   // size at capacity/2, never triggering growth, never losing entries.
   for (int round = 0; round < 32; ++round) {
@@ -270,6 +292,7 @@ TEST(FlatPageMap, ChurnAtExactlyHalfLoadFactor) {
   // carry every entry across the rehash.
   *map.try_emplace(100).first = 100;
   ASSERT_EQ(map.size(), 9u);
+  EXPECT_EQ(map.capacity(), 32u);
   for (PageId k = 0; k < 8; ++k) {
     const PageId* value = map.find(k);
     ASSERT_NE(value, nullptr);
