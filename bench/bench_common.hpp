@@ -180,15 +180,14 @@ inline sim::RunResult run(const synth::WorkloadProfile& profile,
 inline runner::SweepResults run_grid(
     std::vector<synth::WorkloadProfile> workloads,
     std::vector<std::string> policies, const BenchContext& ctx,
-    std::vector<runner::ConfigVariant> variants = {},
-    runner::SeedMode seed_mode = runner::SeedMode::kShared) {
+    std::vector<runner::ConfigVariant> variants = {}) {
   runner::SweepSpec spec;
   spec.workloads = std::move(workloads);
   spec.policies = std::move(policies);
   spec.variants = std::move(variants);
   spec.scale = ctx.scale;
   spec.base_seed = ctx.seed;
-  spec.seed_mode = seed_mode;
+  spec.seed_mode = runner::SeedMode::kShared;
   apply_overrides(spec, ctx);
   runner::SweepOptions options;
   options.jobs = ctx.jobs;

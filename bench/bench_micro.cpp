@@ -23,7 +23,6 @@
 #include "synth/cpu_stream.hpp"
 #include "synth/generator.hpp"
 #include "trace/block_source.hpp"
-#include "trace/stream_io.hpp"
 #include "trace/trace_io.hpp"
 #include "trace/trace_stats.hpp"
 #include "util/random.hpp"
@@ -248,11 +247,10 @@ void BM_TimelineCsv(benchmark::State& state) {
                           static_cast<std::int64_t>(timeline.epochs.size()));
 }
 
-// Trace file I/O: the binary formats' encode and decode over a 1M-record
+// Trace file I/O: the binary format's encode and decode over a 1M-record
 // trace held in memory, so bytes/second (items: records) is the codec and
 // the stream calls, not the disk. HYTR (trace_io) is how a capture enters a
-// run; HYTS (stream_io) is read one record at a time, as StreamBlockSource
-// reads it.
+// run.
 constexpr std::int64_t kCodecRecords = 1 << 20;
 
 trace::Trace codec_trace() {
@@ -295,26 +293,6 @@ void BM_TraceLoad(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kCodecRecords);
 }
 
-void BM_StreamTraceRead(benchmark::State& state) {
-  std::stringstream bytes;
-  {
-    const trace::Trace t = codec_trace();
-    trace::StreamTraceWriter writer(bytes, t.name());
-    for (const auto& access : t.accesses()) writer.append(access);
-  }
-  const auto size = static_cast<std::int64_t>(bytes.str().size());
-  for (auto _ : state) {
-    bytes.clear();
-    bytes.seekg(0);
-    trace::StreamTraceReader reader(bytes);
-    Addr sum = 0;
-    while (const auto access = reader.next()) sum += access->addr;
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetBytesProcessed(state.iterations() * size);
-  state.SetItemsProcessed(state.iterations() * kCodecRecords);
-}
-
 BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, lru,
                   std::type_identity<policy::LruPolicy>{});
 BENCHMARK_CAPTURE(BM_ReplacementPolicyChurn, clock,
@@ -324,42 +302,11 @@ BENCHMARK(BM_CacheHierarchy);
 BENCHMARK(BM_TraceGenerator);
 BENCHMARK(BM_TraceSave);
 BENCHMARK(BM_TraceLoad);
-BENCHMARK(BM_StreamTraceRead);
 BENCHMARK(BM_Footprint);
 BENCHMARK(BM_TimelineCsv);
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, two_lru, "two-lru");
 BENCHMARK_CAPTURE(BM_EndToEndSimulation, clock_dwf, "clock-dwf");
-// Streamed replay from the chunked HYTS byte format: O(chunk) memory, with
-// the readahead producer decoding block N+1 while the policy replays block
-// N. Measures the full capture-to-replay path a too-big-to-materialize
-// trace takes.
-void BM_RunTraceStreamedIo(benchmark::State& state, const std::string& policy,
-                           std::size_t chunk) {
-  const ReplayFixture fx = make_replay_fixture(policy, "dedup", 4);
-  std::stringstream bytes;
-  {
-    trace::StreamTraceWriter writer(bytes, fx.trace.name(), chunk);
-    for (const auto& access : fx.trace.accesses()) writer.append(access);
-    writer.finish();
-  }
-  std::uint64_t replayed = 0;
-  for (auto _ : state) {
-    os::Vmm vmm(fx.vmm_config);
-    const auto impl = sim::make_policy(policy, vmm, fx.config.migration);
-    bytes.clear();
-    bytes.seekg(0);
-    trace::StreamBlockSource source(bytes, fx.config.page_size, chunk,
-                                    /*readahead=*/true);
-    const auto result = sim::run_blocks(*impl, source, &source,
-                                        /*warmup_passes=*/1, fx.roi_seconds);
-    benchmark::DoNotOptimize(result.accesses);
-    replayed += 2 * fx.trace.size();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(replayed));
-}
-
 BENCHMARK_CAPTURE(BM_RunTrace, two_lru, "two-lru");
-BENCHMARK_CAPTURE(BM_RunTraceStreamedIo, two_lru, "two-lru", 16384u);
 BENCHMARK_CAPTURE(BM_RunTrace, two_lru_adaptive, "two-lru-adaptive");
 BENCHMARK_CAPTURE(BM_RunTrace, clock_dwf, "clock-dwf");
 BENCHMARK_CAPTURE(BM_RunTrace, dram_only, "dram-only");

@@ -13,7 +13,6 @@
 #include "sim/results_io.hpp"
 #include "trace/access.hpp"
 #include "trace/block_source.hpp"
-#include "trace/stream_io.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
 
@@ -39,7 +38,7 @@ os::VmmConfig vmm_config(const std::string& policy, const FuzzCase& fc) {
   return config;
 }
 
-/// Fresh policy stack for one replay: every mode starts from cold memory.
+/// Fresh policy stack for one replay: both runs start from cold memory.
 struct Stack {
   os::Vmm vmm;
   std::unique_ptr<policy::HybridPolicy> policy;
@@ -77,8 +76,8 @@ sim::RunResult reference_run(Stack& stack, const trace::Trace& trace) {
   return result;
 }
 
-/// Serialized result, summed visible latency and timeline: the bytes every
-/// mode must match.
+/// Serialized result, summed visible latency and timeline: the bytes the
+/// block engine must match.
 std::string bytes_of(const sim::RunResult& result) {
   std::ostringstream out;
   out << sim::to_json(result) << '\n'
@@ -86,16 +85,6 @@ std::string bytes_of(const sim::RunResult& result) {
       << result.visible_latency_ns << '\n';
   obs::write_timeline_csv(result.timeline, out);
   return out.str();
-}
-
-/// The HYTS serialization of the case's trace (what a capture would ship).
-std::string encode_stream(const trace::Trace& trace,
-                          std::size_t chunk_records) {
-  std::ostringstream bytes;
-  trace::StreamTraceWriter writer(bytes, trace.name(), chunk_records);
-  for (const auto& access : trace.accesses()) writer.append(access);
-  writer.finish();
-  return bytes.str();
 }
 
 }  // namespace
@@ -115,11 +104,13 @@ StreamParityResult run_stream_parity(const std::string& policy,
     reference = bytes_of(reference_run(stack, fc.trace));
   }
 
-  const auto diff = [&](const char* mode, const sim::RunResult& result) {
-    const std::string got = bytes_of(result);
-    if (got == reference) return true;
-    // Name the first differing line so the report points at a field, not
-    // just at the mode.
+  Stack stack(policy, fc, epoch_length);
+  trace::TraceBlockSource source(fc.trace, stack.vmm.config().page_size,
+                                 block_accesses);
+  const std::string got = bytes_of(sim::run_blocks(
+      *stack.policy, source, nullptr, 0, kDurationS, &stack.sampler));
+  if (got != reference) {
+    // Name the first differing line so the report points at a field.
     std::istringstream want_lines(reference);
     std::istringstream got_lines(got);
     std::string want_line;
@@ -128,31 +119,8 @@ StreamParityResult run_stream_parity(const std::string& policy,
            std::getline(got_lines, got_line)) {
       if (want_line != got_line) break;
     }
-    out.divergence = policy + " " + mode + ": reference " + want_line +
-                     " != " + got_line;
-    return false;
-  };
-
-  {
-    Stack stack(policy, fc, epoch_length);
-    trace::TraceBlockSource source(fc.trace, stack.vmm.config().page_size,
-                                   block_accesses);
-    if (!diff("blocks", sim::run_blocks(*stack.policy, source, nullptr, 0,
-                                        kDurationS, &stack.sampler))) {
-      return out;
-    }
-  }
-  const std::string bytes = encode_stream(fc.trace, block_accesses);
-  for (const bool readahead : {false, true}) {
-    Stack stack(policy, fc, epoch_length);
-    std::istringstream in(bytes);
-    trace::StreamBlockSource source(in, stack.vmm.config().page_size,
-                                    block_accesses, readahead);
-    if (!diff(readahead ? "stream+readahead" : "stream",
-              sim::run_blocks(*stack.policy, source, nullptr, 0, kDurationS,
-                              &stack.sampler))) {
-      return out;
-    }
+    out.divergence =
+        policy + " blocks: reference " + want_line + " != " + got_line;
   }
   return out;
 }

@@ -309,38 +309,4 @@ AnalyticEstimate estimate(const trace::ReuseProfile& profile,
   return finalize(e, config, n);
 }
 
-std::vector<AnalyticSweepPoint> analytic_sweep(
-    const trace::ReuseProfile& profile, const AnalyticConfig& base,
-    const std::vector<double>& xs,
-    const std::function<AnalyticConfig(AnalyticConfig, double)>& mutate) {
-  std::vector<AnalyticSweepPoint> points;
-  points.reserve(xs.size());
-  for (double x : xs) {
-    points.push_back(AnalyticSweepPoint{x, estimate(profile, mutate(base, x))});
-  }
-  return points;
-}
-
-std::vector<AnalyticSweepPoint> analytic_sweep_read_threshold(
-    const trace::ReuseProfile& profile, const AnalyticConfig& base,
-    const std::vector<double>& thresholds) {
-  return analytic_sweep(profile, base, thresholds,
-                        [](AnalyticConfig cfg, double x) {
-                          cfg.migration.read_threshold =
-                              static_cast<std::uint64_t>(x);
-                          return cfg;
-                        });
-}
-
-std::vector<AnalyticSweepPoint> analytic_sweep_write_threshold(
-    const trace::ReuseProfile& profile, const AnalyticConfig& base,
-    const std::vector<double>& thresholds) {
-  return analytic_sweep(profile, base, thresholds,
-                        [](AnalyticConfig cfg, double x) {
-                          cfg.migration.write_threshold =
-                              static_cast<std::uint64_t>(x);
-                          return cfg;
-                        });
-}
-
 }  // namespace hymem::model

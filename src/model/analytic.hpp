@@ -36,8 +36,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "core/migration_config.hpp"
 #include "model/endurance_model.hpp"
@@ -98,29 +96,5 @@ struct AnalyticBias {
 AnalyticEstimate estimate(const trace::ReuseProfile& profile,
                           const AnalyticConfig& config,
                           const AnalyticBias& bias = {});
-
-/// One point of an analytic what-if sweep.
-struct AnalyticSweepPoint {
-  double x = 0.0;
-  AnalyticEstimate estimate;
-};
-
-/// Re-estimates a fixed profile across a parameter sweep. Unlike re-costing
-/// fixed event counts, the swept knob may change *behaviour* (thresholds,
-/// window fractions, capacities), not just costing — the whole point of the
-/// fast path. `mutate` receives a copy of the base config and
-/// the sweep value.
-std::vector<AnalyticSweepPoint> analytic_sweep(
-    const trace::ReuseProfile& profile, const AnalyticConfig& base,
-    const std::vector<double>& xs,
-    const std::function<AnalyticConfig(AnalyticConfig, double)>& mutate);
-
-/// Convenience sweeps over the scheme's two headline knobs.
-std::vector<AnalyticSweepPoint> analytic_sweep_read_threshold(
-    const trace::ReuseProfile& profile, const AnalyticConfig& base,
-    const std::vector<double>& thresholds);
-std::vector<AnalyticSweepPoint> analytic_sweep_write_threshold(
-    const trace::ReuseProfile& profile, const AnalyticConfig& base,
-    const std::vector<double>& thresholds);
 
 }  // namespace hymem::model

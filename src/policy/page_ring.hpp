@@ -110,20 +110,14 @@ class PageRing {
     return *slot;
   }
 
-  /// Moves a linked node to just before `pos` (a different slot), which
-  /// may lie on another list.
-  void move_before(Slot slot, Slot pos) {
-    unlink(slot);
-    link_before(slot, pos);
-  }
-
-  /// Moves a linked node to the front of `list`; a no-op for its first
-  /// node. This is every LRU hit's splice, so it links the node between
-  /// the sentinel (a constant slot) and the old front, read before the
-  /// unlink, which cannot change it. Going through move_before(slot, front)
-  /// would reload the front's `prev` right behind unlink's stores, a load
-  /// that waits on them: linking after the sentinel halved the splice on
-  /// x264/4's page sequence (6.4 to 3.4 ns).
+  /// Moves a linked node to the front of `list`, which may be another
+  /// list; a no-op for its first node. This is every LRU hit's splice, so
+  /// it links the node between the sentinel (a constant slot) and the old
+  /// front, read before the unlink, which cannot change it. Linking it
+  /// before the old front (link_before(slot, front)) would reload the
+  /// front's `prev` right behind unlink's stores, a load that waits on
+  /// them: linking after the sentinel halved the splice on x264/4's page
+  /// sequence (6.4 to 3.4 ns).
   void move_to_front(Slot slot, std::size_t list = 0) {
     const Slot head = sentinel(list);
     const Slot front = nodes_[head].next;

@@ -17,7 +17,8 @@ struct PassTotals {
 /// One pass over `source`: serves every block through the policy. With a
 /// sampler, blocks are cut at epoch boundaries and each part is recorded
 /// once the policy has served it.
-PassTotals replay(policy::HybridPolicy& policy, trace::BlockSource& source,
+PassTotals replay(policy::HybridPolicy& policy,
+                  trace::TraceBlockSource& source,
                   obs::EpochSampler* sampler) {
   PassTotals totals;
   std::vector<Nanoseconds> latencies;
@@ -44,8 +45,9 @@ PassTotals replay(policy::HybridPolicy& policy, trace::BlockSource& source,
 
 }  // namespace
 
-RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& measured,
-                     trace::BlockSource* warmup, unsigned warmup_passes,
+RunResult run_blocks(policy::HybridPolicy& policy,
+                     trace::TraceBlockSource& measured,
+                     trace::TraceBlockSource* warmup, unsigned warmup_passes,
                      double duration_s, obs::EpochSampler* sampler) {
   os::Vmm& vmm = policy.vmm();
   if (warmup != nullptr && warmup_passes > 0) {

@@ -58,15 +58,15 @@ struct RunResult {
 /// blocks at its epoch boundaries and takes each boundary snapshot after
 /// the block is served.
 ///
-/// Sources must be positioned at their start. Passes after the first over
-/// one source rewind it, so multi-pass replay needs a rewindable source; a
-/// single forward pass works on non-seekable streams too.
+/// Sources must be positioned at their start; passes after the first over
+/// one source rewind it.
 ///
 /// Throws std::invalid_argument when `measured` yields no accesses — bad
 /// input, not a logic error, so the sweep runner reports it as a per-job
 /// failure.
-RunResult run_blocks(policy::HybridPolicy& policy, trace::BlockSource& measured,
-                     trace::BlockSource* warmup, unsigned warmup_passes,
+RunResult run_blocks(policy::HybridPolicy& policy,
+                     trace::TraceBlockSource& measured,
+                     trace::TraceBlockSource* warmup, unsigned warmup_passes,
                      double duration_s, obs::EpochSampler* sampler = nullptr);
 
 }  // namespace hymem::sim

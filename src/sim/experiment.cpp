@@ -57,7 +57,7 @@ RunResult run_sized(const MemorySizing& sizing, const trace::Trace& warmup,
       make_policy(config.policy, vmm, config.migration, config.sample);
   trace::TraceBlockSource measured_source(measured, config.page_size);
   std::optional<trace::TraceBlockSource> warmup_source;
-  trace::BlockSource* warmup_blocks = &measured_source;
+  trace::TraceBlockSource* warmup_blocks = &measured_source;
   if (&warmup != &measured) {
     warmup_blocks = &warmup_source.emplace(warmup, config.page_size);
   }

@@ -15,7 +15,7 @@ namespace hymem::trace {
 /// paper's OS-level scheme).
 ///
 /// Packed, so a record is its 10 bytes and a trace in memory is the record
-/// payload of both binary trace formats (trace/record_codec.hpp asserts the
+/// payload of the binary trace format (trace/record_codec.hpp asserts the
 /// layout). Members are read and written by value; the compiler emits the
 /// unaligned loads, and taking a member's address is an error under -Werror
 /// (-Waddress-of-packed-member).

@@ -1,12 +1,12 @@
-// The access record both binary trace formats share.
+// The access record of the binary trace format.
 //
-// trace_io's HYTR and stream_io's HYTS store a MemAccess as the same
-// 10-byte little-endian record, `u64 addr | u8 type | u8 core`, and their
-// headers as little-endian integers. MemAccess is packed to that layout, so
-// records move between a stream and memory as they are: a write is one
-// stream call over the records, and a read lands straight in the trace's
-// vector, at most kBufferRecords records a call, and checks the type bytes
-// where they landed. No second copy of the records exists at any time.
+// trace_io's HYTR format stores a MemAccess as a 10-byte little-endian
+// record, `u64 addr | u8 type | u8 core`, and its header fields as
+// little-endian integers. MemAccess is packed to that layout, so records
+// move between a stream and memory as they are: a write is one stream call
+// over the records, and a read lands straight in the trace's vector, at
+// most kBufferRecords records a call, and checks the type bytes where they
+// landed. No second copy of the records exists at any time.
 #pragma once
 
 #include <bit>

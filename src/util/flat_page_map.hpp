@@ -175,14 +175,6 @@ class FlatPageMap {
     return taken;
   }
 
-  void clear() {
-    for (std::size_t i = 0; i < keys_.size(); ++i) {
-      keys_[i] = kInvalidPage;
-      values_[i] = V{};
-    }
-    size_ = 0;
-  }
-
   /// Calls fn(PageId, V&) for every entry, in unspecified order.
   template <typename Fn>
   void for_each(Fn&& fn) {

@@ -180,37 +180,15 @@ TEST(Analytic, EstimateIsDeterministic) {
   EXPECT_EQ(a.iterations, b.iterations);
 }
 
-TEST(Analytic, SweepEvaluatesEveryPointWithTheMutatedConfig) {
-  const trace::ReuseProfile profile = mixed_profile();
-  const AnalyticConfig base = two_tier_config();
-  const std::vector<double> dram_sizes{4, 16, 48};
-  const auto points = analytic_sweep(
-      profile, base, dram_sizes, [](AnalyticConfig cfg, double x) {
-        cfg.dram_frames = static_cast<std::uint64_t>(x);
-        return cfg;
-      });
-  ASSERT_EQ(points.size(), dram_sizes.size());
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(points[i].x, dram_sizes[i]);
-    const AnalyticConfig direct = [&] {
-      AnalyticConfig cfg = base;
-      cfg.dram_frames = static_cast<std::uint64_t>(dram_sizes[i]);
-      return cfg;
-    }();
-    EXPECT_EQ(points[i].estimate.amat.total(),
-              estimate(profile, direct).amat.total());
-  }
-}
-
 TEST(Analytic, ThresholdSweepIsMonotoneInPromotions) {
   const trace::ReuseProfile profile = mixed_profile();
-  const AnalyticConfig base = two_tier_config();
-  const auto points = analytic_sweep_read_threshold(profile, base,
-                                                    {0, 2, 8, 32, 128});
-  ASSERT_EQ(points.size(), 5u);
-  for (std::size_t i = 1; i < points.size(); ++i) {
-    EXPECT_LE(points[i].estimate.promotion_rate_read,
-              points[i - 1].estimate.promotion_rate_read);
+  AnalyticConfig cfg = two_tier_config();
+  double previous = std::numeric_limits<double>::infinity();
+  for (const std::uint64_t threshold : {0u, 2u, 8u, 32u, 128u}) {
+    cfg.migration.read_threshold = threshold;
+    const double rate = estimate(profile, cfg).promotion_rate_read;
+    EXPECT_LE(rate, previous) << "read threshold " << threshold;
+    previous = rate;
   }
 }
 

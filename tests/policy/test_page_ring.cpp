@@ -73,30 +73,32 @@ TEST(PageRing, MovesNodesBetweenListsOfOneRing) {
   EXPECT_EQ(pages(ring, 0), (std::vector<PageId>{2}));
   EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 3}));
 
-  // Emptying a list closes it on its sentinel again.
-  ring.move_before(two, ring.sentinel(1));
+  // A cross-list move_to_front (rank-mq's move on a level change) writes
+  // the sentinel's links itself, so check both directions. Emptying a list
+  // closes it on its sentinel again.
+  ring.move_to_front(two, 1);
   EXPECT_EQ(ring.first(0), ring.sentinel(0));
   EXPECT_EQ(ring.last(0), ring.sentinel(0));
-  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 3, 2}));
-  EXPECT_EQ(ring.size(), 3u);
-
-  // move_to_front writes the sentinel's links itself, so check both
-  // directions. A list's last node moves to its front.
-  ring.move_to_front(two, 1);
   EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{2, 1, 3}));
   EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{3, 1, 2}));
+  EXPECT_EQ(ring.size(), 3u);
+
+  // A list's last node moves to its front.
+  ring.move_to_front(three, 1);
+  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{3, 2, 1}));
+  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{1, 2, 3}));
   // A list's second node moves to its front.
-  ring.move_to_front(one, 1);
-  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 2, 3}));
-  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{3, 2, 1}));
+  ring.move_to_front(two, 1);
+  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{2, 3, 1}));
+  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{1, 3, 2}));
   // A node moves to the front of an empty list.
   ring.move_to_front(three, 0);
   EXPECT_EQ(ring.first(0), three);
   EXPECT_EQ(ring.last(0), three);
   EXPECT_EQ(ring.node(three).prev, ring.sentinel(0));
   EXPECT_EQ(ring.node(three).next, ring.sentinel(0));
-  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{1, 2}));
-  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{2, 1}));
+  EXPECT_EQ(pages(ring, 1), (std::vector<PageId>{2, 1}));
+  EXPECT_EQ(pages_backward(ring, 1), (std::vector<PageId>{1, 2}));
   EXPECT_EQ(ring.size(), 3u);
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/policy_factory.hpp"
 #include "synth/generator.hpp"
 #include "trace/access.hpp"
@@ -114,30 +112,6 @@ TEST(Engine, WarmupReducesMeasuredFaults) {
     return replay(*policy, tiny_trace(), 1.0, warmup).counts.page_faults;
   };
   EXPECT_LT(run_with(1), run_with(0));
-}
-
-TEST(Engine, StreamedRunMatchesInMemoryRun) {
-  const auto trace = tiny_trace();
-  std::stringstream buf;
-  {
-    trace::StreamTraceWriter writer(buf, trace.name(), 512);
-    for (const auto& a : trace) writer.append(a);
-    writer.finish();
-  }
-  os::Vmm vmm_a(hybrid_config());
-  const auto policy_a = make_policy("two-lru", vmm_a);
-  const auto in_memory = replay(*policy_a, trace, 1.0);
-
-  os::Vmm vmm_b(hybrid_config());
-  const auto policy_b = make_policy("two-lru", vmm_b);
-  trace::StreamBlockSource source(buf, vmm_b.config().page_size);
-  const auto streamed = run_blocks(*policy_b, source, nullptr, 0, 1.0);
-
-  EXPECT_EQ(streamed.accesses, in_memory.accesses);
-  EXPECT_EQ(streamed.counts.page_faults, in_memory.counts.page_faults);
-  EXPECT_EQ(streamed.counts.migrations(), in_memory.counts.migrations());
-  EXPECT_DOUBLE_EQ(streamed.visible_latency_ns, in_memory.visible_latency_ns);
-  EXPECT_EQ(streamed.workload, in_memory.workload);
 }
 
 /// Reference for the engine: warm-up passes and the measured pass served

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <vector>
 
 #include "util/flat_page_map.hpp"
@@ -39,7 +38,7 @@ struct Flat {
   }
 };
 
-Flat drain(BlockSource& source) {
+Flat drain(TraceBlockSource& source) {
   Flat flat;
   while (const DecodedBlock* block = source.next()) {
     flat.block_sizes.push_back(block->size);
@@ -56,7 +55,6 @@ TEST(TraceBlockSource, WindowsCoverTraceInOrder) {
   const auto trace = make_trace(10);
   TraceBlockSource source(trace, kPage, /*block_accesses=*/3);
   EXPECT_EQ(source.name(), "blocks");
-  EXPECT_EQ(source.page_size(), kPage);
   const Flat flat = drain(source);
   EXPECT_EQ(flat.block_sizes, (std::vector<std::size_t>{3, 3, 3, 1}));
   ASSERT_EQ(flat.pages.size(), 10u);
@@ -107,58 +105,6 @@ TEST(TraceBlockSource, EmptyTraceYieldsNoBlocks) {
   EXPECT_EQ(source.next(), nullptr);
   source.rewind();
   EXPECT_EQ(source.next(), nullptr);
-}
-
-std::string encode(const Trace& trace, std::size_t chunk_records) {
-  std::ostringstream bytes;
-  StreamTraceWriter writer(bytes, trace.name(), chunk_records);
-  for (const auto& access : trace.accesses()) writer.append(access);
-  writer.finish();
-  return bytes.str();
-}
-
-TEST(StreamBlockSource, SyncMatchesTraceBlockSource) {
-  const auto trace = make_trace(333);
-  // Stream chunking and block size deliberately disagree so block
-  // boundaries cross chunk boundaries.
-  const std::string bytes = encode(trace, /*chunk_records=*/16);
-  std::istringstream in(bytes);
-  StreamBlockSource streamed(in, kPage, /*block_accesses=*/24,
-                             /*readahead=*/false);
-  EXPECT_EQ(streamed.name(), "blocks");
-  TraceBlockSource cached(trace, kPage, 24);
-  EXPECT_TRUE(drain(streamed) == drain(cached));
-}
-
-TEST(StreamBlockSource, SyncRewindRepeatsSequence) {
-  const auto trace = make_trace(50);
-  const std::string bytes = encode(trace, 8);
-  std::istringstream in(bytes);
-  StreamBlockSource source(in, kPage, 7, /*readahead=*/false);
-  const Flat first = drain(source);
-  EXPECT_EQ(first.pages.size(), 50u);
-  source.rewind();
-  const Flat second = drain(source);
-  EXPECT_TRUE(first == second);
-}
-
-TEST(StreamBlockSource, EmptyStreamYieldsNoBlocks) {
-  Trace trace;
-  trace.set_name("empty");
-  const std::string bytes = encode(trace, 8);
-  std::istringstream in(bytes);
-  StreamBlockSource source(in, kPage, 4, /*readahead=*/false);
-  EXPECT_EQ(source.next(), nullptr);
-  EXPECT_EQ(source.next(), nullptr);
-}
-
-TEST(StreamBlockSource, SyncTruncationSurfacesReaderError) {
-  const auto trace = make_trace(40);
-  std::string bytes = encode(trace, 8);
-  bytes.resize(bytes.size() - 11);  // Lose the terminator and one record.
-  std::istringstream in(bytes);
-  StreamBlockSource source(in, kPage, 6, /*readahead=*/false);
-  EXPECT_THROW(drain(source), std::runtime_error);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Deterministic byte-mutation fuzz over the trace readers: both binary
-// formats (HYTR read_binary and the chunked HYTS StreamTraceReader) and the
-// text format (read_text). Every mutated encoding of a small valid trace
-// must either decode or throw std::runtime_error, through a seekable and a
-// non-seekable stream alike: never another exception type, a crash, or an
-// allocation sized by a corrupt field (tier1, so the ASan+UBSan job runs
-// it). Each test stops at its first misbehaving input and prints the seed
-// and mutation that reproduce it.
+// Deterministic byte-mutation fuzz over the trace readers: the binary
+// format (HYTR read_binary) and the text format (read_text). Every mutated
+// encoding of a small valid trace must either decode or throw
+// std::runtime_error, through a seekable and a non-seekable stream alike:
+// never another exception type, a crash, or an allocation sized by a
+// corrupt field (tier1, so the ASan+UBSan job runs it). Each test stops at
+// its first misbehaving input and prints the seed and mutation that
+// reproduce it.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "io_support.hpp"
-#include "trace/stream_io.hpp"
 #include "trace/trace_io.hpp"
 #include "util/random.hpp"
 
@@ -54,34 +53,6 @@ Format hytr() {
           {{16, 8, "record count"}, {8, 4, "name_len"}}};
 }
 
-Format hyts() {
-  constexpr std::size_t kChunk = 2;
-  std::stringstream buf;
-  {
-    StreamTraceWriter writer(buf, "fuzz", kChunk);
-    for (const MemAccess& a : small_trace()) writer.append(a);
-  }
-  Format format{"HYTS", buf.str(),
-                [](std::istream& in) {
-                  StreamTraceReader reader(in);
-                  while (reader.next().has_value()) {
-                  }
-                },
-                {}};
-  // Chunk headers follow the 16-byte header: 2 + 2 + 1 records, then the
-  // terminator.
-  std::size_t offset = 16;
-  for (const std::size_t records :
-       {kChunk, kChunk, std::size_t{1}, std::size_t{0}}) {
-    format.size_fields.push_back(
-        {offset, 4, "chunk count at byte " + std::to_string(offset)});
-    offset += 4 + 10 * records;
-  }
-  format.size_fields.push_back({8, 4, "name_len"});
-  EXPECT_EQ(offset, format.bytes.size());
-  return format;
-}
-
 /// Decodes `bytes` through a seekable and a non-seekable stream. Returns ""
 /// when each either decodes or throws std::runtime_error, else what happened.
 std::string misbehaviour(const Format& format, const std::string& bytes) {
@@ -109,7 +80,7 @@ Format text() {
 }
 
 TEST(TraceFuzz, ValidEncodingsDecode) {
-  for (const Format& format : {hytr(), hyts(), text()}) {
+  for (const Format& format : {hytr(), text()}) {
     std::stringstream in(format.bytes);
     EXPECT_NO_THROW(format.decode(in)) << format.name;
   }
@@ -122,17 +93,16 @@ TEST(TraceFuzz, ExtremeSizeFieldsThrowRuntimeError) {
       0x7fffffffu, 0x80000000u, 0xfffffffeu,
       0xffffffffu, std::uint64_t{1} << 32, std::uint64_t{1} << 40,
       std::uint64_t{1} << 63, kMax - 1, kMax};
-  for (const Format& format : {hytr(), hyts()}) {
-    for (const SizeField& field : format.size_fields) {
-      for (const std::uint64_t value : values) {
-        if (field.width == 4 && value > 0xffffffffu) continue;
-        std::string bytes = format.bytes;
-        std::memcpy(bytes.data() + field.offset, &value, field.width);
-        const std::string what = misbehaviour(format, bytes);
-        if (!what.empty()) {
-          FAIL() << format.name << ": " << field.label << " set to " << value
-                 << ": " << what;
-        }
+  const Format format = hytr();
+  for (const SizeField& field : format.size_fields) {
+    for (const std::uint64_t value : values) {
+      if (field.width == 4 && value > 0xffffffffu) continue;
+      std::string bytes = format.bytes;
+      std::memcpy(bytes.data() + field.offset, &value, field.width);
+      const std::string what = misbehaviour(format, bytes);
+      if (!what.empty()) {
+        FAIL() << format.name << ": " << field.label << " set to " << value
+               << ": " << what;
       }
     }
   }
@@ -141,7 +111,7 @@ TEST(TraceFuzz, ExtremeSizeFieldsThrowRuntimeError) {
 // A binary encoding cut short must throw; a text one cut at a line end may
 // decode the lines before the cut.
 TEST(TraceFuzz, TruncationAtEveryLengthThrowsRuntimeError) {
-  for (const Format& format : {hytr(), hyts(), text()}) {
+  for (const Format& format : {hytr(), text()}) {
     for (std::size_t length = 0; length < format.bytes.size(); ++length) {
       const std::string what =
           misbehaviour(format, format.bytes.substr(0, length));
@@ -157,7 +127,7 @@ TEST(TraceFuzz, TruncationAtEveryLengthThrowsRuntimeError) {
 // drawn from a splitmix64-derived seed.
 TEST(TraceFuzz, RandomByteMutationsDecodeOrThrowRuntimeError) {
   constexpr std::uint64_t kCases = 2000;
-  for (const Format& format : {hytr(), hyts(), text()}) {
+  for (const Format& format : {hytr(), text()}) {
     std::uint64_t state = 0x5eed;
     for (std::uint64_t i = 0; i < kCases; ++i) {
       const std::uint64_t seed = splitmix64(state);

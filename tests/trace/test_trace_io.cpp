@@ -15,7 +15,6 @@
 
 #include "io_support.hpp"
 #include "trace/record_codec.hpp"
-#include "trace/stream_io.hpp"
 
 namespace hymem::trace {
 namespace {
@@ -214,8 +213,7 @@ TEST(TraceIo, SaveLoadTextFile) {
 }
 
 // MemAccess is packed to the record layout, so the records trace::save
-// writes after the HYTR header are the trace's own bytes, and so is the
-// payload of a HYTS chunk.
+// writes after the HYTR header are the trace's own bytes.
 TEST(TraceIo, InMemoryRecordsAreTheFileRecords) {
   const Trace trace = random_trace(1000, 19);
   const std::span<const std::byte> image = std::as_bytes(trace.accesses());
@@ -235,20 +233,6 @@ TEST(TraceIo, InMemoryRecordsAreTheFileRecords) {
   ASSERT_EQ(file.size(), hytr_header + image.size());
   EXPECT_TRUE(std::ranges::equal(
       std::as_bytes(std::span(file)).subspan(hytr_header), image));
-
-  std::stringstream stream;
-  {
-    StreamTraceWriter writer(stream, trace.name(), trace.size());
-    for (const MemAccess& a : trace) writer.append(a);
-  }
-  const std::string hyts = stream.str();
-  // 4 magic + 4 version + 4 name_len + name + one u32 chunk count, then the
-  // chunk's records and the u32 terminator.
-  const std::size_t chunk_records = 16 + trace.name().size();
-  ASSERT_EQ(hyts.size(), chunk_records + image.size() + 4);
-  EXPECT_TRUE(std::ranges::equal(std::as_bytes(std::span(hyts))
-                                     .subspan(chunk_records, image.size()),
-                                 image));
 }
 
 TEST(TraceIo, MissingFileThrows) {

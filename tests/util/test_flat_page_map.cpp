@@ -89,18 +89,6 @@ TEST(FlatPageMap, ReserveAvoidsGrowth) {
   EXPECT_EQ(map.size(), 1000u);
 }
 
-TEST(FlatPageMap, ClearEmptiesButKeepsWorking) {
-  FlatPageMap<int> map;
-  for (PageId p = 0; p < 100; ++p) *map.try_emplace(p).first = static_cast<int>(p);
-  map.clear();
-  EXPECT_EQ(map.size(), 0u);
-  for (PageId p = 0; p < 100; ++p) EXPECT_FALSE(map.contains(p));
-  *map.try_emplace(3).first = 33;
-  const int* found = map.find(3);
-  ASSERT_NE(found, nullptr);
-  EXPECT_EQ(*found, 33);
-}
-
 TEST(FlatPageMap, DenseSequentialKeys) {
   // Page IDs decode from contiguous address regions, so dense runs are the
   // common case; they must probe and erase correctly despite clustering.
