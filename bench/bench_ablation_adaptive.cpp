@@ -12,22 +12,30 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTimeline);
   bench::print_header("Ablation — fixed vs adaptive migration thresholds",
                       ctx);
+
+  const auto profiles = synth::parsec_profiles();
+  const auto sweep = bench::run_grid({profiles.begin(), profiles.end()},
+                                     {"two-lru", "two-lru-adaptive"}, ctx);
+  if (sweep.failures() != 0) return 1;
 
   TextTable table({"workload", "fixed APPR", "adaptive APPR", "fixed AMAT",
                    "adaptive AMAT", "fixed mig/kacc", "adaptive mig/kacc"});
   double fixed_power_gm = 0, adaptive_power_gm = 0;
   int n = 0;
-  for (const auto& profile : synth::parsec_profiles()) {
-    const auto fixed = bench::run(profile, "two-lru", ctx);
-    const auto adaptive = bench::run(profile, "two-lru-adaptive", ctx);
+  // Grid order is workload-major: workload w's fixed run sits at slot 2w
+  // and its adaptive run at 2w + 1.
+  for (std::size_t w = 0; w < profiles.size(); ++w) {
+    const auto& fixed = sweep.jobs[2 * w].result;
+    const auto& adaptive = sweep.jobs[2 * w + 1].result;
     auto per_kacc = [](const sim::RunResult& r) {
       return 1000.0 * static_cast<double>(r.counts.migrations()) /
              static_cast<double>(r.accesses);
     };
-    table.add_row({profile.name, TextTable::fmt(fixed.appr().total(), 2),
+    table.add_row({profiles[w].name, TextTable::fmt(fixed.appr().total(), 2),
                    TextTable::fmt(adaptive.appr().total(), 2),
                    TextTable::fmt(fixed.amat().total(), 1),
                    TextTable::fmt(adaptive.amat().total(), 1),

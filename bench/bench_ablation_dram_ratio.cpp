@@ -13,7 +13,8 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTimeline);
   bench::print_header("Ablation — DRAM fraction of hybrid memory", ctx);
 
   const std::vector<double> fractions = {0.05, 0.10, 0.20, 0.30, 0.50};

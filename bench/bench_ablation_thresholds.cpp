@@ -14,7 +14,8 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTimeline);
   bench::print_header("Ablation — migration threshold sweep", ctx);
 
   const std::vector<std::uint64_t> thresholds = {0, 1, 2, 4, 8, 16, 32, 64,

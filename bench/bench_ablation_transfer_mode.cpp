@@ -4,6 +4,7 @@
 // be done more effectively"). Energy and endurance are unchanged — only the
 // migration latency composition differs (sum vs max).
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/table.hpp"
@@ -11,28 +12,38 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTimeline);
   bench::print_header("Ablation — DMA vs integrated-module migration", ctx);
 
-  for (const char* policy : {"clock-dwf", "two-lru"}) {
-    std::cout << "--- " << policy << " ---\n";
+  std::vector<synth::WorkloadProfile> workloads;
+  for (const char* name :
+       {"facesim", "x264", "canneal", "raytrace", "streamcluster"}) {
+    workloads.push_back(synth::parsec_profile(name));
+  }
+  const std::vector<std::string> policies = {"clock-dwf", "two-lru"};
+  std::vector<runner::ConfigVariant> variants(2);
+  variants[0].label = "dma";
+  variants[1].label = "integrated";
+  variants[1].config.transfer_mode = mem::TransferMode::kIntegrated;
+  const auto sweep = bench::run_grid(workloads, policies, ctx, variants);
+  if (sweep.failures() != 0) return 1;
+
+  // Grid order is workload-major, then policy, then {dma, integrated}.
+  for (std::size_t p = 0; p < policies.size(); ++p) {
+    std::cout << "--- " << policies[p] << " ---\n";
     TextTable table({"workload", "AMAT dma (ns)", "AMAT integrated (ns)",
                      "migration dma (ns)", "migration integrated (ns)",
                      "speedup"});
-    for (const char* workload :
-         {"facesim", "x264", "canneal", "raytrace", "streamcluster"}) {
-      const auto& profile = synth::parsec_profile(workload);
-      sim::ExperimentConfig dma;
-      dma.policy = policy;
-      sim::ExperimentConfig integrated = dma;
-      integrated.transfer_mode = mem::TransferMode::kIntegrated;
-      const auto a = bench::run(profile, policy, ctx, dma);
-      const auto b = bench::run(profile, policy, ctx, integrated);
-      table.add_row({workload, TextTable::fmt(a.amat().total(), 1),
-                     TextTable::fmt(b.amat().total(), 1),
-                     TextTable::fmt(a.amat().migration_ns, 1),
-                     TextTable::fmt(b.amat().migration_ns, 1),
-                     TextTable::fmt(a.amat().total() / b.amat().total(), 3)});
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+      const std::size_t dma = (w * policies.size() + p) * variants.size();
+      const auto a = sweep.jobs[dma].result.amat();
+      const auto b = sweep.jobs[dma + 1].result.amat();
+      table.add_row({workloads[w].name, TextTable::fmt(a.total(), 1),
+                     TextTable::fmt(b.total(), 1),
+                     TextTable::fmt(a.migration_ns, 1),
+                     TextTable::fmt(b.migration_ns, 1),
+                     TextTable::fmt(a.total() / b.total(), 3)});
     }
     std::cout << table.to_string() << '\n';
   }

@@ -13,7 +13,8 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTrace);
   bench::print_header("Ablation — Start-Gap wear leveling on the NVM module",
                       ctx);
 

@@ -4,6 +4,7 @@
 // two failure modes the paper describes) down to narrow windows shows how
 // the windowing suppresses non-beneficial migrations on churny workloads.
 #include <iostream>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/table.hpp"
@@ -11,26 +12,43 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTimeline);
   bench::print_header("Ablation — counter window fractions", ctx);
 
-  for (const char* workload : {"canneal", "raytrace", "facesim"}) {
-    std::cout << "--- " << workload << " ---\n";
+  std::vector<synth::WorkloadProfile> workloads;
+  for (const char* name : {"canneal", "raytrace", "facesim"}) {
+    workloads.push_back(synth::parsec_profile(name));
+  }
+  struct Windows {
+    double read, write;
+  };
+  std::vector<runner::ConfigVariant> variants;
+  for (const Windows w : {Windows{0.02, 0.06}, Windows{0.05, 0.15},
+                          Windows{0.10, 0.30}, Windows{0.25, 0.50},
+                          Windows{0.50, 0.75}, Windows{1.00, 1.00}}) {
+    runner::ConfigVariant variant;
+    variant.label = "windows=" + TextTable::fmt(w.read, 2) + "/" +
+                    TextTable::fmt(w.write, 2);
+    variant.config.migration.read_perc = w.read;
+    variant.config.migration.write_perc = w.write;
+    variants.push_back(std::move(variant));
+  }
+  const auto sweep = bench::run_grid(workloads, {"two-lru"}, ctx, variants);
+  if (sweep.failures() != 0) return 1;
+
+  // Grid order is workload-major, so each workload owns one contiguous
+  // chunk of |variants| result slots.
+  for (std::size_t w = 0; w < workloads.size(); ++w) {
+    std::cout << "--- " << workloads[w].name << " ---\n";
     TextTable table({"read_perc", "write_perc", "promotions/kacc",
                      "APPR (nJ)", "AMAT (ns)"});
-    const auto& profile = synth::parsec_profile(workload);
-    struct Windows {
-      double read, write;
-    };
-    for (const Windows w : {Windows{0.02, 0.06}, Windows{0.05, 0.15},
-                            Windows{0.10, 0.30}, Windows{0.25, 0.50},
-                            Windows{0.50, 0.75}, Windows{1.00, 1.00}}) {
-      sim::ExperimentConfig config;
-      config.migration.read_perc = w.read;
-      config.migration.write_perc = w.write;
-      const auto r = bench::run(profile, "two-lru", ctx, config);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      const auto& r = sweep.jobs[w * variants.size() + v].result;
+      const auto& migration = variants[v].config.migration;
       table.add_row(
-          {TextTable::fmt(w.read, 2), TextTable::fmt(w.write, 2),
+          {TextTable::fmt(migration.read_perc, 2),
+           TextTable::fmt(migration.write_perc, 2),
            TextTable::fmt(
                1000.0 * static_cast<double>(r.counts.migrations_to_dram) /
                    static_cast<double>(r.accesses),

@@ -41,7 +41,8 @@ constexpr std::size_t kTopP = 3;
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/512);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/512,
+                                     bench::SharedFlags::kJobs);
 
   const std::vector<synth::WorkloadProfile> workloads = {
       synth::parsec_profile("canneal"), synth::parsec_profile("streamcluster")};
@@ -77,7 +78,6 @@ int main(int argc, char** argv) {
   spec.scale = ctx.scale;
   spec.base_seed = ctx.seed;
   spec.seed_mode = runner::SeedMode::kShared;
-  bench::apply_overrides(spec, ctx);
 
   // refine_top 0: estimate AND simulate every cell — the comparison needs
   // both sides everywhere.

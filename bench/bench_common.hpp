@@ -1,33 +1,39 @@
-// Shared plumbing for the figure-reproduction harnesses.
+// Shared plumbing for the bench harnesses.
 //
-// Every harness accepts:
+// A harness accepts only the flags it reads: one of the three shared sets
+// below (SharedFlags) plus its own, which its header comment lists
+// (bench_paper's --csv, bench_matrix's --json, ...).
 //   --scale N   divide each workload's Table III access counts (and working
-//               set, keeping all ratios) by N. Default 64: the full suite
-//               runs in seconds with the same shapes as scale 1.
+//               set, keeping all ratios) by N. Default set per harness (64
+//               for most): the full suite runs in seconds with the same
+//               shapes as scale 1.
 //   --seed S    generator seed (default 42).
-//   --jobs N    worker threads for grid-shaped harnesses (default: the
-//               hardware concurrency). 1 = serial reference path. Results
-//               are byte-identical for every N.
-//   --csv       additionally dump the table as CSV to stdout.
+//   --jobs N    worker threads for the harnesses that fan cells out
+//               (default: the hardware concurrency). 1 = serial reference
+//               path. Results are byte-identical for every N.
 //   --timeline PATH
 //               sample an epoch time-series during every measured run and
-//               write the spliced per-job timeline CSV to PATH (grid-shaped
-//               harnesses; see src/obs/). Off by default: the replay loop
-//               stays uninstrumented.
+//               write the spliced per-job timeline CSV to PATH (harnesses
+//               whose cells run through run_grid or the sweep runner, and
+//               bench_tenants; see src/obs/). Off by default: the replay
+//               loop stays uninstrumented.
 //   --epoch N   timeline epoch length in accesses (default 1024; only
 //               meaningful with --timeline).
 //
-// Unknown flags are rejected through util::cli's check, and the harness
-// then lists the full flag set, so a typo ("--job 4") fails loudly instead
-// of silently running the default configuration. So are malformed values
-// ("--scale abc", "--scale 0", "--csv maybe"): one stderr line naming the
-// flag and the value, then exit code 2.
+// Any other flag is rejected through util::cli's check, and the harness
+// then lists the flags it accepts, so a typo ("--job 4") or a flag the
+// harness would ignore fails loudly instead of silently running the
+// default configuration. So are malformed values ("--scale abc",
+// "--scale 0"): one stderr line naming the flag and the value, then exit
+// code 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,37 +51,46 @@ namespace hymem::bench {
 struct BenchContext {
   std::uint64_t scale = 64;
   std::uint64_t seed = 42;
-  bool csv = false;
   unsigned jobs = 1;  ///< Sweep worker threads.
   std::string timeline;  ///< --timeline PATH; empty = sampling off.
   std::uint64_t timeline_epoch = 1024;  ///< --epoch N.
 };
 
-/// The flags every harness accepts, with one-line help.
+/// The shared flags with one-line help, in the order SharedFlags counts
+/// them.
 inline const std::vector<std::pair<std::string, std::string>>&
-common_flag_help() {
+shared_flag_help() {
   static const std::vector<std::pair<std::string, std::string>> help = {
       {"scale", "divide Table III access counts by N (default harness-set)"},
       {"seed", "generator seed (default 42)"},
       {"jobs", "sweep worker threads (default: hardware concurrency)"},
-      {"csv", "also dump the table as CSV to stdout"},
       {"timeline", "write the spliced epoch time-series CSV to PATH"},
       {"epoch", "timeline epoch length in accesses (default 1024)"},
   };
   return help;
 }
 
-/// Exits with the full flag list when argv contains a flag outside the
-/// common set plus `extra_flags` (harness-specific additions like --json).
-inline void reject_unknown_flags(const CliArgs& args,
+/// The shared flags a harness reads: the first N entries of
+/// shared_flag_help().
+enum class SharedFlags : std::size_t {
+  kTrace = 2,     ///< --scale and --seed: it generates its own traces.
+  kJobs = 3,      ///< ... and --jobs: it fans its cells out over workers.
+  kTimeline = 5,  ///< ... and --timeline, --epoch: it samples a timeline.
+};
+
+/// Exits with the accepted flag list when argv contains a flag outside the
+/// `shared` set plus `extra_flags` (harness-specific additions like --json).
+inline void reject_unknown_flags(const CliArgs& args, SharedFlags shared,
                                  const std::vector<std::string>& extra_flags) {
+  const std::span accepted(shared_flag_help().data(),
+                           static_cast<std::size_t>(shared));
   std::vector<std::string> known = extra_flags;
-  for (const auto& [flag, help] : common_flag_help()) known.push_back(flag);
+  for (const auto& [flag, help] : accepted) known.push_back(flag);
   try {
     args.reject_unknown(known);
   } catch (const std::invalid_argument& e) {
     std::cerr << args.program() << ": " << e.what() << "\n\nAccepted flags:\n";
-    for (const auto& [flag, help] : common_flag_help()) {
+    for (const auto& [flag, help] : accepted) {
       std::cerr << "  --" << flag << "  " << help << "\n";
     }
     for (const std::string& flag : extra_flags) {
@@ -114,15 +129,16 @@ inline bool bool_flag(const CliArgs& args, const std::string& name, bool def) {
   }
 }
 
+/// Parses the `shared` flags plus `extra_flags` (read by the harness
+/// itself); a flag it does not read keeps its default.
 inline BenchContext parse_args(
-    int argc, char** argv, std::uint64_t default_scale = 64,
+    int argc, char** argv, std::uint64_t default_scale, SharedFlags shared,
     const std::vector<std::string>& extra_flags = {}) {
   const CliArgs args(argc, argv);
-  reject_unknown_flags(args, extra_flags);
+  reject_unknown_flags(args, shared, extra_flags);
   BenchContext ctx;
   ctx.scale = uint_flag(args, "scale", default_scale, /*min=*/1);
   ctx.seed = uint_flag(args, "seed", 42);
-  ctx.csv = bool_flag(args, "csv", false);
   ctx.jobs = static_cast<unsigned>(
       uint_flag(args, "jobs", runner::ThreadPool::default_threads()));
   ctx.timeline = args.get("timeline");
@@ -163,14 +179,6 @@ inline void print_header(const std::string& title, const BenchContext& ctx) {
   sim::print_memory_characteristics(std::cout, mem::dram_table4(),
                                     mem::pcm_table4());
   std::cout << '\n';
-}
-
-/// Runs one (workload, policy) experiment at the bench's scale.
-inline sim::RunResult run(const synth::WorkloadProfile& profile,
-                          const std::string& policy, const BenchContext& ctx,
-                          sim::ExperimentConfig config = {}) {
-  config.policy = policy;
-  return sim::run_workload(profile, ctx.scale, config, ctx.seed);
 }
 
 /// Runs a (workload × policy × variant) grid through the sweep runner on

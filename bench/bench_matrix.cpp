@@ -14,7 +14,8 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, 64, {"json"});
+  const auto ctx = bench::parse_args(argc, argv, 64,
+                                     bench::SharedFlags::kTimeline, {"json"});
   const CliArgs args(argc, argv);
   const bool json = bench::bool_flag(args, "json", false);
   bench::print_header("Policy x workload matrix", ctx);

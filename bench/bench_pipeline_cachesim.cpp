@@ -12,7 +12,8 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/1);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/1,
+                                     bench::SharedFlags::kTrace);
   bench::print_header("Table II — cache hierarchy substrate (COTSon stand-in)",
                       ctx);
 

@@ -36,7 +36,8 @@ std::string u64(std::uint64_t value) { return std::to_string(value); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,
+                                     bench::SharedFlags::kTimeline);
 
   std::vector<synth::WorkloadProfile> workloads = {
       synth::parsec_profile("canneal"), synth::parsec_profile("streamcluster")};

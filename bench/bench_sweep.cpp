@@ -31,7 +31,8 @@ using namespace hymem;
 
 int main(int argc, char** argv) {
   const auto ctx =
-      bench::parse_args(argc, argv, 64, {"json", "prescreen", "refine-top"});
+      bench::parse_args(argc, argv, 64, bench::SharedFlags::kTimeline,
+                        {"json", "prescreen", "refine-top"});
   const CliArgs args(argc, argv);
   const bool json = bench::bool_flag(args, "json", false);
   const std::string prescreen = args.get("prescreen");

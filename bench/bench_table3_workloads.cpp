@@ -15,7 +15,8 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/64,
+                                     bench::SharedFlags::kTrace);
   bench::print_header("Table III — workload characterization (measured)", ctx);
 
   TextTable table(sim::table_schema("table3").columns);

@@ -171,7 +171,8 @@ CellOutput run_cell(const Cell& cell) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/8);
+  const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/8,
+                                     bench::SharedFlags::kTimeline);
   const std::uint64_t accesses =
       std::max<std::uint64_t>(160000 / std::max<std::uint64_t>(ctx.scale, 1),
                               2000);

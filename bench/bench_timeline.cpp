@@ -25,7 +25,7 @@
 using namespace hymem;
 
 int main(int argc, char** argv) {
-  auto ctx = bench::parse_args(argc, argv, 64,
+  auto ctx = bench::parse_args(argc, argv, 64, bench::SharedFlags::kTimeline,
                                {"json", "workload", "policy"});
   const CliArgs args(argc, argv);
   const bool json = bench::bool_flag(args, "json", false);

@@ -74,6 +74,41 @@ std::vector<std::string> FigureTable::amean_left_out(
   return split_totals(series_index, finite).left_out;
 }
 
+FigureTable::GeomeanRatio FigureTable::geomean_ratio(
+    std::size_t numerator, std::size_t denominator) const {
+  HYMEM_CHECK(numerator < series_.size() && denominator < series_.size());
+  GeomeanRatio ratio;
+  std::vector<double> kept_numerator;
+  std::vector<double> kept_denominator;
+  for (const Row& r : rows_) {
+    const double top = r.stacks[numerator].total();
+    const double bottom = r.stacks[denominator].total();
+    if (positive(top) && positive(bottom)) {
+      kept_numerator.push_back(top);
+      kept_denominator.push_back(bottom);
+    } else if (positive(top) || positive(bottom)) {
+      ratio.one_sided.push_back(r.workload);
+    }
+  }
+  ratio.value =
+      geometric_mean(kept_numerator) / geometric_mean(kept_denominator);
+  return ratio;
+}
+
+void FigureTable::print_geomean_ratio(std::ostream& out,
+                                      const std::string& label,
+                                      std::size_t numerator,
+                                      std::size_t denominator) const {
+  const GeomeanRatio ratio = geomean_ratio(numerator, denominator);
+  out << label << ": " << ratio.value << "\n";
+  if (ratio.one_sided.empty()) return;
+  out << "Ratio leaves out rows that only one series keeps:";
+  for (std::size_t i = 0; i < ratio.one_sided.size(); ++i) {
+    out << (i == 0 ? " " : ", ") << ratio.one_sided[i];
+  }
+  out << "\n";
+}
+
 void FigureTable::print_left_out(std::ostream& out, const char* mean,
                                  const char* what, bool (*keep)(double)) const {
   std::string left_out;

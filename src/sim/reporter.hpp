@@ -63,6 +63,22 @@ class FigureTable {
   /// The workloads amean_total(series_index) leaves out, in row order.
   std::vector<std::string> amean_left_out(std::size_t series_index) const;
 
+  /// The G-Mean of series `numerator` over that of series `denominator`,
+  /// both taken over the rows whose totals are positive in both series, so
+  /// the quotient compares like with like, and the rows this leaves out
+  /// although one of the two series' own G-Means keeps them.
+  struct GeomeanRatio {
+    double value = 0.0;
+    std::vector<std::string> one_sided;
+  };
+  GeomeanRatio geomean_ratio(std::size_t numerator,
+                             std::size_t denominator) const;
+  /// Prints "<label>: <ratio>" and, when the ratio leaves out a row one
+  /// series keeps, one line naming those rows.
+  void print_geomean_ratio(std::ostream& out, const std::string& label,
+                           std::size_t numerator,
+                           std::size_t denominator) const;
+
  private:
   struct Row {
     std::string workload;

@@ -1,8 +1,8 @@
 // Golden tests pinning every machine-readable output header: the CSV header
-// of each bench_fig* figure (via the schema registry the benches now build
-// their tables from), the bench_table* column lists, and the flat RunResult
-// CSV projection. Downstream plotting scripts key on these exact strings, so
-// any change here is an interface break and must be deliberate.
+// of each figure bench_paper prints (via the schema registry it builds its
+// tables from), every registered text table's column list, and the flat
+// RunResult CSV projection. Downstream plotting scripts key on these exact
+// strings, so any change here is an interface break and must be deliberate.
 #include "sim/figure_schemas.hpp"
 
 #include <gtest/gtest.h>

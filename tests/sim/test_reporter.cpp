@@ -101,6 +101,51 @@ TEST(FigureTable, GeomeanLeavesOutZeroTotalsAndNamesThem) {
       << none_text.str();
 }
 
+// A ratio of two G-Means that left out different rows would divide means
+// over different workloads (fig4b at scale 4096: CLOCK-DWF's bodytrack total
+// is 0, two-LRU's is not). The ratio takes both over the rows positive in
+// both series and names each row only one series keeps; a row both leave
+// out is already named by the G-Mean note.
+TEST(FigureTable, GeomeanRatioTakesBothMeansOverTheRowsBothKeep) {
+  FigureTable t("ratio", {"c"}, {"a", "b"});
+  t.add("w1", {Stack{{2.0}}, Stack{{1.0}}});
+  t.add("w2", {Stack{{0.0}}, Stack{{4.0}}});
+  t.add("w3", {Stack{{8.0}}, Stack{{4.0}}});
+  t.add("w4", {Stack{{0.0}}, Stack{{0.0}}});
+  t.add("w5", {Stack{{3.0}}, Stack{{std::nan("")}}});
+  EXPECT_EQ(t.geomean_left_out(0), (std::vector<std::string>{"w2", "w4"}));
+  EXPECT_EQ(t.geomean_left_out(1), (std::vector<std::string>{"w4", "w5"}));
+
+  // Over w1 and w3: G-Mean(b) = sqrt(1 * 4) = 2, G-Mean(a) = sqrt(2 * 8) = 4.
+  const FigureTable::GeomeanRatio ratio = t.geomean_ratio(1, 0);
+  EXPECT_DOUBLE_EQ(ratio.value, 0.5);
+  EXPECT_EQ(ratio.one_sided, (std::vector<std::string>{"w2", "w5"}));
+  // Each series' own G-Mean keeps its own rows, so their quotient differs.
+  EXPECT_GT(std::abs(t.geomean_total(1) / t.geomean_total(0) - 0.5), 0.1);
+
+  std::ostringstream out;
+  t.print_geomean_ratio(out, "b / a (G-Mean)", 1, 0);
+  EXPECT_EQ(out.str(),
+            "b / a (G-Mean): 0.5\n"
+            "Ratio leaves out rows that only one series keeps: w2, w5\n");
+
+  // When both series leave out the same rows, the ratio is exactly the
+  // quotient of the two G-Means and no row is named.
+  FigureTable same("same", {"c"}, {"a", "b"});
+  same.add("w1", {Stack{{3.0}}, Stack{{0.7}}});
+  same.add("w2", {Stack{{0.0}}, Stack{{0.0}}});
+  same.add("w3", {Stack{{5.0}}, Stack{{1.3}}});
+  const FigureTable::GeomeanRatio plain = same.geomean_ratio(1, 0);
+  EXPECT_EQ(plain.value, same.geomean_total(1) / same.geomean_total(0));
+  EXPECT_TRUE(plain.one_sided.empty());
+  std::ostringstream plain_out;
+  same.print_geomean_ratio(plain_out, "b / a", 1, 0);
+  std::ostringstream quotient;
+  quotient << "b / a: " << same.geomean_total(1) / same.geomean_total(0)
+           << "\n";
+  EXPECT_EQ(plain_out.str(), quotient.str());
+}
+
 TEST(FigureTable, ArityMismatchRejected) {
   FigureTable t("x", {"c1"}, {"s1"});
   EXPECT_THROW(t.add("w", {Stack{{1.0}}, Stack{{1.0}}}), std::logic_error);
