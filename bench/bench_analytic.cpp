@@ -15,7 +15,6 @@
 // stderr summary reports analytic throughput and top-3 recovery per
 // workload.
 #include <algorithm>
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -29,12 +28,6 @@
 using namespace hymem;
 
 namespace {
-
-std::string fmt_double(double value) {
-  std::ostringstream os;
-  os << std::setprecision(12) << value;
-  return os.str();
-}
 
 constexpr std::size_t kTopP = 3;
 

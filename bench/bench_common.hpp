@@ -158,16 +158,22 @@ inline void apply_overrides(runner::SweepSpec& spec, const BenchContext& ctx) {
 }
 
 /// Writes the sweep's spliced timeline CSV to ctx.timeline (no-op when the
-/// flag was absent). Row count goes to stderr, keeping stdout deterministic.
+/// flag was absent). The harness's first sweep creates the file with its
+/// header; every later sweep appends its rows, so a harness that runs
+/// several grids keeps all of them, in run order. Row count goes to
+/// stderr, keeping stdout deterministic.
 inline void maybe_write_timeline(const runner::SweepResults& sweep,
                                  const BenchContext& ctx) {
   if (ctx.timeline.empty()) return;
-  std::ofstream out(ctx.timeline, std::ios::binary);
+  static bool started = false;  // one timeline file per harness run
+  std::ofstream out(ctx.timeline, started ? std::ios::binary | std::ios::app
+                                          : std::ios::binary);
   if (!out) {
     std::cerr << "cannot open --timeline path: " << ctx.timeline << "\n";
     return;
   }
-  const std::size_t rows = sweep.write_timeline_csv(out);
+  const std::size_t rows = sweep.write_timeline_csv(out, /*header=*/!started);
+  started = true;
   std::cerr << "timeline: " << rows << " epoch rows (epoch "
             << ctx.timeline_epoch << ") -> " << ctx.timeline << "\n";
 }

@@ -11,7 +11,6 @@
 // sampled-lru configuration, with amat_vs_two_lru normalizing each row to
 // the same workload's omniscient two-LRU run. Stdout is byte-identical for
 // every --jobs value (virtual-time migrator + sweep determinism contract).
-#include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -22,18 +21,6 @@
 #include "util/csv.hpp"
 
 using namespace hymem;
-
-namespace {
-
-std::string fmt_double(double value) {
-  std::ostringstream os;
-  os << std::setprecision(12) << value;
-  return os.str();
-}
-
-std::string u64(std::uint64_t value) { return std::to_string(value); }
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto ctx = bench::parse_args(argc, argv, /*default_scale=*/128,

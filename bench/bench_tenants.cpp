@@ -24,9 +24,7 @@
 // deterministic replays fanned out over a pool, written back by index.
 #include <cstdint>
 #include <fstream>
-#include <iomanip>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,14 +39,6 @@
 using namespace hymem;
 
 namespace {
-
-std::string fmt_double(double value) {
-  std::ostringstream os;
-  os << std::setprecision(12) << value;
-  return os.str();
-}
-
-std::string u64(std::uint64_t value) { return std::to_string(value); }
 
 struct Scenario {
   synth::TenantChurnSpec mixed;
@@ -138,13 +128,7 @@ tenant::TenantGroupResult replay(const synth::TenantStream& stream,
                                  const tenant::TenantGroupConfig& config,
                                  double* victim_retention) {
   tenant::TenantGroup group(config);
-  for (const synth::TenantOp& op : stream.ops) {
-    switch (op.kind) {
-      case synth::TenantOp::Kind::kArrive: group.arrive(op.tenant); break;
-      case synth::TenantOp::Kind::kDepart: group.depart(op.tenant); break;
-      default: group.serve(op.tenant, op.access); break;
-    }
-  }
+  for (const synth::TenantOp& op : stream.ops) group.apply(op);
   const std::vector<PageId> hot = stream.hot_pages(0);
   *victim_retention = group.hot_set_dram_retention(0, hot);
   return group.finish(stream.name);

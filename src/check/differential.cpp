@@ -292,7 +292,6 @@ DiffResult run_differential(const trace::Trace& trace, const DiffSpec& spec) {
   vmm_config.nvm_frames = spec.nvm_frames;
   os::Vmm vmm(vmm_config);
   core::TwoLruMigrationPolicy policy(vmm, spec.migration);
-  if (spec.invariants_every_access) install_invariant_hook(policy);
   ReferenceModel oracle(spec.dram_frames, spec.nvm_frames,
                         biased(spec.migration, spec.oracle_threshold_bias),
                         vmm.page_factor());
@@ -306,9 +305,10 @@ DiffResult run_differential(const trace::Trace& trace, const DiffSpec& spec) {
     Decision sim_decision;
     try {
       policy.on_access(page, type);
+      if (spec.invariants_every_access) check_invariants(policy);
       sim_decision = probe.after(policy, page);
     } catch (const std::logic_error& e) {
-      // An invariant tripped mid-access: report it at this index.
+      // An invariant tripped on this access: report it at this index.
       result.accesses = i + 1;
       result.divergence = Divergence{i, std::string("invariant: ") + e.what()};
       return result;

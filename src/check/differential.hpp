@@ -36,9 +36,9 @@ struct DiffSpec {
   std::size_t dram_frames = 0;
   std::size_t nvm_frames = 0;
   core::MigrationConfig migration;
-  /// Run the full structural invariant audit after every access (the
-  /// HYMEM_CHECK hook in the policy). Catches corruption at the access
-  /// that caused it instead of at the next observable divergence.
+  /// Run the full structural invariant audit (check_invariants) after
+  /// every access. Catches corruption at the access that caused it instead
+  /// of at the next observable divergence.
   bool invariants_every_access = true;
   /// Deep state diff (queue orders, counters, windows) every N accesses;
   /// 0 = only at the end. The per-access decision diff always runs.

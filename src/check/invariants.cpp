@@ -66,11 +66,4 @@ void check_invariants(const core::TwoLruMigrationPolicy& policy) {
   vmm.check_consistency();
 }
 
-void install_invariant_hook(core::TwoLruMigrationPolicy& policy) {
-  policy.set_audit_hook(
-      [](const core::TwoLruMigrationPolicy& p, PageId, AccessType) {
-        check_invariants(p);
-      });
-}
-
 }  // namespace hymem::check

@@ -15,8 +15,7 @@
 //
 // Violations throw std::logic_error (via HYMEM_CHECK) so tests can assert
 // on them and fuzz harnesses can shrink the offending trace. The checker is
-// O(resident pages); install_invariant_hook() wires it into the policy's
-// per-access audit hook for debug runs.
+// O(resident pages); the differential harness calls it after every access.
 #pragma once
 
 #include "core/migration_scheme.hpp"
@@ -26,9 +25,5 @@ namespace hymem::check {
 /// Validates all structural invariants of `policy` and its VMM. Throws
 /// std::logic_error describing the first violation.
 void check_invariants(const core::TwoLruMigrationPolicy& policy);
-
-/// Installs check_invariants as `policy`'s audit hook, so every on_access
-/// is followed by a full structural audit (the HYMEM_CHECK debug hook).
-void install_invariant_hook(core::TwoLruMigrationPolicy& policy);
 
 }  // namespace hymem::check

@@ -66,13 +66,6 @@ void check_invariants(const sample::SampledLruPolicy& policy) {
   vmm.check_consistency();
 }
 
-void install_invariant_hook(sample::SampledLruPolicy& policy) {
-  policy.set_audit_hook(
-      [](const sample::SampledLruPolicy& p, PageId, AccessType) {
-        check_invariants(p);
-      });
-}
-
 namespace {
 
 /// Sampling tunables from the same seed, on a stream distinct from the
@@ -98,7 +91,6 @@ SampledFuzzOutcome replay(const FuzzCase& fc, const sample::SampleConfig& scfg,
   vcfg.nvm_frames = fc.nvm_frames;
   os::Vmm vmm(vcfg);
   sample::SampledLruPolicy policy(vmm, scfg);
-  if (audit_every_access) install_invariant_hook(policy);
 
   const trace::PageIdInterner interner(fc.trace, vcfg.page_size);
   const std::span<const PageId> pages = interner.pages();
@@ -106,6 +98,7 @@ SampledFuzzOutcome replay(const FuzzCase& fc, const sample::SampleConfig& scfg,
   SampledFuzzOutcome out;
   for (std::size_t i = 0; i < pages.size(); ++i) {
     policy.on_access(pages[i], accesses[i].type);
+    if (audit_every_access) check_invariants(policy);
   }
   check_invariants(policy);
   out.accesses = pages.size();
@@ -143,7 +136,7 @@ SampledFuzzOutcome run_sampled_fuzz_case(std::uint64_t seed,
   first.describe = describe.str();
 
   // Determinism oracle: a fresh second replay (no per-access audit — the
-  // hook itself must not affect behavior either) must land on identical
+  // audit itself must not affect behavior either) must land on identical
   // state and stats.
   const SampledFuzzOutcome second =
       replay(fc, scfg, /*audit_every_access=*/false);

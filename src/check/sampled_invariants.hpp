@@ -16,7 +16,7 @@
 //
 // run_sampled_fuzz_case() derives a scenario from a seed (memory shape and
 // trace from the shared fuzzer, sampling tunables from the same splitmix64
-// stream), replays it with the per-access audit hook installed, and then
+// stream), replays it with check_invariants after every access, and then
 // replays it a second time from scratch to assert the virtual-time migrator
 // is fully deterministic (identical final stats and event counts).
 #pragma once
@@ -32,10 +32,6 @@ namespace hymem::check {
 /// Validates all structural invariants of `policy` and its VMM. Throws
 /// std::logic_error describing the first violation.
 void check_invariants(const sample::SampledLruPolicy& policy);
-
-/// Installs check_invariants as `policy`'s audit hook, so every on_access
-/// is followed by a full structural audit.
-void install_invariant_hook(sample::SampledLruPolicy& policy);
 
 /// What one sampled fuzz replay produced (for test assertions).
 struct SampledFuzzOutcome {

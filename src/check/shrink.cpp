@@ -18,37 +18,28 @@ trace::Trace from_accesses(const std::vector<trace::MemAccess>& accesses,
   return t;
 }
 
-}  // namespace
-
-trace::Trace shrink_trace(const trace::Trace& failing,
-                          const FailurePredicate& still_fails,
-                          std::size_t max_predicate_calls) {
-  HYMEM_CHECK_MSG(!failing.empty(), "cannot shrink an empty trace");
-  const std::string name = failing.name() + "-min";
-  std::vector<trace::MemAccess> best(failing.begin(), failing.end());
-  std::size_t calls = 0;
-  const auto fails = [&](const std::vector<trace::MemAccess>& candidate) {
-    ++calls;
-    return !candidate.empty() && still_fails(from_accesses(candidate, name));
-  };
-
-  // Delta debugging: remove [i, i+chunk) wherever the failure survives,
-  // halving the chunk until single accesses, and restarting from the large
-  // chunks after any whole pass that removed something.
+/// Delta debugging: removes [i, i+chunk) from `best` wherever `fails` still
+/// holds, halving the chunk down to single elements, and restarting from
+/// the large chunks after any whole pass that removed something. Every
+/// predicate call counts against `max_calls` in `calls`; an empty candidate
+/// never fails.
+template <typename T, typename Fails>
+std::vector<T> remove_chunks(std::vector<T> best, const Fails& fails,
+                             std::size_t& calls, std::size_t max_calls) {
   bool progress = true;
-  while (progress && calls < max_predicate_calls) {
+  while (progress && calls < max_calls) {
     progress = false;
     for (std::size_t chunk = best.size() / 2; chunk >= 1; chunk /= 2) {
-      for (std::size_t i = 0; i + chunk <= best.size() &&
-                              calls < max_predicate_calls;) {
-        std::vector<trace::MemAccess> candidate;
+      for (std::size_t i = 0; i + chunk <= best.size() && calls < max_calls;) {
+        std::vector<T> candidate;
         candidate.reserve(best.size() - chunk);
         candidate.insert(candidate.end(), best.begin(),
                          best.begin() + static_cast<std::ptrdiff_t>(i));
         candidate.insert(
             candidate.end(),
             best.begin() + static_cast<std::ptrdiff_t>(i + chunk), best.end());
-        if (fails(candidate)) {
+        ++calls;
+        if (!candidate.empty() && fails(candidate)) {
           best = std::move(candidate);
           progress = true;
           // Do not advance: the next chunk shifted into position i.
@@ -59,6 +50,23 @@ trace::Trace shrink_trace(const trace::Trace& failing,
       if (chunk == 1) break;
     }
   }
+  return best;
+}
+
+}  // namespace
+
+trace::Trace shrink_trace(const trace::Trace& failing,
+                          const FailurePredicate& still_fails,
+                          std::size_t max_predicate_calls) {
+  HYMEM_CHECK_MSG(!failing.empty(), "cannot shrink an empty trace");
+  const std::string name = failing.name() + "-min";
+  const auto fails = [&](const std::vector<trace::MemAccess>& candidate) {
+    return still_fails(from_accesses(candidate, name));
+  };
+  std::size_t calls = 0;
+  std::vector<trace::MemAccess> best = remove_chunks(
+      std::vector<trace::MemAccess>(failing.begin(), failing.end()), fails,
+      calls, max_predicate_calls);
 
   // Canonicalize: renumber pages densely in order of first appearance, so
   // repros read as "page 0, page 1, ..." regardless of the original
@@ -80,42 +88,8 @@ std::vector<synth::TenantOp> shrink_tenant_ops(
     const TenantOpsPredicate& still_fails,
     std::size_t max_predicate_calls) {
   HYMEM_CHECK_MSG(!failing.empty(), "cannot shrink an empty op stream");
-  std::vector<synth::TenantOp> best = failing;
   std::size_t calls = 0;
-  const auto fails = [&](const std::vector<synth::TenantOp>& candidate) {
-    ++calls;
-    return !candidate.empty() && still_fails(candidate);
-  };
-
-  // Same delta-debugging loop as shrink_trace: remove [i, i+chunk)
-  // wherever the failure survives, halving the chunk to single ops, and
-  // restarting after any pass that removed something.
-  bool progress = true;
-  while (progress && calls < max_predicate_calls) {
-    progress = false;
-    for (std::size_t chunk = best.size() / 2; chunk >= 1; chunk /= 2) {
-      for (std::size_t i = 0;
-           i + chunk <= best.size() && calls < max_predicate_calls;) {
-        std::vector<synth::TenantOp> candidate;
-        candidate.reserve(best.size() - chunk);
-        candidate.insert(candidate.end(), best.begin(),
-                         best.begin() + static_cast<std::ptrdiff_t>(i));
-        candidate.insert(
-            candidate.end(),
-            best.begin() + static_cast<std::ptrdiff_t>(i + chunk),
-            best.end());
-        if (fails(candidate)) {
-          best = std::move(candidate);
-          progress = true;
-          // Do not advance: the next chunk shifted into position i.
-        } else {
-          ++i;
-        }
-      }
-      if (chunk == 1) break;
-    }
-  }
-  return best;
+  return remove_chunks(failing, still_fails, calls, max_predicate_calls);
 }
 
 }  // namespace hymem::check

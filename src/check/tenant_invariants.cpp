@@ -67,11 +67,6 @@ void check_invariants(const tenant::TenantGroup& group) {
                   "per-tenant NVM residency must cover the shards exactly");
 }
 
-void install_invariant_hook(tenant::TenantGroup& group) {
-  group.set_audit_hook(
-      [](const tenant::TenantGroup& g) { check_invariants(g); });
-}
-
 namespace {
 
 void expect_equal(std::uint64_t a, std::uint64_t b, const char* what) {
@@ -111,8 +106,11 @@ tenant::TenantGroupResult replay(const TenantFuzzCase& fc,
                                  const synth::TenantStream& stream,
                                  bool audit_every_op) {
   tenant::TenantGroup group(fc.group);
-  if (audit_every_op) install_invariant_hook(group);
-  tenant::TenantGroupResult result = group.run(stream);
+  for (const synth::TenantOp& op : stream.ops) {
+    group.apply(op);
+    if (audit_every_op) check_invariants(group);
+  }
+  tenant::TenantGroupResult result = group.finish(stream.name);
   check_invariants(group);
   return result;
 }
@@ -130,9 +128,9 @@ TenantFuzzOutcome run_tenant_fuzz_case(std::uint64_t seed,
   const tenant::TenantGroupResult first =
       replay(fc, stream, /*audit_every_op=*/true);
 
-  // Determinism oracle: a fresh second replay (without the audit hook — the
-  // hook itself must not affect behavior either) must land on identical
-  // ledgers.
+  // Determinism oracle: a fresh second replay (without the per-operation
+  // audit — the audit itself must not affect behavior either) must land on
+  // identical ledgers.
   const tenant::TenantGroupResult second =
       replay(fc, stream, /*audit_every_op=*/false);
   expect_equal(first.accesses, second.accesses, "access count");
@@ -155,19 +153,7 @@ TenantFuzzOutcome run_tenant_fuzz_case(std::uint64_t seed,
   // Attribution conservation: the per-tenant ledgers sum to the group
   // totals field by field (every event is charged to exactly one tenant).
   model::EventCounts sum;
-  for (const tenant::TenantCounters& t : first.tenants) {
-    sum.accesses += t.counts.accesses;
-    sum.dram_read_hits += t.counts.dram_read_hits;
-    sum.dram_write_hits += t.counts.dram_write_hits;
-    sum.nvm_read_hits += t.counts.nvm_read_hits;
-    sum.nvm_write_hits += t.counts.nvm_write_hits;
-    sum.page_faults += t.counts.page_faults;
-    sum.fills_to_dram += t.counts.fills_to_dram;
-    sum.fills_to_nvm += t.counts.fills_to_nvm;
-    sum.migrations_to_dram += t.counts.migrations_to_dram;
-    sum.migrations_to_nvm += t.counts.migrations_to_nvm;
-    sum.dirty_evictions += t.counts.dirty_evictions;
-  }
+  for (const tenant::TenantCounters& t : first.tenants) sum += t.counts;
   expect_counts_equal(sum, first.totals, "tenant-ledger sum vs totals");
 
   TenantFuzzOutcome out;

@@ -17,8 +17,8 @@
 //     (Vmm::check_consistency).
 //
 // run_tenant_fuzz_case() derives a churn scenario from a seed
-// (make_tenant_fuzz_case), replays it with the per-operation audit hook
-// installed, replays it a second time from scratch to assert determinism
+// (make_tenant_fuzz_case), replays it with check_invariants after every
+// operation, replays it a second time from scratch to assert determinism
 // (identical totals, per-tenant ledgers and reconfiguration counts), and
 // asserts attribution conservation: the per-tenant event ledgers sum to the
 // group totals field by field.
@@ -35,10 +35,6 @@ namespace hymem::check {
 /// Validates all structural invariants of `group`. Throws std::logic_error
 /// describing the first violation. Callable mid-run and after finish().
 void check_invariants(const tenant::TenantGroup& group);
-
-/// Installs check_invariants as `group`'s audit hook, so every completed
-/// serve/arrive/depart is followed by a full structural audit.
-void install_invariant_hook(tenant::TenantGroup& group);
 
 /// What one tenant fuzz replay produced (for test assertions).
 struct TenantFuzzOutcome {

@@ -1,7 +1,5 @@
 #include "core/migration_scheme.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace hymem::core {
@@ -92,59 +90,12 @@ bool TwoLruMigrationPolicy::admit_promotion() {
   return true;
 }
 
-policy::Served TwoLruMigrationPolicy::nvm_hit(PageId page,
-                                              CountedLruQueue::Slot slot,
-                                              AccessType type) {
-  policy::Served served = hit(Tier::kNvm, type);
-  const std::uint64_t counter = nvm_.record_hit_at(slot, type);
-  const std::uint64_t threshold =
-      type == AccessType::kRead ? read_threshold() : write_threshold();
-  if (counter > threshold && admit_promotion()) served.latency += promote(page);
-  return served;
-}
-
-policy::Served TwoLruMigrationPolicy::serve(PageId page, std::uint64_t hash,
-                                            AccessType type) {
-  // Refill the promotion token bucket (rate per 1000 accesses).
-  if (config_.max_promotions_per_kacc > 0) {
-    tokens_ = std::min(
-        static_cast<double>(config_.max_promotions_per_kacc),
-        tokens_ + static_cast<double>(config_.max_promotions_per_kacc) / 1000.0);
-  }
-  if (const DramLruQueue::Slot* slot = dram_.find(page, hash)) {
-    // Algorithm 1 lines 2-3: plain LRU housekeeping. The node also carries
-    // the open-promotion score and the parked dirty bit.
-    dram_.touch(*slot).mark_dirty_if(type == AccessType::kWrite);
-    return hit(Tier::kDram, type);
-  }
-  if (type == AccessType::kRead) {
-    if (const CountedLruQueue::Slot* slot = nvm_.find(page, hash)) {
-      return nvm_hit(page, *slot, type);
-    }
-  } else if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
-    // Resident but not in the DRAM queue: must be NVM.
-    HYMEM_CHECK_MSG(entry->tier() == Tier::kNvm, "hit on untracked page");
-    entry->mark_dirty();
-    vmm_.note_nvm_demand_write(entry->frame());
-    const CountedLruQueue::Slot* slot = nvm_.find(page, hash);
-    HYMEM_CHECK_MSG(slot != nullptr, "hit on untracked page");
-    return nvm_hit(page, *slot, type);
-  }
-  return {fault(page, type), policy::Demand::kNone};
-}
-
 Nanoseconds TwoLruMigrationPolicy::fault(PageId page, AccessType type) {
   Nanoseconds latency = 0;
   if (!vmm_.has_free_frame(Tier::kDram)) latency += demote_dram_victim();
   latency += vmm_.fault_in(page, Tier::kDram);
   dram_.insert(page, /*promoted=*/false);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
-  return latency;
-}
-
-Nanoseconds TwoLruMigrationPolicy::on_access(PageId page, AccessType type) {
-  const Nanoseconds latency = policy::serve_one(*this, page, type);
-  if (audit_hook_) audit_hook_(*this, page, type);
   return latency;
 }
 

@@ -15,7 +15,7 @@
 //     arrives.
 #pragma once
 
-#include <functional>
+#include <algorithm>
 #include <memory>
 
 #include "core/adaptive_threshold.hpp"
@@ -23,6 +23,7 @@
 #include "core/migration_config.hpp"
 #include "core/nvm_queue.hpp"
 #include "policy/hybrid_policy.hpp"
+#include "util/check.hpp"
 
 namespace hymem::core {
 
@@ -34,8 +35,6 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   std::string_view name() const override {
     return config_.adaptive ? "two-lru-adaptive" : "two-lru";
   }
-  /// Serves one access, then runs the audit hook.
-  Nanoseconds on_access(PageId page, AccessType type) override;
   Nanoseconds on_block(const policy::AccessBlock& block) override;
   void publish_dirty() override;
 
@@ -44,8 +43,8 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   /// classify an access: a DRAM hit costs one probe (a write parks its
   /// dirty bit on the queue node until the page leaves DRAM), an NVM read
   /// hit two. Only an NVM write also fetches the page-table entry, whose
-  /// frame the wear ledger needs. Defined in the .cpp, where on_block and
-  /// on_access instantiate serve_block and inline it.
+  /// frame the wear ledger needs. Defined below, where on_block's
+  /// serve_block inlines it.
   [[gnu::always_inline]] inline policy::Served serve(PageId page,
                                                      std::uint64_t hash,
                                                      AccessType type);
@@ -69,14 +68,6 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   const AdaptiveThresholdController* controller() const {
     return controller_.get();
   }
-
-  /// Debug hook, run after every completed on_access (HYMEM_CHECK-style
-  /// validation: src/check installs its invariant checker here). Null by
-  /// default; on_block does not run it. The hook must not mutate the
-  /// policy or the VMM.
-  using AuditHook = std::function<void(const TwoLruMigrationPolicy&, PageId,
-                                       AccessType)>;
-  void set_audit_hook(AuditHook hook) { audit_hook_ = std::move(hook); }
 
  private:
   /// Promotes an NVM-resident page into DRAM, demoting the DRAM LRU victim
@@ -106,7 +97,47 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
   std::uint64_t demotions_ = 0;
   std::uint64_t throttled_ = 0;
   double tokens_ = 0.0;
-  AuditHook audit_hook_;
 };
+
+inline policy::Served TwoLruMigrationPolicy::nvm_hit(
+    PageId page, CountedLruQueue::Slot slot, AccessType type) {
+  policy::Served served = hit(Tier::kNvm, type);
+  const std::uint64_t counter = nvm_.record_hit_at(slot, type);
+  const std::uint64_t threshold =
+      type == AccessType::kRead ? read_threshold() : write_threshold();
+  if (counter > threshold && admit_promotion()) served.latency += promote(page);
+  return served;
+}
+
+inline policy::Served TwoLruMigrationPolicy::serve(PageId page,
+                                                   std::uint64_t hash,
+                                                   AccessType type) {
+  // Refill the promotion token bucket (rate per 1000 accesses).
+  if (config_.max_promotions_per_kacc > 0) {
+    tokens_ = std::min(
+        static_cast<double>(config_.max_promotions_per_kacc),
+        tokens_ + static_cast<double>(config_.max_promotions_per_kacc) / 1000.0);
+  }
+  if (const DramLruQueue::Slot* slot = dram_.find(page, hash)) {
+    // Algorithm 1 lines 2-3: plain LRU housekeeping. The node also carries
+    // the open-promotion score and the parked dirty bit.
+    dram_.touch(*slot).mark_dirty_if(type == AccessType::kWrite);
+    return hit(Tier::kDram, type);
+  }
+  if (type == AccessType::kRead) {
+    if (const CountedLruQueue::Slot* slot = nvm_.find(page, hash)) {
+      return nvm_hit(page, *slot, type);
+    }
+  } else if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
+    // Resident but not in the DRAM queue: must be NVM.
+    HYMEM_CHECK_MSG(entry->tier() == Tier::kNvm, "hit on untracked page");
+    entry->mark_dirty();
+    vmm_.note_nvm_demand_write(entry->frame());
+    const CountedLruQueue::Slot* slot = nvm_.find(page, hash);
+    HYMEM_CHECK_MSG(slot != nullptr, "hit on untracked page");
+    return nvm_hit(page, *slot, type);
+  }
+  return {fault(page, type), policy::Demand::kNone};
+}
 
 }  // namespace hymem::core

@@ -42,9 +42,20 @@ struct EventCounts {
     return migrations_to_dram + migrations_to_nvm;
   }
 
+  /// The VMM's cumulative counters: every field but `accesses`, which the
+  /// VMM does not count (left 0).
+  static EventCounts read_counters(const os::Vmm& vmm);
+
   /// Snapshot from a VMM after a run of `accesses` requests. Validates that
   /// hits + faults account for every request.
   static EventCounts from_vmm(const os::Vmm& vmm, std::uint64_t accesses);
+
+  /// Field-by-field difference: the events between two cumulative
+  /// readings. page_factor is a run constant, so it keeps the left
+  /// operand's value.
+  EventCounts operator-(const EventCounts& earlier) const;
+  /// Field-by-field accumulation; page_factor keeps this side's value.
+  EventCounts& operator+=(const EventCounts& more);
 };
 
 }  // namespace hymem::model

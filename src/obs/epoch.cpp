@@ -6,30 +6,6 @@
 
 namespace hymem::obs {
 
-namespace {
-
-/// counts-at-boundary minus counts-at-previous-boundary, field by field.
-/// page_factor is a run constant, not an accumulator, so it carries over.
-model::EventCounts delta_counts(const model::EventCounts& now,
-                                const model::EventCounts& then) {
-  model::EventCounts d;
-  d.accesses = now.accesses - then.accesses;
-  d.dram_read_hits = now.dram_read_hits - then.dram_read_hits;
-  d.dram_write_hits = now.dram_write_hits - then.dram_write_hits;
-  d.nvm_read_hits = now.nvm_read_hits - then.nvm_read_hits;
-  d.nvm_write_hits = now.nvm_write_hits - then.nvm_write_hits;
-  d.page_faults = now.page_faults - then.page_faults;
-  d.fills_to_dram = now.fills_to_dram - then.fills_to_dram;
-  d.fills_to_nvm = now.fills_to_nvm - then.fills_to_nvm;
-  d.migrations_to_dram = now.migrations_to_dram - then.migrations_to_dram;
-  d.migrations_to_nvm = now.migrations_to_nvm - then.migrations_to_nvm;
-  d.dirty_evictions = now.dirty_evictions - then.dirty_evictions;
-  d.page_factor = now.page_factor;
-  return d;
-}
-
-}  // namespace
-
 EpochSampler::EpochSampler(std::uint64_t epoch_length, const os::Vmm& vmm,
                            const core::TwoLruMigrationPolicy* policy,
                            double duration_s,
@@ -62,7 +38,7 @@ void EpochSampler::emit_epoch() {
 
   const model::EventCounts cumulative =
       model::EventCounts::from_vmm(vmm_, accesses_);
-  record.delta = delta_counts(cumulative, last_counts_);
+  record.delta = cumulative - last_counts_;
 
   record.dram_resident = vmm_.resident(Tier::kDram);
   record.nvm_resident = vmm_.resident(Tier::kNvm);

@@ -32,8 +32,8 @@ struct SampledStats {
 
 /// Implemented by policies that carry a sampled-hotness subsystem
 /// (sample::SampledLruPolicy). The EpochSampler snapshots this at every
-/// epoch boundary; implementations must make the call safe from the
-/// replaying thread at any access boundary.
+/// epoch boundary, between blocks, so the snapshot may be taken at any
+/// access boundary.
 class SampledStatsSource {
  public:
   virtual ~SampledStatsSource() = default;

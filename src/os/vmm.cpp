@@ -69,19 +69,6 @@ Nanoseconds Vmm::access(PageId page, AccessType type) {
   return device_mut(entry->tier()).record_demand(type);
 }
 
-std::optional<Vmm::ResidentAccess> Vmm::access_if_resident(PageId page,
-                                                           AccessType type) {
-  PageTableEntry* entry = table_.find(page);
-  if (entry == nullptr) return std::nullopt;
-  if (type == AccessType::kWrite) {
-    entry->mark_dirty();
-    if (entry->tier() == Tier::kNvm) {
-      record_nvm_page_write(entry->frame(), mem::NvmWriteSource::kDemandWrite);
-    }
-  }
-  return ResidentAccess{entry->tier(), device_mut(entry->tier()).record_demand(type)};
-}
-
 Nanoseconds Vmm::fault_in(PageId page, Tier tier) {
   HYMEM_CHECK_MSG(!table_.is_resident(page), "fault_in of resident page");
   const auto frame = allocator(tier).allocate();

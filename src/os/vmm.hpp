@@ -59,30 +59,20 @@ class Vmm {
 
   // --- Operations ------------------------------------------------------------
   /// Serves a demand hit; the page must be resident. Returns the device
-  /// latency. Marks the page dirty on writes and records NVM wear.
+  /// latency. Marks the page dirty on writes and records NVM wear. This is
+  /// the unbatched one-access reference: policies serve their hits through
+  /// the block-replay calls below, so only tests call it (test_vmm,
+  /// test_events and test_endurance_model pin its accounting).
   Nanoseconds access(PageId page, AccessType type);
 
-  /// Result of a combined residency-check-plus-access (one page-table probe
-  /// instead of the historical is_resident/tier_of + access pair).
-  struct ResidentAccess {
-    Tier tier;
-    Nanoseconds latency;
-  };
-
-  /// If `page` is resident, serves the demand access (same accounting as
-  /// `access`) and reports which tier served it; otherwise does nothing and
-  /// returns nullopt. This is the one lookup every policy's hit path needs.
-  std::optional<ResidentAccess> access_if_resident(PageId page,
-                                                   AccessType type);
-
   // --- Block-replay fast path -----------------------------------------------
-  // The calls below decompose access_if_resident for a *trusted* caller: a
-  // policy whose own per-tier indexes already prove residency and tier (its
-  // queues and the page table track the same pages by invariant —
-  // check_consistency and the stream-parity and differential harnesses pin
-  // it). Splitting the accounting from the probe lets policy::serve_block
-  // skip the page-table probe on reads (reads have no dirty or endurance
-  // side effects) and batch the demand counters per block.
+  // The calls below decompose `access` for a policy's serve step (see
+  // policy::HybridPolicy::serve_hit). A policy whose own per-tier indexes
+  // already prove residency and tier (its queues and the page table track
+  // the same pages by invariant — check_consistency and the stream-parity
+  // and differential harnesses pin it) may skip the page-table probe on
+  // reads (reads have no dirty or endurance side effects), and
+  // policy::serve_block batches the demand counters per block.
 
   /// Page-table entry for the fast path, probed with the decode-time
   /// memoized hash (must equal util::hash_page_id(page)); nullptr when
@@ -142,13 +132,14 @@ class Vmm {
   /// fill side).
   void evict(PageId page);
 
-  /// Structural self-audit (HYMEM_CHECK debug hook): every residency count
-  /// agrees with the frame allocators, no tier exceeds its capacity, and the
-  /// per-source NVM endurance ledger equals what the device/DMA/disk
-  /// counters imply (demand writes 1 cell-write each; fills and DRAM->NVM
-  /// migrations PageFactor each). Throws std::logic_error on violation.
-  /// O(1); safe to call after every access. Invariant checkers (src/check)
-  /// call this alongside their policy-level checks.
+  /// Structural self-audit: every residency count agrees with the frame
+  /// allocators, no tier exceeds its capacity, and the per-source NVM
+  /// endurance ledger equals what the device/DMA/disk counters imply
+  /// (demand writes 1 cell-write each; fills and DRAM->NVM migrations
+  /// PageFactor each). Throws std::logic_error on violation. O(1); call it
+  /// between blocks, since policy::serve_block records a block's demand
+  /// hits at its end (after every on_access, for one). Invariant checkers
+  /// (src/check) call this alongside their policy-level checks.
   void check_consistency() const;
 
   /// Zeroes every accounting counter (device accesses, DMA transfers, disk

@@ -12,29 +12,6 @@ ClockDwfPolicy::ClockDwfPolicy(os::Vmm& vmm)
                   "CLOCK-DWF needs both modules populated");
 }
 
-Served ClockDwfPolicy::serve(PageId page, std::uint64_t hash,
-                             AccessType type) {
-  if (const ClockPolicy::Slot* slot = dram_.find(page, hash)) {
-    // Write-history-aware: only writes refresh the DRAM reference bit, so
-    // read-dominant pages age out towards NVM. A write also parks the dirty
-    // bit; both are set without a branch on the access type.
-    const bool write = type == AccessType::kWrite;
-    ClockPolicy::Node& node = dram_.node(*slot);
-    node.ref |= write;
-    node.dirty |= write;
-    return hit(Tier::kDram, type);
-  }
-  if (const ClockPolicy::Slot* slot = nvm_.find(page, hash)) {
-    if (type == AccessType::kRead) {
-      nvm_.node(*slot).ref = true;
-      return hit(Tier::kNvm, type);
-    }
-    // Write to an NVM page: forced promotion — NVM never serves writes.
-    return {promote_and_write(page), Demand::kNone};
-  }
-  return {fault_in_access(page, type), Demand::kNone};
-}
-
 void ClockDwfPolicy::leave_dram(PageId victim) {
   if (dram_.erase(victim)) vmm_.touch_dirty(victim);
 }
@@ -74,7 +51,7 @@ Nanoseconds ClockDwfPolicy::promote_and_write(PageId page) {
   }
   dram_.insert(page, AccessType::kWrite);
   dram_.on_hit(page, AccessType::kWrite);  // the triggering write sets the bit
-  latency += vmm_.access(page, AccessType::kWrite);
+  vmm_.touch_dirty(page);
   return latency;
 }
 
@@ -98,10 +75,6 @@ Nanoseconds ClockDwfPolicy::fault_in_access(PageId page, AccessType type) {
     nvm_.insert(page, type);
   }
   return latency;
-}
-
-Nanoseconds ClockDwfPolicy::on_access(PageId page, AccessType type) {
-  return serve_one(*this, page, type);
 }
 
 Nanoseconds ClockDwfPolicy::on_block(const AccessBlock& block) {

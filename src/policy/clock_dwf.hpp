@@ -29,16 +29,15 @@ class ClockDwfPolicy final : public HybridPolicy {
   explicit ClockDwfPolicy(os::Vmm& vmm);
 
   std::string_view name() const override { return "clock-dwf"; }
-  Nanoseconds on_access(PageId page, AccessType type) override;
   Nanoseconds on_block(const AccessBlock& block) override;
   void publish_dirty() override;
 
   /// serve_block's step. The clocks track residency exactly, so the DRAM
   /// clock is probed first: a DRAM hit costs one probe (a write sets the
   /// reference bit and parks the dirty bit on the node until the page
-  /// leaves DRAM) and an NVM read hit two. Forced promotions and faults
-  /// take the VMM's checked path. Defined in the .cpp, where on_block and
-  /// on_access instantiate serve_block and inline it.
+  /// leaves DRAM) and an NVM read hit two. A write to an NVM page is
+  /// promoted first and served from DRAM. Defined below, where on_block's
+  /// serve_block inlines it.
   [[gnu::always_inline]] inline Served serve(PageId page, std::uint64_t hash,
                                              AccessType type);
 
@@ -54,8 +53,9 @@ class ClockDwfPolicy final : public HybridPolicy {
   Nanoseconds demote_dram_victim();
   /// Makes room in NVM by evicting its clock victim to disk.
   void evict_nvm_victim();
-  /// Serves a write to an NVM page: promotes it to DRAM (swapping with the
-  /// DRAM victim when DRAM is full), then serves the write from DRAM.
+  /// A write to an NVM page: promotes it to DRAM (swapping with the DRAM
+  /// victim when DRAM is full) and marks it dirty, leaving the DRAM write
+  /// hit to serve. Returns the migration latency.
   Nanoseconds promote_and_write(PageId page);
   /// Serves a page fault (CLOCK-DWF placement: writes and spare-DRAM faults
   /// fill DRAM, read faults fill NVM).
@@ -64,5 +64,30 @@ class ClockDwfPolicy final : public HybridPolicy {
   ClockPolicy dram_;
   ClockPolicy nvm_;
 };
+
+inline Served ClockDwfPolicy::serve(PageId page, std::uint64_t hash,
+                                    AccessType type) {
+  if (const ClockPolicy::Slot* slot = dram_.find(page, hash)) {
+    // Write-history-aware: only writes refresh the DRAM reference bit, so
+    // read-dominant pages age out towards NVM. A write also parks the dirty
+    // bit; both are set without a branch on the access type.
+    const bool write = type == AccessType::kWrite;
+    ClockPolicy::Node& node = dram_.node(*slot);
+    node.ref |= write;
+    node.dirty |= write;
+    return hit(Tier::kDram, type);
+  }
+  if (const ClockPolicy::Slot* slot = nvm_.find(page, hash)) {
+    if (type == AccessType::kRead) {
+      nvm_.node(*slot).ref = true;
+      return hit(Tier::kNvm, type);
+    }
+    // Write to an NVM page: forced promotion — NVM never serves writes.
+    Served served = hit(Tier::kDram, type);
+    served.latency += promote_and_write(page);
+    return served;
+  }
+  return {fault_in_access(page, type), Demand::kNone};
+}
 
 }  // namespace hymem::policy

@@ -27,30 +27,29 @@ Nanoseconds DramCachePolicy::make_dram_room() {
   return latency;
 }
 
-Served DramCachePolicy::serve(PageId page, std::uint64_t /*hash*/,
+Served DramCachePolicy::serve(PageId page, std::uint64_t hash,
                               AccessType type) {
-  // One page-table probe classifies the access and serves resident hits.
-  const auto resident = vmm_.access_if_resident(page, type);
-  if (resident.has_value() && resident->tier == Tier::kDram) {
-    dram_.on_hit(page, type);
-    return {resident->latency, Demand::kNone};
-  }
-  if (resident.has_value()) {
+  if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
+    const Tier tier = entry->tier();
+    Served served = serve_hit(*entry, type);
+    if (tier == Tier::kDram) {
+      dram_.on_hit(page, type);
+      return served;
+    }
     // Served from NVM; promote unconditionally.
-    Nanoseconds latency = resident->latency;
     if (vmm_.has_free_frame(Tier::kDram)) {
       nvm_.erase(page);
-      latency += vmm_.migrate(page, Tier::kDram);
+      served.latency += vmm_.migrate(page, Tier::kDram);
     } else {
       const auto victim = dram_.select_victim();
       HYMEM_CHECK(victim.has_value());
       dram_.erase(*victim);
       nvm_.erase(page);
-      latency += vmm_.swap(page, *victim);
+      served.latency += vmm_.swap(page, *victim);
       nvm_.insert(*victim, AccessType::kRead);
     }
     dram_.insert(page, type);
-    return {latency, Demand::kNone};
+    return served;
   }
   // Page fault: fill DRAM (hot front), demoting as needed.
   Nanoseconds latency = 0;
@@ -59,10 +58,6 @@ Served DramCachePolicy::serve(PageId page, std::uint64_t /*hash*/,
   dram_.insert(page, type);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
   return {latency, Demand::kNone};
-}
-
-Nanoseconds DramCachePolicy::on_access(PageId page, AccessType type) {
-  return serve_one(*this, page, type);
 }
 
 Nanoseconds DramCachePolicy::on_block(const AccessBlock& block) {

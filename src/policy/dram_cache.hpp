@@ -16,11 +16,10 @@ class DramCachePolicy final : public HybridPolicy {
   explicit DramCachePolicy(os::Vmm& vmm);
 
   std::string_view name() const override { return "dram-cache"; }
-  Nanoseconds on_access(PageId page, AccessType type) override;
   Nanoseconds on_block(const AccessBlock& block) override;
 
-  /// serve_block's step (hits are served through Vmm::access_if_resident,
-  /// which records them itself).
+  /// serve_block's step: one page-table probe classifies the access; an
+  /// NVM hit is served from NVM, then promoted.
   Served serve(PageId page, std::uint64_t hash, AccessType type);
 
  private:

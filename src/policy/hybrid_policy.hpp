@@ -34,9 +34,8 @@ struct AccessBlock {
 };
 
 /// The demand-access counter a served access leaves to serve_block: the
-/// device and type of the hit, or kNone when serve() recorded everything
-/// itself (faults, forced migrations, policies that serve hits through
-/// Vmm::access).
+/// device and type of the hit, or kNone for a page fault (which the VMM
+/// records itself).
 enum class Demand : std::uint8_t {
   kNone = 0,
   kDramRead,
@@ -58,10 +57,9 @@ struct Served {
 ///
 /// Every final policy P implements one non-virtual step,
 /// `Served P::serve(PageId page, std::uint64_t hash, AccessType type)`,
-/// which serves one access with `hash == util::hash_page_id(page)` and may
-/// leave the hit's demand counter to its caller. Its `on_block` is
-/// `serve_block(*this, block)` and its `on_access` is
-/// `serve_one(*this, page, type)`, so both are the same loop.
+/// which serves one access with `hash == util::hash_page_id(page)` and
+/// returns every hit's demand counter to its caller. Its `on_block` is
+/// `serve_block(*this, block)`, the only virtual serving call.
 class HybridPolicy {
  public:
   explicit HybridPolicy(os::Vmm& vmm)
@@ -77,13 +75,17 @@ class HybridPolicy {
 
   virtual std::string_view name() const = 0;
 
-  /// Serves one request; returns the latency visible to the requester
-  /// (device hit latency, or disk latency plus any synchronous migrations).
-  virtual Nanoseconds on_access(PageId page, AccessType type) = 0;
-
   /// Serves a decoded block of accesses and returns the summed visible
-  /// latency, exactly as on_access in sequence would.
+  /// latency.
   virtual Nanoseconds on_block(const AccessBlock& block) = 0;
+
+  /// Serves one request as a one-access block; returns the latency visible
+  /// to the requester (device hit latency, or disk latency plus any
+  /// synchronous migrations).
+  Nanoseconds on_access(PageId page, AccessType type) {
+    const std::uint64_t hash = util::hash_page_id(page);
+    return on_block(AccessBlock{&page, &type, &hash, 1, nullptr});
+  }
 
   /// Called once at the end of warm-up, after the VMM ledgers are reset. A
   /// policy that reports run statistics of its own (sampled-lru) zeroes
@@ -110,6 +112,17 @@ class HybridPolicy {
     return {demand_ns_[static_cast<std::size_t>(demand)], demand};
   }
 
+  /// A demand hit on the page `entry` maps: a write marks the entry dirty
+  /// and, on NVM, notes the frame's wear.
+  Served serve_hit(os::PageTableEntry& entry, AccessType type) {
+    const Tier tier = entry.tier();
+    if (type == AccessType::kWrite) {
+      entry.mark_dirty();
+      if (tier == Tier::kNvm) vmm_.note_nvm_demand_write(entry.frame());
+    }
+    return hit(tier, type);
+  }
+
   os::Vmm& vmm_;
 
  private:
@@ -121,9 +134,8 @@ class HybridPolicy {
 /// stores each latency only when the caller asked for them, and records
 /// the block's demand hits with one Vmm::record_demand_batch per tier.
 /// Counters are integers, so recording them at block end leaves every
-/// ledger identical to recording them per access; the engine reads ledgers
-/// only between blocks. A policy that records its own hits (sampled-lru,
-/// dram-cache, static-partition) returns Demand::kNone for them.
+/// ledger identical to recording them per access; the engine and the
+/// invariant checkers read ledgers only between blocks.
 template <typename P>
 Nanoseconds serve_block(P& policy, const AccessBlock& block) {
   // Locals, so the policy's stores cannot force a reload per access.
@@ -148,14 +160,6 @@ Nanoseconds serve_block(P& policy, const AccessBlock& block) {
     policy.vmm().record_demand_batch(Tier::kNvm, demands[3], demands[4]);
   }
   return total;
-}
-
-/// serve_block over the one-access block {page, type}: every final
-/// policy's on_access.
-template <typename P>
-Nanoseconds serve_one(P& policy, PageId page, AccessType type) {
-  const std::uint64_t hash = util::hash_page_id(page);
-  return serve_block(policy, AccessBlock{&page, &type, &hash, 1, nullptr});
 }
 
 }  // namespace hymem::policy

@@ -94,15 +94,17 @@ Served RankMqPolicy::serve(PageId page, std::uint64_t hash, AccessType type) {
   age_step();
   if (const Slot* found = ring_.find(page, hash)) {
     const Slot slot = *found;
-    const Nanoseconds device = vmm_.access(page, type);
+    os::PageTableEntry* entry = vmm_.entry_hashed(page, hash);
+    HYMEM_CHECK_MSG(entry != nullptr, "rank-queued page is not resident");
+    Served served = serve_hit(*entry, type);
     RankFields& node = ring_.node(slot);
     ++node.count;
     node.last_access = clock_;
     requeue(slot);
     if (node.tier == Tier::kNvm && node.level >= promote_level_) {
-      return {device + try_promote(slot), Demand::kNone};
+      served.latency += try_promote(slot);
     }
-    return {device, Demand::kNone};
+    return served;
   }
   // Page fault: new pages enter the slow tier (RaPP's conservative
   // placement) and earn DRAM through rank. A count of 1 ranks at level 0.
@@ -114,10 +116,6 @@ Served RankMqPolicy::serve(PageId page, std::uint64_t hash, AccessType type) {
   ring_.node(slot).count = 1;
   ring_.node(slot).last_access = clock_;
   return {latency, Demand::kNone};
-}
-
-Nanoseconds RankMqPolicy::on_access(PageId page, AccessType type) {
-  return serve_one(*this, page, type);
 }
 
 Nanoseconds RankMqPolicy::on_block(const AccessBlock& block) {

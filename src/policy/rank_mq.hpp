@@ -37,11 +37,10 @@ class RankMqPolicy final : public HybridPolicy {
                std::uint64_t lifetime = 4096);
 
   std::string_view name() const override { return "rank-mq"; }
-  Nanoseconds on_access(PageId page, AccessType type) override;
   Nanoseconds on_block(const AccessBlock& block) override;
 
-  /// serve_block's step (hits are served through Vmm::access, which
-  /// records them itself).
+  /// serve_block's step: a hit is served where the page sits, then ranked
+  /// and possibly promoted.
   Served serve(PageId page, std::uint64_t hash, AccessType type);
 
   static constexpr unsigned kLevels = 8;

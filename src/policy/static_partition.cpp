@@ -20,13 +20,13 @@ Tier StaticPartitionPolicy::home(PageId page) const {
   return splitmix64(s) % 1000 < dram_share_permille_ ? Tier::kDram : Tier::kNvm;
 }
 
-Served StaticPartitionPolicy::serve(PageId page, std::uint64_t /*hash*/,
+Served StaticPartitionPolicy::serve(PageId page, std::uint64_t hash,
                                     AccessType type) {
   const Tier tier = home(page);
   LruPolicy& lru = tier == Tier::kDram ? dram_ : nvm_;
-  if (const auto resident = vmm_.access_if_resident(page, type)) {
+  if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
     lru.on_hit(page, type);
-    return {resident->latency, Demand::kNone};
+    return serve_hit(*entry, type);
   }
   if (lru.full()) {
     const auto victim = lru.select_victim();
@@ -38,10 +38,6 @@ Served StaticPartitionPolicy::serve(PageId page, std::uint64_t /*hash*/,
   lru.insert(page, type);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
   return {latency, Demand::kNone};
-}
-
-Nanoseconds StaticPartitionPolicy::on_access(PageId page, AccessType type) {
-  return serve_one(*this, page, type);
 }
 
 Nanoseconds StaticPartitionPolicy::on_block(const AccessBlock& block) {

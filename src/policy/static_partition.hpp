@@ -14,11 +14,9 @@ class StaticPartitionPolicy final : public HybridPolicy {
   explicit StaticPartitionPolicy(os::Vmm& vmm);
 
   std::string_view name() const override { return "static-partition"; }
-  Nanoseconds on_access(PageId page, AccessType type) override;
   Nanoseconds on_block(const AccessBlock& block) override;
 
-  /// serve_block's step (hits are served through Vmm::access_if_resident,
-  /// which records them itself).
+  /// serve_block's step: one page-table probe classifies the access.
   Served serve(PageId page, std::uint64_t hash, AccessType type);
 
   /// Module a page is permanently assigned to.

@@ -96,11 +96,15 @@ void SweepResults::write_csv(std::ostream& out) const {
   }
 }
 
-std::size_t SweepResults::write_timeline_csv(std::ostream& out) const {
-  const auto& epoch_header = obs::timeline_csv_header();
-  std::vector<std::string> header = {"workload", "policy", "variant", "seed"};
-  header.insert(header.end(), epoch_header.begin(), epoch_header.end());
-  CsvWriter(out).write_row(header);
+std::size_t SweepResults::write_timeline_csv(std::ostream& out,
+                                             bool header) const {
+  if (header) {
+    const auto& epoch_header = obs::timeline_csv_header();
+    std::vector<std::string> columns = {"workload", "policy", "variant",
+                                        "seed"};
+    columns.insert(columns.end(), epoch_header.begin(), epoch_header.end());
+    CsvWriter(out).write_row(columns);
+  }
   std::size_t rows = 0;
   std::string row;
   for (const auto& job : jobs) {

@@ -112,8 +112,10 @@ struct SweepResults {
   /// obs::timeline_csv_header(). Jobs appear in grid order, epochs in run
   /// order, so the output is byte-identical for any worker count. Jobs that
   /// ran without sampling (timeline_epoch == 0) or failed contribute no
-  /// rows. Returns the number of epoch rows written.
-  std::size_t write_timeline_csv(std::ostream& out) const;
+  /// rows. `header` = false leaves out the header row, so a caller can
+  /// append another sweep's rows to the same file. Returns the number of
+  /// epoch rows written.
+  std::size_t write_timeline_csv(std::ostream& out, bool header = true) const;
   /// Human-readable failure summary; writes nothing when all jobs passed.
   void write_failures(std::ostream& out) const;
 };

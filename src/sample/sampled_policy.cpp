@@ -17,32 +17,28 @@ SampledLruPolicy::SampledLruPolicy(os::Vmm& vmm, const SampleConfig& config)
   HYMEM_CHECK_MSG(config.drain_period > 0, "drain period must be positive");
 }
 
-Nanoseconds SampledLruPolicy::on_access(PageId page, AccessType type) {
-  return policy::serve_one(*this, page, type);
-}
-
 Nanoseconds SampledLruPolicy::on_block(const policy::AccessBlock& block) {
   return policy::serve_block(*this, block);
 }
 
-policy::Served SampledLruPolicy::serve(PageId page, std::uint64_t /*hash*/,
+policy::Served SampledLruPolicy::serve(PageId page, std::uint64_t hash,
                                        AccessType type) {
   ++accesses_;
   // Virtual time: the migrator runs at access-count boundaries, before the
   // access is served — deterministic for any worker count because it never
   // depends on wall-clock interleaving.
   if (accesses_ % config_.drain_period == 0) drain();
-  const Nanoseconds latency = serve_demand(page, type);
-  if (audit_hook_) audit_hook_(*this, page, type);
+  const policy::Served served = serve_demand(page, hash, type);
   tap_.on_access(page);
-  return {latency, policy::Demand::kNone};
+  return served;
 }
 
-Nanoseconds SampledLruPolicy::serve_demand(PageId page, AccessType type) {
+policy::Served SampledLruPolicy::serve_demand(PageId page, std::uint64_t hash,
+                                              AccessType type) {
   // Demand handling only — hits never reorder the FIFO queues (a sampling
   // OS does not see per-access recency), migrations never happen inline.
-  if (const auto hit = vmm_.access_if_resident(page, type)) {
-    return hit->latency;
+  if (os::PageTableEntry* entry = vmm_.entry_hashed(page, hash)) {
+    return serve_hit(*entry, type);
   }
   Tier dest;
   if (vmm_.has_free_frame(Tier::kDram)) {
@@ -63,7 +59,7 @@ Nanoseconds SampledLruPolicy::serve_demand(PageId page, AccessType type) {
   const Nanoseconds latency = vmm_.fault_in(page, dest);
   queue_mut(dest).insert(page);
   if (type == AccessType::kWrite) vmm_.touch_dirty(page);
-  return latency;
+  return {latency, policy::Demand::kNone};
 }
 
 void SampledLruPolicy::drain() {

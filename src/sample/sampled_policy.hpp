@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string_view>
 
@@ -44,11 +43,10 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   SampledLruPolicy(os::Vmm& vmm, const SampleConfig& config);
 
   std::string_view name() const override { return "sampled-lru"; }
-  Nanoseconds on_access(PageId page, AccessType type) override;
   Nanoseconds on_block(const policy::AccessBlock& block) override;
 
-  /// serve_block's step: runs a due drain, serves the access (recording
-  /// its hit itself), then feeds it to the sampling tap.
+  /// serve_block's step: runs a due drain, serves the access, then feeds
+  /// it to the sampling tap.
   policy::Served serve(PageId page, std::uint64_t hash, AccessType type);
 
   obs::SampledStats sampled_stats() const override;
@@ -73,16 +71,11 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   /// Tap-side internals (hotness board, tap counters). Read-only.
   const SamplingTap& sampling_tap() const { return tap_; }
 
-  /// Called after every completed access (post-drain, post-serve), same
-  /// contract as TwoLruMigrationPolicy::AuditHook: read-only introspection.
-  using AuditHook = std::function<void(const SampledLruPolicy&, PageId,
-                                       AccessType)>;
-  void set_audit_hook(AuditHook hook) { audit_hook_ = std::move(hook); }
-
  private:
   /// Demand handling for one access: hits where the page sits, faults
   /// into the first tier with a free frame.
-  Nanoseconds serve_demand(PageId page, AccessType type);
+  policy::Served serve_demand(PageId page, std::uint64_t hash,
+                              AccessType type);
   void drain();
   /// Applies one candidate; returns 1 if it consumed budget, 0 if stale.
   std::uint64_t apply_promotion(PageId page);
@@ -105,8 +98,6 @@ class SampledLruPolicy final : public policy::HybridPolicy,
   std::uint64_t migration_copies_ = 0;
   std::uint64_t drains_ = 0;
   std::uint64_t last_drain_ops_ = 0;
-
-  AuditHook audit_hook_;
 };
 
 /// The "sampled-lru" entry of the policy factory.

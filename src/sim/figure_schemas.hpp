@@ -1,6 +1,8 @@
-// Registry of the paper-artifact output schemas: every bench_fig* stacked
-// figure (title, stack components, bar series) and every bench_table* column
-// list lives here instead of being retyped inside each bench main().
+// Registry of the output schemas: every stacked paper figure bench_paper
+// prints (title, stack components, bar series) and every table's column
+// list (Tables I and III, the spliced timeline, and the frontier, analytic
+// and tenant harnesses) lives here instead of being retyped inside each
+// bench main().
 //
 // The point is stability: these CSV/text headers are the interface consumed
 // by plotting scripts and by the results archive, so the schemas are pinned

@@ -139,16 +139,6 @@ std::string to_json(const RunResult& result) {
   return os.str();
 }
 
-namespace {
-
-std::string fmt_double(double value) {
-  std::ostringstream os;
-  os << std::setprecision(12) << value;
-  return os.str();
-}
-
-}  // namespace
-
 const std::vector<std::string>& csv_header() {
   static const std::vector<std::string> header = {
       "workload",

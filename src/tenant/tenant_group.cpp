@@ -14,58 +14,6 @@ namespace hymem::tenant {
 
 namespace {
 
-/// Cumulative VMM ledger reading; attribution works on deltas between
-/// successive readings, so a tenant is charged exactly the counter movement
-/// its operation caused.
-struct RawCounters {
-  std::uint64_t dram_reads = 0;
-  std::uint64_t dram_writes = 0;
-  std::uint64_t nvm_reads = 0;
-  std::uint64_t nvm_writes = 0;
-  std::uint64_t page_ins = 0;
-  std::uint64_t fills_dram = 0;
-  std::uint64_t fills_nvm = 0;
-  std::uint64_t mig_to_dram = 0;
-  std::uint64_t mig_to_nvm = 0;
-  std::uint64_t page_outs = 0;
-};
-
-RawCounters read_raw(const os::Vmm& vmm) {
-  RawCounters r;
-  const auto& dram = vmm.device(Tier::kDram).counters();
-  const auto& nvm = vmm.device(Tier::kNvm).counters();
-  r.dram_reads = dram.demand_reads;
-  r.dram_writes = dram.demand_writes;
-  r.nvm_reads = nvm.demand_reads;
-  r.nvm_writes = nvm.demand_writes;
-  r.page_ins = vmm.disk().page_ins();
-  const auto& dma = vmm.dma_counters();
-  r.fills_dram = dma.disk_fills_to_dram;
-  r.fills_nvm = dma.disk_fills_to_nvm;
-  r.mig_to_dram = dma.migrations_nvm_to_dram;
-  r.mig_to_nvm = dma.migrations_dram_to_nvm;
-  r.page_outs = vmm.disk().page_outs();
-  return r;
-}
-
-model::EventCounts diff_counts(const model::EventCounts& a,
-                               const model::EventCounts& b) {
-  model::EventCounts d;
-  d.accesses = a.accesses - b.accesses;
-  d.dram_read_hits = a.dram_read_hits - b.dram_read_hits;
-  d.dram_write_hits = a.dram_write_hits - b.dram_write_hits;
-  d.nvm_read_hits = a.nvm_read_hits - b.nvm_read_hits;
-  d.nvm_write_hits = a.nvm_write_hits - b.nvm_write_hits;
-  d.page_faults = a.page_faults - b.page_faults;
-  d.fills_to_dram = a.fills_to_dram - b.fills_to_dram;
-  d.fills_to_nvm = a.fills_to_nvm - b.fills_to_nvm;
-  d.migrations_to_dram = a.migrations_to_dram - b.migrations_to_dram;
-  d.migrations_to_nvm = a.migrations_to_nvm - b.migrations_to_nvm;
-  d.dirty_evictions = a.dirty_evictions - b.dirty_evictions;
-  d.page_factor = a.page_factor;
-  return d;
-}
-
 model::ModelParams params_for(const TenantGroupConfig& config) {
   model::ModelParams p;
   p.dram = config.dram;
@@ -127,7 +75,9 @@ struct TenantGroup::Shard {
   std::unique_ptr<os::Vmm> vmm;
   std::unique_ptr<policy::HybridPolicy> policy;
   std::vector<std::uint32_t> tenants;  ///< Active tenant ids, sorted.
-  RawCounters last;                    ///< Snapshot at last attribution.
+  /// VMM counters at the last attribution: a tenant is charged exactly the
+  /// counter movement its operation caused.
+  model::EventCounts last;
 };
 
 struct TenantGroup::TenantState {
@@ -210,22 +160,10 @@ const TenantGroup::TenantState* TenantGroup::find_state(
 
 void TenantGroup::attribute(Shard& shard, TenantState& state) {
   if (shard.vmm == nullptr) return;
-  const RawCounters cur = read_raw(*shard.vmm);
-  const RawCounters& last = shard.last;
-  const auto apply = [&](model::EventCounts& c) {
-    c.dram_read_hits += cur.dram_reads - last.dram_reads;
-    c.dram_write_hits += cur.dram_writes - last.dram_writes;
-    c.nvm_read_hits += cur.nvm_reads - last.nvm_reads;
-    c.nvm_write_hits += cur.nvm_writes - last.nvm_writes;
-    c.page_faults += cur.page_ins - last.page_ins;
-    c.fills_to_dram += cur.fills_dram - last.fills_dram;
-    c.fills_to_nvm += cur.fills_nvm - last.fills_nvm;
-    c.migrations_to_dram += cur.mig_to_dram - last.mig_to_dram;
-    c.migrations_to_nvm += cur.mig_to_nvm - last.mig_to_nvm;
-    c.dirty_evictions += cur.page_outs - last.page_outs;
-  };
-  apply(state.counters.counts);
-  apply(totals_);
+  const auto cur = model::EventCounts::read_counters(*shard.vmm);
+  const model::EventCounts moved = cur - shard.last;
+  state.counters.counts += moved;
+  totals_ += moved;
   shard.last = cur;
 }
 
@@ -263,7 +201,7 @@ void TenantGroup::flush_shard(unsigned index) {
   }
   shard.policy.reset();
   shard.vmm.reset();
-  shard.last = RawCounters{};
+  shard.last = model::EventCounts{};
 }
 
 void TenantGroup::build_shard(unsigned index) {
@@ -273,7 +211,7 @@ void TenantGroup::build_shard(unsigned index) {
                                  shard.dram_frames, shard.nvm_frames};
   shard.vmm = std::make_unique<os::Vmm>(sim::vmm_config_for(sizing, config_));
   shard.policy = sim::make_policy(config_.policy, *shard.vmm, config_.migration);
-  shard.last = RawCounters{};
+  shard.last = model::EventCounts{};
 }
 
 bool TenantGroup::reconfigure() {
@@ -330,7 +268,6 @@ void TenantGroup::arrive(std::uint32_t tenant) {
       std::lower_bound(shard.tenants.begin(), shard.tenants.end(), tenant),
       tenant);
   if (reconfigure()) ++reconfigurations_;
-  if (audit_hook_) audit_hook_(*this);
 }
 
 void TenantGroup::depart(std::uint32_t tenant) {
@@ -358,7 +295,14 @@ void TenantGroup::depart(std::uint32_t tenant) {
     flushed = true;
   }
   if (flushed) ++reconfigurations_;
-  if (audit_hook_) audit_hook_(*this);
+}
+
+void TenantGroup::apply(const synth::TenantOp& op) {
+  switch (op.kind) {
+    case synth::TenantOp::Kind::kArrive: arrive(op.tenant); break;
+    case synth::TenantOp::Kind::kDepart: depart(op.tenant); break;
+    default: serve(op.tenant, op.access); break;
+  }
 }
 
 Nanoseconds TenantGroup::serve(std::uint32_t tenant,
@@ -391,7 +335,6 @@ Nanoseconds TenantGroup::serve(std::uint32_t tenant,
     if (reconfigure()) ++reconfigurations_;
   }
   tick_epoch();
-  if (audit_hook_) audit_hook_(*this);
   return latency;
 }
 
@@ -408,7 +351,7 @@ void TenantGroup::emit_epoch() {
   rec.arrivals = epoch_arrivals_;
   rec.departures = epoch_departures_;
   rec.reconfigurations = reconfigurations_;
-  rec.delta = diff_counts(totals_, epoch_start_totals_);
+  rec.delta = totals_ - epoch_start_totals_;
   const model::ModelParams params = params_for(config_);
   if (rec.delta.accesses > 0) {
     rec.amat_total_ns = model::amat(rec.delta, params).total();
@@ -418,7 +361,7 @@ void TenantGroup::emit_epoch() {
   for (const auto& state : states_) {
     if (state->active) ++active;
     const model::EventCounts delta =
-        diff_counts(state->counters.counts, state->epoch_start);
+        state->counters.counts - state->epoch_start;
     if (delta.accesses > 0) {
       amats.push_back(model::amat(delta, params).total());
     }
@@ -444,13 +387,7 @@ TenantGroupResult TenantGroup::run(const synth::TenantStream& stream) {
     throw std::invalid_argument(
         "tenant stream page size does not match the group's");
   }
-  for (const synth::TenantOp& op : stream.ops) {
-    switch (op.kind) {
-      case synth::TenantOp::Kind::kArrive: arrive(op.tenant); break;
-      case synth::TenantOp::Kind::kDepart: depart(op.tenant); break;
-      default: serve(op.tenant, op.access); break;
-    }
-  }
+  for (const synth::TenantOp& op : stream.ops) apply(op);
   return finish(stream.name);
 }
 
@@ -533,11 +470,6 @@ const TenantCounters& TenantGroup::counters(std::uint32_t tenant) const {
     throw std::invalid_argument("unknown tenant: never arrived");
   }
   return state->counters;
-}
-
-void TenantGroup::set_audit_hook(
-    std::function<void(const TenantGroup&)> hook) {
-  audit_hook_ = std::move(hook);
 }
 
 }  // namespace hymem::tenant

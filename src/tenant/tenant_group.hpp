@@ -30,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -174,6 +173,8 @@ class TenantGroup {
 
   // Incremental serving (what run() drives; exposed for the invariant
   // fuzzer and custom harnesses).
+  /// Applies one stream op: arrive, depart or serve.
+  void apply(const synth::TenantOp& op);
   void arrive(std::uint32_t tenant);
   void depart(std::uint32_t tenant);
   /// Serves one access for `tenant` (auto-admits inactive tenants) and
@@ -202,10 +203,6 @@ class TenantGroup {
   double hot_set_dram_retention(std::uint32_t tenant,
                                 std::span<const PageId> local_hot) const;
   const TenantCounters& counters(std::uint32_t tenant) const;
-
-  /// Installed hook runs after every completed operation (serve, arrive,
-  /// depart) — the invariant fuzzer's audit seam.
-  void set_audit_hook(std::function<void(const TenantGroup&)> hook);
 
  private:
   struct Shard;
@@ -252,7 +249,6 @@ class TenantGroup {
   std::uint64_t epoch_departures_ = 0;
   model::EventCounts epoch_start_totals_;
   bool finished_ = false;
-  std::function<void(const TenantGroup&)> audit_hook_;
 };
 
 }  // namespace hymem::tenant

@@ -1,6 +1,15 @@
 #include "util/csv.hpp"
 
+#include <iomanip>
+#include <sstream>
+
 namespace hymem {
+
+std::string fmt_double(double value) {
+  std::ostringstream os;
+  os << std::setprecision(12) << value;
+  return os.str();
+}
 
 std::string CsvWriter::escape(const std::string& field) {
   const bool needs_quote =

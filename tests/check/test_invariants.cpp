@@ -40,16 +40,6 @@ TEST(Invariants, HoldAfterEveryAccessOfAFuzzedRun) {
   }
 }
 
-TEST(Invariants, HookRunsAfterEveryAccess) {
-  os::Vmm vmm(hybrid_config(2, 4));
-  core::TwoLruMigrationPolicy policy(vmm, scheme_config());
-  install_invariant_hook(policy);
-  for (PageId p = 0; p < 32; ++p) {
-    EXPECT_NO_THROW(policy.on_access(p % 9, p % 3 == 0 ? AccessType::kWrite
-                                                       : AccessType::kRead));
-  }
-}
-
 TEST(Invariants, DetectEvictionBehindThePolicysBack) {
   os::Vmm vmm(hybrid_config(2, 4));
   core::TwoLruMigrationPolicy policy(vmm, scheme_config());
