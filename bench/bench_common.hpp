@@ -14,9 +14,9 @@
 //   --timeline PATH
 //               sample an epoch time-series during every measured run and
 //               write the spliced per-job timeline CSV to PATH (harnesses
-//               whose cells run through run_grid or the sweep runner, and
-//               bench_tenants; see src/obs/). Off by default: the replay
-//               loop stays uninstrumented.
+//               whose cells run through run_grid or the sweep runner; see
+//               src/obs/). Off by default: the replay loop stays
+//               uninstrumented.
 //   --epoch N   timeline epoch length in accesses (default 1024; only
 //               meaningful with --timeline).
 //

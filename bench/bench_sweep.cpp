@@ -9,12 +9,13 @@
 //   * per-job fault isolation: a failing cell reports in its own row and
 //     the exit code, never by killing the sweep.
 //
-// With `--prescreen analytic`, the grid is first ranked in-process by the
-// closed-form estimator (src/model/analytic) and only the best
-// `--refine-top P` analytic-supported cells — plus every cell the estimator
-// cannot model, e.g. two-lru-adaptive — are simulated; the rest export as
-// status "skipped" with blank metrics. Ranking happens before any job is
-// dispatched, so the output stays byte-identical for every --jobs value.
+// With `--prescreen analytic`, each workload's cells are first ranked
+// in-process by the closed-form estimator (src/model/analytic) and only
+// each workload's best `--refine-top P` analytic-supported cells — plus
+// every cell the estimator cannot model, e.g. two-lru-adaptive — are
+// simulated; the rest export as status "skipped" with blank metrics.
+// Ranking happens before any job is dispatched, so the output stays
+// byte-identical for every --jobs value.
 //
 //   $ bench_sweep [--scale 64] [--seed 42] [--jobs N] [--json]
 //                 [--timeline PATH [--epoch N]]

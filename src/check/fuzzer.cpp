@@ -160,125 +160,6 @@ std::string FuzzCase::describe() const {
   return os.str();
 }
 
-TenantFuzzCase make_tenant_fuzz_case(std::uint64_t seed,
-                                     std::size_t accesses) {
-  // Distinct stream from the single-process fuzzer so the same seed range
-  // explores independent scenarios.
-  std::uint64_t state = seed ^ 0x7E9A1CB3D2F45687ULL;
-  Rng rng(splitmix64(state));
-
-  TenantFuzzCase fc;
-  fc.seed = seed;
-
-  // Group shape. Budgets deliberately tiny so floor-of-1 slices, partition
-  // flushes and eviction chains fire constantly; the shard count is added
-  // on top so every populated shard can always be given its floor frame.
-  static constexpr const char* kPolicies[] = {
-      "two-lru",   "two-lru-adaptive", "clock-dwf",
-      "dram-cache", "static-partition", "rank-mq"};
-  static constexpr std::uint64_t kDramShapes[] = {2, 3, 4, 8, 16, 32};
-  static constexpr std::uint64_t kNvmShapes[] = {4, 8, 16, 48, 96};
-  fc.group.policy = pick(rng, kPolicies);
-  fc.group.shards = 1 + static_cast<unsigned>(rng.next_below(3));
-  fc.group.dram_frames = pick(rng, kDramShapes) + fc.group.shards;
-  fc.group.nvm_frames = pick(rng, kNvmShapes) + fc.group.shards;
-  fc.group.budget_mode =
-      static_cast<tenant::BudgetMode>(rng.next_below(3));
-  fc.group.rebalance_period =
-      rng.next_bool(0.5) ? 32 + rng.next_below(128) : 0;
-  fc.group.epoch_accesses = rng.next_bool(0.3) ? 64 : 0;
-
-  // Tenant population: small per-tenant footprints so the shared budget is
-  // always oversubscribed.
-  const auto n = static_cast<std::uint32_t>(1 + rng.next_below(6));
-  for (std::uint32_t t = 0; t < n; ++t) {
-    synth::TenantProfile p;
-    p.kind = static_cast<synth::TenantWorkloadKind>(rng.next_below(3));
-    p.pages = 4 + rng.next_below(37);
-    p.hot_fraction = 0.1 + 0.4 * rng.next_double();
-    p.hot_locality = 0.5 + 0.5 * rng.next_double();
-    p.zipf_alpha = 0.6 + 0.8 * rng.next_double();
-    p.write_fraction = rng.next_double();
-    p.rate_weight = 1 + rng.next_below(4);
-    fc.spec.tenants.push_back(p);
-  }
-  fc.spec.name = "tenant-fuzz-" + std::to_string(seed);
-  fc.spec.total_accesses = accesses;
-  fc.spec.seed = splitmix64(state);
-
-  // Schedule shape.
-  switch (rng.next_below(5)) {
-    case 0:  // Steady population, no churn.
-      fc.spec.initial_active = n;
-      break;
-    case 1:  // Stochastic churn with re-arrival.
-      fc.spec.initial_active = 1 + static_cast<std::uint32_t>(
-                                       rng.next_below(n));
-      fc.spec.arrival_prob = 0.002 + 0.01 * rng.next_double();
-      fc.spec.departure_prob = 0.001 + 0.005 * rng.next_double();
-      fc.spec.rearrival = true;
-      break;
-    case 2:  // Flash crowd mid-run.
-      fc.spec.initial_active = 1;
-      fc.spec.flash_at = accesses / 3;
-      fc.spec.flash_arrivals = n;
-      break;
-    case 3: {  // Scripted cliff: everyone departs, then everyone returns.
-      fc.spec.initial_active = n;
-      fc.spec.rearrival = true;
-      for (std::uint32_t t = 0; t < n; ++t) {
-        fc.spec.schedule.push_back({accesses / 3, t, /*arrive=*/false});
-        fc.spec.schedule.push_back({2 * accesses / 3, t, /*arrive=*/true});
-      }
-      break;
-    }
-    default:  // Empty start: the group idles until arrivals trickle in.
-      fc.spec.initial_active = 0;
-      fc.spec.arrival_prob = 0.01 + 0.02 * rng.next_double();
-      fc.spec.departure_prob = 0.002 * rng.next_double();
-      fc.spec.rearrival = rng.next_bool(0.5);
-      break;
-  }
-  return fc;
-}
-
-std::string TenantFuzzCase::describe() const {
-  std::ostringstream os;
-  os << "seed=" << seed << " policy=" << group.policy
-     << " mode=" << tenant::to_string(group.budget_mode)
-     << " shards=" << group.shards << " dram=" << group.dram_frames
-     << " nvm=" << group.nvm_frames
-     << " rebalance=" << group.rebalance_period
-     << " tenants=" << spec.tenants.size()
-     << " initial=" << spec.initial_active
-     << " arrive_p=" << spec.arrival_prob
-     << " depart_p=" << spec.departure_prob
-     << " flash=" << spec.flash_arrivals << "@" << spec.flash_at
-     << " scheduled=" << spec.schedule.size()
-     << " accesses=" << spec.total_accesses;
-  return os.str();
-}
-
-std::string format_tenant_ops(const std::vector<synth::TenantOp>& ops,
-                              std::uint64_t page_size) {
-  std::ostringstream os;
-  bool first = true;
-  for (const synth::TenantOp& op : ops) {
-    if (!first) os << ' ';
-    first = false;
-    switch (op.kind) {
-      case synth::TenantOp::Kind::kArrive: os << '+' << op.tenant; break;
-      case synth::TenantOp::Kind::kDepart: os << '-' << op.tenant; break;
-      default:
-        os << op.tenant
-           << (op.access.type == AccessType::kWrite ? 'W' : 'R')
-           << op.access.addr / page_size;
-        break;
-    }
-  }
-  return os.str();
-}
-
 std::string format_trace(const trace::Trace& trace) {
   std::ostringstream os;
   bool first = true;

@@ -15,8 +15,6 @@
 #include <string>
 
 #include "core/migration_config.hpp"
-#include "synth/tenant_stream.hpp"
-#include "tenant/tenant_group.hpp"
 #include "trace/trace.hpp"
 
 namespace hymem::check {
@@ -39,30 +37,5 @@ FuzzCase make_fuzz_case(std::uint64_t seed, std::size_t accesses);
 /// Renders a trace as one "R<page>"/"W<page>" token per access — the
 /// representation shrunken repros are reported in.
 std::string format_trace(const trace::Trace& trace);
-
-/// One deterministic multi-tenant fuzz scenario: a tenant-group shape plus
-/// a churn-stream spec, both pure functions of the seed. Schedule shapes
-/// cover the churn corners: steady populations, stochastic arrive/depart
-/// with re-arrival, flash crowds, scripted all-depart-then-arrive cliffs,
-/// and empty starts.
-struct TenantFuzzCase {
-  std::uint64_t seed = 0;
-  tenant::TenantGroupConfig group;
-  synth::TenantChurnSpec spec;
-
-  /// One-line reproduction header: seed, group shape, schedule shape.
-  std::string describe() const;
-};
-
-/// Derives the full multi-tenant scenario for `seed` with (about)
-/// `accesses` served requests.
-TenantFuzzCase make_tenant_fuzz_case(std::uint64_t seed,
-                                     std::size_t accesses);
-
-/// Renders a tenant op stream as one token per op ("+2" arrive, "-2"
-/// depart, "2R7"/"2W7" tenant-2 access to local page 7) — the
-/// representation shrunken tenant repros are reported in.
-std::string format_tenant_ops(const std::vector<synth::TenantOp>& ops,
-                              std::uint64_t page_size);
 
 }  // namespace hymem::check

@@ -19,19 +19,21 @@ trace::Trace from_accesses(const std::vector<trace::MemAccess>& accesses,
 }
 
 /// Delta debugging: removes [i, i+chunk) from `best` wherever `fails` still
-/// holds, halving the chunk down to single elements, and restarting from
+/// holds, halving the chunk down to single accesses, and restarting from
 /// the large chunks after any whole pass that removed something. Every
 /// predicate call counts against `max_calls` in `calls`; an empty candidate
 /// never fails.
-template <typename T, typename Fails>
-std::vector<T> remove_chunks(std::vector<T> best, const Fails& fails,
-                             std::size_t& calls, std::size_t max_calls) {
+template <typename Fails>
+std::vector<trace::MemAccess> remove_chunks(std::vector<trace::MemAccess> best,
+                                            const Fails& fails,
+                                            std::size_t& calls,
+                                            std::size_t max_calls) {
   bool progress = true;
   while (progress && calls < max_calls) {
     progress = false;
     for (std::size_t chunk = best.size() / 2; chunk >= 1; chunk /= 2) {
       for (std::size_t i = 0; i + chunk <= best.size() && calls < max_calls;) {
-        std::vector<T> candidate;
+        std::vector<trace::MemAccess> candidate;
         candidate.reserve(best.size() - chunk);
         candidate.insert(candidate.end(), best.begin(),
                          best.begin() + static_cast<std::ptrdiff_t>(i));
@@ -81,15 +83,6 @@ trace::Trace shrink_trace(const trace::Trace& failing,
   if (calls < max_predicate_calls && fails(canonical)) best = canonical;
 
   return from_accesses(best, name);
-}
-
-std::vector<synth::TenantOp> shrink_tenant_ops(
-    const std::vector<synth::TenantOp>& failing,
-    const TenantOpsPredicate& still_fails,
-    std::size_t max_predicate_calls) {
-  HYMEM_CHECK_MSG(!failing.empty(), "cannot shrink an empty op stream");
-  std::size_t calls = 0;
-  return remove_chunks(failing, still_fails, calls, max_predicate_calls);
 }
 
 }  // namespace hymem::check

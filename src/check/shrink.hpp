@@ -10,9 +10,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
-#include "synth/tenant_stream.hpp"
 #include "trace/trace.hpp"
 
 namespace hymem::check {
@@ -28,20 +26,5 @@ using FailurePredicate = std::function<bool(const trace::Trace&)>;
 trace::Trace shrink_trace(const trace::Trace& failing,
                           const FailurePredicate& still_fails,
                           std::size_t max_predicate_calls = 20000);
-
-/// Returns true when the candidate op schedule still reproduces the
-/// failure. Must be deterministic.
-using TenantOpsPredicate =
-    std::function<bool(const std::vector<synth::TenantOp>&)>;
-
-/// Tenant-schedule variant of shrink_trace: minimizes a failing op stream
-/// (arrivals, departures, accesses in serving order) by the same greedy
-/// chunk removal. No renumbering — tenant ids and local pages carry
-/// meaning (shard assignment, hot sets), so the surviving ops are reported
-/// verbatim (see format_tenant_ops).
-std::vector<synth::TenantOp> shrink_tenant_ops(
-    const std::vector<synth::TenantOp>& failing,
-    const TenantOpsPredicate& still_fails,
-    std::size_t max_predicate_calls = 20000);
 
 }  // namespace hymem::check

@@ -103,13 +103,6 @@ class DramLruQueue {
   void for_each_mru_to_lru(Fn&& fn) const {
     ring_.for_each([&fn](const Node& n) { fn(n.page); });
   }
-  /// Calls fn(page) for every page with a parked dirty mark.
-  template <typename Fn>
-  void for_each_dirty(Fn&& fn) const {
-    ring_.for_each([&fn](const Node& n) {
-      if (n.dirty()) fn(n.page);
-    });
-  }
 
  private:
   Ring ring_;

@@ -103,8 +103,4 @@ Nanoseconds TwoLruMigrationPolicy::on_block(const policy::AccessBlock& block) {
   return policy::serve_block(*this, block);
 }
 
-void TwoLruMigrationPolicy::publish_dirty() {
-  dram_.for_each_dirty([this](PageId page) { vmm_.touch_dirty(page); });
-}
-
 }  // namespace hymem::core

@@ -36,7 +36,6 @@ class TwoLruMigrationPolicy final : public policy::HybridPolicy {
     return config_.adaptive ? "two-lru-adaptive" : "two-lru";
   }
   Nanoseconds on_block(const policy::AccessBlock& block) override;
-  void publish_dirty() override;
 
   /// serve_block's step: Algorithm 1 for one access. The queues track
   /// exactly the DRAM- and NVM-resident pages, so the queue indexes

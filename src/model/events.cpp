@@ -4,8 +4,9 @@
 
 namespace hymem::model {
 
-EventCounts EventCounts::read_counters(const os::Vmm& vmm) {
+EventCounts EventCounts::from_vmm(const os::Vmm& vmm, std::uint64_t accesses) {
   EventCounts c;
+  c.accesses = accesses;
   const auto& dram = vmm.device(Tier::kDram).counters();
   const auto& nvm = vmm.device(Tier::kNvm).counters();
   c.dram_read_hits = dram.demand_reads;
@@ -20,12 +21,6 @@ EventCounts EventCounts::read_counters(const os::Vmm& vmm) {
   c.migrations_to_nvm = dma.migrations_dram_to_nvm;
   c.dirty_evictions = vmm.disk().page_outs();
   c.page_factor = vmm.page_factor();
-  return c;
-}
-
-EventCounts EventCounts::from_vmm(const os::Vmm& vmm, std::uint64_t accesses) {
-  EventCounts c = read_counters(vmm);
-  c.accesses = accesses;
   HYMEM_CHECK_MSG(c.fills_to_dram + c.fills_to_nvm == c.page_faults,
                   "every fault must fill exactly one module");
   HYMEM_CHECK_MSG(c.hits() + c.page_faults == c.accesses,
@@ -48,21 +43,6 @@ EventCounts EventCounts::operator-(const EventCounts& earlier) const {
   d.dirty_evictions = dirty_evictions - earlier.dirty_evictions;
   d.page_factor = page_factor;
   return d;
-}
-
-EventCounts& EventCounts::operator+=(const EventCounts& more) {
-  accesses += more.accesses;
-  dram_read_hits += more.dram_read_hits;
-  dram_write_hits += more.dram_write_hits;
-  nvm_read_hits += more.nvm_read_hits;
-  nvm_write_hits += more.nvm_write_hits;
-  page_faults += more.page_faults;
-  fills_to_dram += more.fills_to_dram;
-  fills_to_nvm += more.fills_to_nvm;
-  migrations_to_dram += more.migrations_to_dram;
-  migrations_to_nvm += more.migrations_to_nvm;
-  dirty_evictions += more.dirty_evictions;
-  return *this;
 }
 
 }  // namespace hymem::model

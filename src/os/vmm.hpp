@@ -86,8 +86,9 @@ class Vmm {
   /// The latency `access` charges a demand hit — a constant per
   /// (tier, type) — so a block loop can hoist all four values and defer the
   /// counter updates to one `record_demand_batch` per block. For a write
-  /// the caller must also mark the entry dirty (or park the bit; see
-  /// HybridPolicy::publish_dirty) and, on NVM, call note_nvm_demand_write.
+  /// the caller must also mark the entry dirty (or park the bit on its own
+  /// node and touch_dirty the page before it leaves DRAM) and, on NVM, call
+  /// note_nvm_demand_write.
   Nanoseconds demand_latency(Tier tier, AccessType type) const {
     return device(tier).demand_latency(type);
   }

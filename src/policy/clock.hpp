@@ -66,13 +66,6 @@ class ClockPolicy {
       slot = after(slot);
     }
   }
-  /// Calls fn(page) for every page with a parked dirty bit.
-  template <typename Fn>
-  void for_each_dirty(Fn&& fn) const {
-    ring_.for_each([&fn](const Node& node) {
-      if (node.dirty) fn(node.page);
-    });
-  }
 
  private:
   /// The page after `slot` in ring order, wrapping past the sentinel.

@@ -81,8 +81,4 @@ Nanoseconds ClockDwfPolicy::on_block(const AccessBlock& block) {
   return serve_block(*this, block);
 }
 
-void ClockDwfPolicy::publish_dirty() {
-  dram_.for_each_dirty([this](PageId page) { vmm_.touch_dirty(page); });
-}
-
 }  // namespace hymem::policy

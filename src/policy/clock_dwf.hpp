@@ -30,7 +30,6 @@ class ClockDwfPolicy final : public HybridPolicy {
 
   std::string_view name() const override { return "clock-dwf"; }
   Nanoseconds on_block(const AccessBlock& block) override;
-  void publish_dirty() override;
 
   /// serve_block's step. The clocks track residency exactly, so the DRAM
   /// clock is probed first: a DRAM hit costs one probe (a write sets the

@@ -92,14 +92,6 @@ class HybridPolicy {
   /// them here, keeping its learned state.
   virtual void reset_stats() {}
 
-  /// Writes every dirty bit parked on the policy's own nodes into the page
-  /// table. A policy may park a DRAM write's dirty bit on its node instead
-  /// of probing the page table, because Vmm::evict is the bit's only reader
-  /// and the policy publishes it before the page leaves DRAM. A caller that
-  /// evicts pages behind the policy's back (a tenant flush) calls this
-  /// first.
-  virtual void publish_dirty() {}
-
   os::Vmm& vmm() { return vmm_; }
   const os::Vmm& vmm() const { return vmm_; }
 

@@ -57,13 +57,6 @@ class LruPolicy {
   void for_each_mru_to_lru(Fn&& fn) const {
     ring_.for_each([&fn](const Node& node) { fn(node.page); });
   }
-  /// Calls fn(page) for every page with a parked dirty bit.
-  template <typename Fn>
-  void for_each_dirty(Fn&& fn) const {
-    ring_.for_each([&fn](const Node& node) {
-      if (node.dirty) fn(node.page);
-    });
-  }
 
  private:
   Ring ring_;

@@ -16,8 +16,9 @@
 namespace hymem::policy {
 
 /// The fields LruPolicy and ClockPolicy keep on each node: CLOCK's
-/// reference bit, and a dirty bit parked by a DRAM write hit (see
-/// HybridPolicy::publish_dirty).
+/// reference bit, and a dirty bit parked by a DRAM write hit. The owner
+/// publishes a parked bit (Vmm::touch_dirty) before the page leaves DRAM,
+/// because Vmm::evict is the bit's only reader.
 struct PageBits {
   bool ref = false;
   bool dirty = false;

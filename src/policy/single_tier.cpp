@@ -30,8 +30,4 @@ Nanoseconds SingleTierPolicy::on_block(const AccessBlock& block) {
   return serve_block(*this, block);
 }
 
-void SingleTierPolicy::publish_dirty() {
-  lru_.for_each_dirty([this](PageId page) { vmm_.touch_dirty(page); });
-}
-
 }  // namespace hymem::policy

@@ -19,7 +19,6 @@ class SingleTierPolicy final : public HybridPolicy {
     return tier_ == Tier::kDram ? "dram-only-lru" : "nvm-only-lru";
   }
   Nanoseconds on_block(const AccessBlock& block) override;
-  void publish_dirty() override;
 
   /// serve_block's step. Residency is LRU membership, so a hit classifies
   /// with one index probe. A DRAM write parks its dirty bit on the LRU node

@@ -43,9 +43,11 @@ PrescreenResults run_prescreened_sweep(const SweepSpec& spec,
     return it->second;
   };
 
-  // Ranking pass: estimate every supported cell, order by (predicted AMAT,
-  // grid index). The tie-break on grid index keeps the selected set a pure
-  // function of the spec — independent of worker count or timing.
+  // Ranking pass: estimate every supported cell, order by (workload,
+  // predicted AMAT, grid index). The grid is workload-major, so a workload's
+  // cells are one contiguous run of `per_workload` indices. The tie-break on
+  // grid index keeps the selected set a pure function of the spec —
+  // independent of worker count or timing.
   std::vector<std::size_t> supported;
   for (std::size_t i = 0; i < out.sweep.jobs.size(); ++i) {
     const SweepJob& job = out.sweep.jobs[i].job;
@@ -62,19 +64,30 @@ PrescreenResults run_prescreened_sweep(const SweepSpec& spec,
     screen.predicted_amat_ns = screen.estimate.amat.total();
     supported.push_back(i);
   }
+  const std::size_t per_workload =
+      spec.workloads.empty() ? 1
+                             : out.sweep.jobs.size() / spec.workloads.size();
+  const auto workload_of = [per_workload](std::size_t i) {
+    return i / per_workload;
+  };
   std::sort(supported.begin(), supported.end(),
             [&](std::size_t a, std::size_t b) {
+              if (workload_of(a) != workload_of(b)) {
+                return workload_of(a) < workload_of(b);
+              }
               const double sa = out.screen[a].predicted_amat_ns;
               const double sb = out.screen[b].predicted_amat_ns;
               return sa != sb ? sa < sb : a < b;
             });
 
-  const std::size_t keep =
-      options.refine_top == 0
-          ? supported.size()
-          : std::min(options.refine_top, supported.size());
-  for (std::size_t rank = 0; rank < keep; ++rank) {
-    out.screen[supported[rank]].selected = true;
+  // Each workload keeps its best `refine_top` supported cells.
+  for (std::size_t k = 0, rank = 0; k < supported.size(); ++k, ++rank) {
+    if (k > 0 && workload_of(supported[k]) != workload_of(supported[k - 1])) {
+      rank = 0;
+    }
+    if (options.refine_top == 0 || rank < options.refine_top) {
+      out.screen[supported[k]].selected = true;
+    }
   }
   // Unsupported cells have no prediction to stand on: always simulate.
   std::vector<std::size_t> selected;

@@ -6,18 +6,20 @@
 // Flow: expand the grid exactly like run_sweep, characterize each distinct
 // (workload, seed, page size) once (one O(n log n) reuse-distance pass),
 // estimate every analytic-supported cell in-process (thousands of cells per
-// second), rank by predicted Eq. 1 AMAT, and simulate the union of
-//   * the top `refine_top` supported cells (all of them when refine_top is
-//     0 or >= the supported count), and
+// second), rank each workload's cells by predicted Eq. 1 AMAT, and simulate
+// the union of
+//   * each workload's top `refine_top` supported cells (all of them when
+//     refine_top is 0 or >= that workload's supported count), and
 //   * every unsupported cell (adaptive thresholds, sampled policies, the
 //     non-two-LRU hybrids — the estimator's contract in analytic_supported).
 // Everything else is marked `skipped` in its result slot: same grid order,
 // same CSV/JSON columns, blank metrics.
 //
 // Determinism contract (CI-gated like run_sweep's): ranking happens
-// in-process before any job is dispatched, ordered by (predicted AMAT, grid
-// index) — so the selected set, the result slots and every exported byte are
-// identical for any --jobs value.
+// in-process before any job is dispatched, ordered by (workload, predicted
+// AMAT, grid index) — so the selected set, the result slots and every
+// exported byte are identical for any --jobs value. Cells group by workload
+// only: under SeedMode::kPerJob every cell has its own seed.
 #pragma once
 
 #include <cstddef>
@@ -39,9 +41,9 @@ struct ScreenedJob {
 };
 
 struct PrescreenOptions {
-  /// Simulate only the best `refine_top` supported cells (plus every
-  /// unsupported cell). 0 = simulate everything, i.e. a plain sweep with
-  /// the analytic predictions attached.
+  /// Simulate only each workload's best `refine_top` supported cells (plus
+  /// every unsupported cell). 0 = simulate everything, i.e. a plain sweep
+  /// with the analytic predictions attached.
   std::size_t refine_top = 0;
   /// Executor knobs for the simulation phase (workers, progress).
   SweepOptions run;

@@ -81,22 +81,6 @@ const std::vector<TableSchema>& table_schemas() {
         "read_perc", "write_perc", "predicted_amat_ns", "simulated_amat_ns",
         "amat_rel_err", "predicted_hit_ratio", "simulated_hit_ratio",
         "predicted_rank", "simulated_rank", "in_top3_both"}},
-      // bench_tenants: per-cell multi-tenant serving results — budget-mode
-      // x shard-count grid with per-tenant AMAT percentiles, Jain fairness,
-      // hot-set retention under the scan antagonist (isolation), and the
-      // aggregate endurance/reconfiguration cost of arbitration.
-      {"tenant-fairness",
-       {"workload", "policy", "budget_mode", "shards", "tenants", "seed",
-        "accesses", "amat_total_ns", "amat_p50_ns", "amat_p95_ns",
-        "amat_p99_ns", "jain_index", "victim_retention",
-        "victim_retention_solo", "retention_delta", "nvm_writes_total",
-        "reconfigurations", "reconfig_evictions", "visible_latency_ns"}},
-      // bench_tenants --timeline: per-epoch churn series of one cell.
-      {"tenant-timeline",
-       {"workload", "policy", "budget_mode", "shards", "epoch", "end_access",
-        "active_tenants", "arrivals", "departures", "amat_total_ns",
-        "amat_p95_ns", "jain_index", "dram_resident", "nvm_resident",
-        "reconfigurations"}},
   };
   return schemas;
 }

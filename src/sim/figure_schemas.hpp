@@ -1,7 +1,7 @@
 // Registry of the output schemas: every stacked paper figure bench_paper
 // prints (title, stack components, bar series) and every table's column
-// list (Tables I and III, the spliced timeline, and the frontier, analytic
-// and tenant harnesses) lives here instead of being retyped inside each
+// list (Tables I and III, the spliced timeline, and the sampled-frontier
+// and analytic harnesses) lives here instead of being retyped inside each
 // bench main().
 //
 // The point is stability: these CSV/text headers are the interface consumed

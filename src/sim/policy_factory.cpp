@@ -43,33 +43,6 @@ void check_policy_name(const std::string& name) {
   }
 }
 
-std::vector<std::string> shardable_policy_names() {
-  std::vector<std::string> names;
-  for (std::string& name : policy_names()) {
-    if (name.rfind("sampled-", 0) == 0) continue;
-    names.push_back(std::move(name));
-  }
-  return names;
-}
-
-bool is_shardable(const std::string& name) {
-  return name.rfind("sampled-", 0) != 0;
-}
-
-[[noreturn]] void throw_unshardable_policy(const std::string& context,
-                                           const std::string& name) {
-  std::string msg = context + " does not support policy: " + name +
-                    " (the sampled hotness tap and background migrator are "
-                    "per-run global structures; supported: ";
-  bool first = true;
-  for (const std::string& known : shardable_policy_names()) {
-    if (!first) msg += ", ";
-    msg += known;
-    first = false;
-  }
-  throw std::invalid_argument(msg + ")");
-}
-
 bool is_single_tier(const std::string& name) {
   return name == "dram-only" || name == "nvm-only";
 }

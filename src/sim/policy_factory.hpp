@@ -9,7 +9,7 @@
 //   "two-lru-adaptive"   proposed scheme + adaptive thresholds (extension)
 //   "static-partition"   hash-partitioned hybrid, no migrations (ablation)
 //   "dram-cache"         promote-on-touch DRAM cache over NVM (related work)
-//   "sampled-lru"        sampled hotness + async bounded migrator (src/sample)
+//   "sampled-lru"        sampled hotness + virtual-time migrator (src/sample)
 #pragma once
 
 #include <memory>
@@ -25,24 +25,9 @@ namespace hymem::sim {
 /// All accepted names.
 std::vector<std::string> policy_names();
 
-/// Names usable where one run is split across independent policy
-/// instances sharing a physical budget (tenant groups): everything except
-/// the sampled-* family, whose hotness tap and migrator are per-run global
-/// structures.
-std::vector<std::string> shardable_policy_names();
-
 /// Throws std::invalid_argument, listing the known names, unless `name` is
 /// one of policy_names(); make_policy throws the same message.
 void check_policy_name(const std::string& name);
-
-/// True if the name can run split across independent policy instances.
-bool is_shardable(const std::string& name);
-
-/// Rejects a policy a split-budget context cannot host. `context` names the
-/// caller ("tenant groups"); the message enumerates
-/// the supported names so CLI users do not have to go find them.
-[[noreturn]] void throw_unshardable_policy(const std::string& context,
-                                           const std::string& name);
 
 /// True if the name is "dram-only" or "nvm-only", the single-module
 /// policies.

@@ -114,6 +114,42 @@ TEST(Prescreen, RecoversTheTrueBestSimulatedCell) {
   }
 }
 
+// Two workloads of three supported cells each: the ranking is per
+// workload, so refine_top 1 keeps each workload's lowest prediction, not
+// the grid's single lowest.
+TEST(Prescreen, RefineTopKeepsTheBestCellsOfEachWorkload) {
+  SweepSpec spec;
+  spec.workloads = {synth::parsec_profile("canneal"),
+                    synth::parsec_profile("streamcluster")};
+  spec.policies = {"dram-only", "nvm-only", "two-lru"};
+  spec.scale = 512;
+  spec.base_seed = 42;
+  PrescreenOptions options;
+  options.refine_top = 1;
+  options.run.jobs = 1;
+  const PrescreenResults screened = run_prescreened_sweep(spec, options);
+  ASSERT_EQ(screened.screen.size(), 6u);
+  EXPECT_EQ(screened.simulated, 2u);
+  for (const std::string workload : {"canneal", "streamcluster"}) {
+    std::size_t selected = 0;
+    std::size_t best = 0;
+    double best_amat = std::numeric_limits<double>::infinity();
+    for (const ScreenedJob& job : screened.screen) {
+      if (screened.sweep.jobs[job.index].job.workload.name != workload) {
+        continue;
+      }
+      ASSERT_TRUE(job.analytic);
+      if (job.selected) ++selected;
+      if (job.predicted_amat_ns < best_amat) {
+        best_amat = job.predicted_amat_ns;
+        best = job.index;
+      }
+    }
+    EXPECT_EQ(selected, 1u) << workload;
+    EXPECT_TRUE(screened.screen[best].selected) << workload;
+  }
+}
+
 TEST(Prescreen, OutputIsByteIdenticalForAnyWorkerCount) {
   const SweepSpec spec = screen_spec();
   PrescreenOptions serial;

@@ -24,13 +24,12 @@ TEST(FigureSchemas, RegistryCoversEveryPaperFigure) {
                                         "fig4a", "fig4b", "fig4c"}));
   std::set<std::string> tables;
   for (const auto& s : table_schemas()) tables.insert(s.id);
-  // "timeline", "sampled-frontier", "analytic-frontier" and the two tenant
-  // tables are not paper artifacts but ride in the same registry so their
-  // column lists are pinned the same way.
+  // "timeline", "sampled-frontier" and "analytic-frontier" are not paper
+  // artifacts but ride in the same registry so their column lists are
+  // pinned the same way.
   EXPECT_EQ(tables,
             (std::set<std::string>{"table1", "table3", "timeline",
-                                   "sampled-frontier", "analytic-frontier",
-                                   "tenant-fairness", "tenant-timeline"}));
+                                   "sampled-frontier", "analytic-frontier"}));
 }
 
 TEST(FigureSchemas, LookupReturnsTheRegisteredEntryOrThrows) {
@@ -120,26 +119,6 @@ TEST(FigureSchemas, GoldenAnalyticFrontierColumns) {
                     "predicted_amat_ns", "simulated_amat_ns", "amat_rel_err",
                     "predicted_hit_ratio", "simulated_hit_ratio",
                     "predicted_rank", "simulated_rank", "in_top3_both"}));
-}
-
-// bench_tenants' exports: the per-cell multi-tenant fairness/isolation
-// grid and the per-epoch churn timeline of one cell.
-TEST(FigureSchemas, GoldenTenantFairnessColumns) {
-  EXPECT_EQ(table_schema("tenant-fairness").columns,
-            (Header{"workload", "policy", "budget_mode", "shards", "tenants",
-                    "seed", "accesses", "amat_total_ns", "amat_p50_ns",
-                    "amat_p95_ns", "amat_p99_ns", "jain_index",
-                    "victim_retention", "victim_retention_solo",
-                    "retention_delta", "nvm_writes_total", "reconfigurations",
-                    "reconfig_evictions", "visible_latency_ns"}));
-}
-
-TEST(FigureSchemas, GoldenTenantTimelineColumns) {
-  EXPECT_EQ(table_schema("tenant-timeline").columns,
-            (Header{"workload", "policy", "budget_mode", "shards", "epoch",
-                    "end_access", "active_tenants", "arrivals", "departures",
-                    "amat_total_ns", "amat_p95_ns", "jain_index",
-                    "dram_resident", "nvm_resident", "reconfigurations"}));
 }
 
 // The flat RunResult CSV projection the sweep runner splices into its

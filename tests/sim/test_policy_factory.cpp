@@ -121,35 +121,6 @@ TEST(PolicyFactory, UnknownNameErrorEnumeratesPolicies) {
   }
 }
 
-// Split-budget contexts (tenant groups) cannot host the sampled-* family:
-// its hotness tap and migrator are per-run global structures. The classification and the rejection message are API.
-TEST(PolicyFactory, ShardableNamesExcludeExactlyTheSampledFamily) {
-  const auto shardable = shardable_policy_names();
-  for (const auto& name : shardable) {
-    EXPECT_TRUE(is_shardable(name)) << name;
-    EXPECT_NE(name.rfind("sampled-", 0), 0u) << name;
-  }
-  EXPECT_FALSE(is_shardable("sampled-lru"));
-  EXPECT_TRUE(is_shardable("two-lru"));
-  // Everything advertised is either shardable or sampled-*.
-  EXPECT_EQ(shardable.size() + 1, policy_names().size());
-}
-
-TEST(PolicyFactory, UnshardableErrorNamesContextAndEnumeratesSupport) {
-  try {
-    throw_unshardable_policy("tenant groups", "sampled-lru");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("tenant groups does not support policy: sampled-lru"),
-              std::string::npos)
-        << msg;
-    for (const auto& name : shardable_policy_names()) {
-      EXPECT_NE(msg.find(name), std::string::npos) << "missing " << name;
-    }
-  }
-}
-
 TEST(PolicyFactory, SampledLruForwardsSampleConfig) {
   os::Vmm vmm(config_for("sampled-lru"));
   sample::SampleConfig scfg;
